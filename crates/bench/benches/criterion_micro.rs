@@ -164,8 +164,10 @@ fn memo_cache_hits(cache: &EvalCache, pairs: &[SchedPair]) -> u64 {
 /// 16-node cluster, then run start → next_completion → harvest rounds —
 /// the per-shuffle-flow cycle the driver pays, exercising the
 /// incremental solver's dirty-set re-rate and heap repair at a fixed
-/// live-flow scale.
-fn net_flow_churn(active: usize, rounds: u64) -> u64 {
+/// live-flow scale. Sources are drawn from the first `sources` nodes:
+/// all 16 gives uniform pairs (few flows per `(src, dst)` edge), a few
+/// gives a shuffle's fan-out (many flows per edge).
+fn net_churn(active: usize, rounds: u64, sources: u64) -> u64 {
     let nodes = 16u32;
     let mut net = Network::new(NetParams::default(), nodes);
     let mut now = SimTime::ZERO;
@@ -175,7 +177,7 @@ fn net_flow_churn(active: usize, rounds: u64) -> u64 {
         x
     };
     for _ in 0..active {
-        let src = (lcg() % nodes as u64) as u32;
+        let src = (lcg() % sources) as u32;
         let dst = (lcg() % nodes as u64) as u32;
         let bytes = 64 * 1024 + lcg() % (960 * 1024);
         net.start_flow(now, src, dst, bytes);
@@ -183,7 +185,7 @@ fn net_flow_churn(active: usize, rounds: u64) -> u64 {
     let mut done = Vec::new();
     let mut completed = 0u64;
     for _ in 0..rounds {
-        let src = (lcg() % nodes as u64) as u32;
+        let src = (lcg() % sources) as u32;
         let dst = (lcg() % nodes as u64) as u32;
         let bytes = 64 * 1024 + lcg() % (960 * 1024);
         net.start_flow(now, src, dst, bytes);
@@ -263,12 +265,15 @@ fn main() {
     });
     results.push(timing_json("memo_cache_hit_1k", t));
 
+    let rounds = if quick() { 64 } else { 256 };
     for active in [64usize, 512, 4096] {
         let name = format!("net_flow_churn/{active}");
-        let rounds = if quick() { 64 } else { 256 };
-        let t = bench(&name, warmup, iters, || {
-            black_box(net_flow_churn(active, rounds))
-        });
+        let t = bench(&name, warmup, iters, || black_box(net_churn(active, rounds, 16)));
+        results.push(timing_json(&name, t));
+    }
+    for active in [512usize, 4096] {
+        let name = format!("net_shuffle_churn/{active}");
+        let t = bench(&name, warmup, iters, || black_box(net_churn(active, rounds, 3)));
         results.push(timing_json(&name, t));
     }
 

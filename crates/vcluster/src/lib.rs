@@ -40,7 +40,7 @@ pub use driver::{
     run_job, run_jobs_sequential, ClusterParams, ClusterSim, ClusterSnapshot, JobOutcome,
     OnlinePolicy, PolicyAudit, SwitchPlan,
 };
-pub use network::{FlowId, NaiveNetwork, NetParams, Network};
+pub use network::{FlowId, NetParams, Network};
 pub use sweep::{
     run_sweep, stamp_manifest, CellResult, MergedMetrics, RunManifest, SweepCell, SweepGrid,
     SweepReport,

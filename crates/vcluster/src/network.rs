@@ -8,43 +8,55 @@
 //! re-arms its timer whenever the flow set (and hence the rate
 //! allocation) changes.
 //!
-//! # Incremental solver
+//! # Incremental edge-level solver
 //!
-//! Two implementations share one numerical kernel ([`Core`]):
+//! [`Network`] keeps a dirty-set of NIC ports whose flow population
+//! changed and re-solves only the connected components of the port
+//! graph reachable from dirty ports; every other component's rates are
+//! untouched. A lazily-repaired min-heap of completion horizons makes
+//! `next_completion`/`take_completed_into` independent of the number of
+//! active flows.
 //!
-//! * [`Network`] — the production solver. It keeps a dirty-set of NIC
-//!   ports whose flow population changed and re-solves only the
-//!   connected components of the port/flow graph reachable from dirty
-//!   ports; every other component's rates are untouched. A
-//!   lazily-repaired min-heap of completion horizons makes
-//!   `next_completion`/`take_completed_into` independent of the number
-//!   of active flows.
-//! * [`NaiveNetwork`] — the reference oracle. Same storage, same
-//!   per-component kernel, but it re-solves *every* component on every
-//!   change and scans all live flows for completions. The differential
-//!   suite (`crates/vcluster/tests/network_diff.rs`) drives both
-//!   through identical traces and asserts bit-equal state after every
-//!   operation, which is exactly the proof obligation for the dirty-set
-//!   and heap machinery.
+//! The unit of the water-filling is the **edge**: a `(src, dst)` port
+//! pair with its multiplicity of live flows. Every flow on an edge
+//! crosses the same two ports, so max-min gives them one rate, and the
+//! solve only needs each edge's multiplicity: a shuffle component
+//! holding thousands of flows is walked over its few hundred edges.
+//! Per-port live-flow counters seed the fair-share divisors, so no pass
+//! counts flows at all.
 //!
-//! Bit-equality between the two is only possible because the numerical
-//! contract is *component-local*: a flow's rate is a pure function of
-//! the connected component it lives in (ports and flows sorted
-//! ascending, capacities retired with one multiply-subtract per port
-//! per round, one shared fair-share accumulator per component). A
-//! solver may therefore skip any component whose content is unchanged
-//! and still reproduce the full re-solve bit-for-bit. See DESIGN.md §9
-//! for the invariants.
+//! A flow-level reference solver (`NaiveNetwork`, behind the `oracle`
+//! feature) re-solves *every* component on every change with the
+//! per-flow kernel the edge solver replaced, and scans all live flows
+//! for completions. The differential suite
+//! (`crates/vcluster/tests/network_diff.rs`) drives both through
+//! identical traces and asserts bit-equal state after every operation,
+//! which is the proof obligation for edge aggregation, the dirty set and
+//! the heap machinery together.
+//!
+//! Bit-equality is possible because the numerical contract is
+//! *component-local* and *count-based*: a flow's rate is a pure function
+//! of the component it lives in, computed from per-port live-flow counts
+//! (capacities retired with one multiply-subtract per port per round,
+//! one shared fair-share accumulator per component). Aggregating flows
+//! into edges leaves every count, and hence every float, unchanged. See
+//! DESIGN.md §9 for the invariants.
 //!
 //! # Storage
 //!
 //! Flow ids are handed out sequentially, so flows live in an SoA slab:
 //! parallel `src`/`dst`/`rate`/`left`/`epoch`/`horizon`/`live` arrays
-//! indexed by id, plus per-port flow buckets with back-pointer indices
-//! for O(1) swap-removal. Remaining bytes are materialized lazily: a
-//! flow's `(left, epoch)` pair is only folded forward when its rate
-//! changes bitwise or when it completes, so steady flows cost nothing
-//! as simulation time passes.
+//! indexed by id. Edges live in a slot table with a free list; each edge
+//! lists its flows, each flow keeps an `(edge, index)` back-pointer, and
+//! each port lists its edges, so every detach is an O(1) swap-remove.
+//! Remaining bytes are materialized lazily: a flow's `(left, epoch)`
+//! pair is only folded forward when its rate changes bitwise or when it
+//! completes, so steady flows cost nothing as simulation time passes.
+
+#[cfg(any(test, feature = "oracle"))]
+mod naive;
+#[cfg(any(test, feature = "oracle"))]
+pub use naive::NaiveNetwork;
 
 use simcore::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -77,21 +89,8 @@ const PORT_EPS: f64 = 1e-6;
 /// Cap on projected completion distance (seconds) so rate≈0 flows do
 /// not overflow the nanosecond clock.
 const HORIZON_CAP_SECS: f64 = 1e9;
-/// Low mantissa bits cleared from every solved rate. Water-filling
-/// round decomposition differs between solves of the same component
-/// neighborhood, leaving ±ULP noise on rates whose real value did not
-/// move; truncating low mantissa bits collapses that noise so untouched
-/// flows are not re-materialized. Tried at 26 bits (~1.5e-8 relative):
-/// it cut re-rates ~30 % but perturbed the 64×4 golden makespan in the
-/// 8th digit, so the knob is held at 0 — exact physics, bit-identical
-/// makespans, at ~0.3 s extra wall on the headline cell.
-const RATE_QUANT_BITS: u32 = 0;
-
-/// Quantize a solved rate onto the deterministic grid.
-#[inline]
-fn quantize(rate: f64) -> f64 {
-    if RATE_QUANT_BITS == 0 { rate } else { f64::from_bits(rate.to_bits() & !((1u64 << RATE_QUANT_BITS) - 1)) }
-}
+/// Empty slot in the edge index and edge back-pointers.
+const NONE: u32 = u32::MAX;
 
 /// Completion horizon for a flow materialized at `epoch`: `left/rate`
 /// rounded to the nanosecond clock. The flow is *declared* complete at
@@ -113,61 +112,15 @@ fn completion_horizon(epoch: SimTime, left: f64, rate: f64) -> SimTime {
     epoch + SimDuration::from_secs_f64(secs).max(SimDuration::from_nanos(1))
 }
 
-/// Reusable solver scratch (one allocation per network, not one per
-/// resolve). Port/flow visit marks are u32 stamps so a pass starts
-/// without clearing anything.
-#[derive(Default)]
-struct Scratch {
-    /// Current pass stamp; a mark equal to it means "visited this pass".
-    stamp: u32,
-    mark_e: Vec<u32>,
-    mark_i: Vec<u32>,
-    /// Per-flow `(visit stamp, component-local index)`; valid when the
-    /// stamp matches the pass. Packing both in one slot means the BFS
-    /// and the freeze walk pay one slab access per flow, and all other
-    /// solve state lives in dense component-local arrays below.
-    fmeta: Vec<(u32, u32)>,
-    /// Residual capacity / unfrozen-flow count / saturation per port,
-    /// (re)initialized per component.
-    cap_e: Vec<f64>,
-    cap_i: Vec<f64>,
-    cnt_e: Vec<u32>,
-    cnt_i: Vec<u32>,
-    sat_e: Vec<bool>,
-    sat_i: Vec<bool>,
-    /// Ports that saturated in the current round, whose buckets are
-    /// walked to freeze their flows.
-    sat_new: Vec<(u32, bool)>,
-    /// The component under solve: ports and flows, in BFS discovery
-    /// order (the solve is order-independent, so no canonical sort is
-    /// needed).
-    comp_e: Vec<u32>,
-    comp_i: Vec<u32>,
-    comp_flows: Vec<FlowId>,
-    /// `(src, dst)` of each component flow, indexed like `comp_flows`
-    /// (captured during the BFS so the solve iterates sequentially).
-    comp_sd: Vec<(u32, u32)>,
-    bfs: Vec<(u32, bool)>,
-    /// Component-local solve state, indexed like `comp_flows`.
-    comp_frozen: Vec<bool>,
-    comp_rate: Vec<f64>,
-    /// Flows whose re-solved rate differs bitwise from the stored one,
-    /// with the new rate's bits (component-local state is reused across
-    /// components within a pass, so the value rides along).
-    changed: Vec<(FlowId, u64)>,
-    /// Completion pop buffer reused across `take_completed_into` calls.
-    done_buf: Vec<FlowId>,
-}
-
-/// Shared state + numerical kernel for both solver implementations:
-/// the SoA flow slab, the per-port buckets, and the component-local
-/// water-filling solve. What differs between [`Network`] and
-/// [`NaiveNetwork`] is only *which* components get re-solved and *how*
-/// completions are found.
-struct Core {
+/// SoA flow slab shared by the solver and its oracle: per-flow
+/// endpoints, rate, lazily materialized remaining bytes and completion
+/// horizon, plus the delivered-bytes account. Which flows get a new
+/// rate is the solver's business; how a rate change or a completion is
+/// folded into the slab is the same for both.
+struct FlowSlab {
     params: NetParams,
     nodes: u32,
-    // SoA slab indexed by flow id (slot 0 unused; ids start at 1).
+    // Indexed by flow id (slot 0 unused; ids start at 1).
     src: Vec<u32>,
     dst: Vec<u32>,
     rate: Vec<f64>,
@@ -180,36 +133,14 @@ struct Core {
     horizon: Vec<SimTime>,
     live: Vec<bool>,
     live_count: usize,
-    /// Per-port live non-loopback flows, with back-pointers for O(1)
-    /// swap-removal.
-    egress: Vec<Vec<FlowId>>,
-    ingress: Vec<Vec<FlowId>>,
-    pos_e: Vec<u32>,
-    pos_i: Vec<u32>,
     next_id: FlowId,
-    scratch: Scratch,
     /// Total bytes delivered (accounting).
     delivered_bytes: f64,
-    stats_resolves: u64,
-    stats_comp_flows: u64,
-    stats_changed: u64,
-    stats_rounds: u64,
-    stats_solve_ns: u64,
 }
 
-impl Core {
+impl FlowSlab {
     fn new(params: NetParams, nodes: u32) -> Self {
-        let n = nodes as usize;
-        let mut scratch = Scratch::default();
-        scratch.mark_e.resize(n, 0);
-        scratch.mark_i.resize(n, 0);
-        scratch.cap_e.resize(n, 0.0);
-        scratch.cap_i.resize(n, 0.0);
-        scratch.cnt_e.resize(n, 0);
-        scratch.cnt_i.resize(n, 0);
-        scratch.sat_e.resize(n, false);
-        scratch.sat_i.resize(n, false);
-        Core {
+        FlowSlab {
             params,
             nodes,
             src: Vec::new(),
@@ -220,30 +151,20 @@ impl Core {
             horizon: Vec::new(),
             live: Vec::new(),
             live_count: 0,
-            egress: vec![Vec::new(); n],
-            ingress: vec![Vec::new(); n],
-            pos_e: Vec::new(),
-            pos_i: Vec::new(),
             next_id: 1,
-            scratch,
             delivered_bytes: 0.0,
-            stats_resolves: 0,
-            stats_comp_flows: 0,
-            stats_changed: 0,
-            stats_rounds: 0,
-            stats_solve_ns: 0,
         }
     }
 
-    /// Current slab capacity (one slot per flow ever started, +1 for
-    /// the unused slot 0).
-    fn slab_len(&self) -> usize {
+    /// Slab capacity (one slot per flow ever started, +1 for the unused
+    /// slot 0).
+    fn len(&self) -> usize {
         self.src.len()
     }
 
     /// Allocate a slab slot for a new flow. Loopback flows get their
-    /// fixed rate and horizon immediately; NIC flows join the port
-    /// buckets rateless and wait for the next resolve.
+    /// fixed rate and horizon immediately; NIC flows start rateless and
+    /// wait for the next resolve.
     fn insert(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> FlowId {
         assert!(src < self.nodes && dst < self.nodes, "bad node id");
         assert!(bytes > 0, "zero-byte flow");
@@ -259,8 +180,6 @@ impl Core {
             self.epoch.resize(n, SimTime::ZERO);
             self.horizon.resize(n, SimTime::MAX);
             self.live.resize(n, false);
-            self.pos_e.resize(n, u32::MAX);
-            self.pos_i.resize(n, u32::MAX);
         }
         self.src[i] = src;
         self.dst[i] = dst;
@@ -272,15 +191,9 @@ impl Core {
             let r = self.params.loopback_bytes_per_sec as f64;
             self.rate[i] = r;
             self.horizon[i] = completion_horizon(now, self.left[i], r);
-            self.pos_e[i] = u32::MAX;
-            self.pos_i[i] = u32::MAX;
         } else {
             self.rate[i] = 0.0;
             self.horizon[i] = SimTime::MAX;
-            self.pos_e[i] = self.egress[src as usize].len() as u32;
-            self.egress[src as usize].push(id);
-            self.pos_i[i] = self.ingress[dst as usize].len() as u32;
-            self.ingress[dst as usize].push(id);
         }
         id
     }
@@ -297,16 +210,24 @@ impl Core {
         }
     }
 
-    /// Materialize a flow at `now` and install its new rate + horizon.
-    fn set_rate(&mut self, now: SimTime, f: FlowId, r: f64) {
-        let i = f as usize;
-        self.fold(now, i);
-        self.rate[i] = r;
-        self.horizon[i] = completion_horizon(self.epoch[i], self.left[i], r);
+    /// Materialize each `(flow, new rate)` at `now`. Callers pass the
+    /// changed flows in ascending id order: the changed set is a pure
+    /// function of the re-solved components, so sorting makes the
+    /// `delivered_bytes` accumulation order independent of which solver
+    /// found it, or in which order.
+    fn apply_rates(&mut self, now: SimTime, changed: impl ExactSizeIterator<Item = (FlowId, f64)>) {
+        let _mat = simcore::prof::span("net.materialize");
+        simcore::prof::count("flows_changed", changed.len() as u64);
+        for (f, r) in changed {
+            let i = f as usize;
+            self.fold(now, i);
+            self.rate[i] = r;
+            self.horizon[i] = completion_horizon(self.epoch[i], self.left[i], r);
+        }
     }
 
-    /// Retire a completed flow: fold its final transfer, mark it dead
-    /// and detach it from the port buckets.
+    /// Retire a completed flow: fold its final transfer and mark it
+    /// dead. The caller detaches it from its solver's port structures.
     fn complete(&mut self, now: SimTime, f: FlowId) {
         let i = f as usize;
         debug_assert!(self.live[i], "completing a dead flow");
@@ -321,276 +242,6 @@ impl Core {
         self.live[i] = false;
         self.live_count -= 1;
         self.horizon[i] = SimTime::MAX;
-        if self.src[i] != self.dst[i] {
-            self.detach(f);
-        }
-    }
-
-    /// Swap-remove a flow from both port buckets.
-    fn detach(&mut self, f: FlowId) {
-        let i = f as usize;
-        let (s, d) = (self.src[i] as usize, self.dst[i] as usize);
-        let pe = self.pos_e[i] as usize;
-        let last = self.egress[s].pop().expect("egress bucket underflow");
-        if last != f {
-            self.egress[s][pe] = last;
-            self.pos_e[last as usize] = pe as u32;
-        }
-        let pi = self.pos_i[i] as usize;
-        let last = self.ingress[d].pop().expect("ingress bucket underflow");
-        if last != f {
-            self.ingress[d][pi] = last;
-            self.pos_i[last as usize] = pi as u32;
-        }
-        self.pos_e[i] = u32::MAX;
-        self.pos_i[i] = u32::MAX;
-    }
-
-    /// Start a resolve pass: bump the visit stamp and size the
-    /// per-flow scratch to the slab.
-    fn begin_pass(&mut self) {
-        let s = &mut self.scratch;
-        if s.stamp == u32::MAX {
-            s.mark_e.iter_mut().for_each(|m| *m = 0);
-            s.mark_i.iter_mut().for_each(|m| *m = 0);
-            s.fmeta.iter_mut().for_each(|m| m.0 = 0);
-            s.stamp = 0;
-        }
-        s.stamp += 1;
-        s.fmeta.resize(self.src.len(), (0, 0));
-        s.changed.clear();
-    }
-
-    /// BFS the connected component of the port/flow graph containing
-    /// the seed port, marking everything visited with the pass stamp.
-    /// Fills `comp_e`/`comp_i`/`comp_flows`. Traversal order depends on
-    /// the seed, but the solve below is order-independent (min over
-    /// ports, per-port capacity retirement, one shared accumulator), so
-    /// any seed reproduces the same rates bit-for-bit.
-    fn collect_component(&mut self, seed: u32, seed_ing: bool) {
-        let _prof = simcore::prof::span_hot("net.bfs");
-        let Core { scratch, src, dst, egress, ingress, .. } = self;
-        let st = scratch.stamp;
-        let Scratch { mark_e, mark_i, fmeta, comp_e, comp_i, comp_flows, comp_sd, bfs, .. } =
-            scratch;
-        comp_e.clear();
-        comp_i.clear();
-        comp_flows.clear();
-        comp_sd.clear();
-        bfs.clear();
-        if seed_ing {
-            mark_i[seed as usize] = st;
-        } else {
-            mark_e[seed as usize] = st;
-        }
-        bfs.push((seed, seed_ing));
-        while let Some((p, ing)) = bfs.pop() {
-            if ing {
-                comp_i.push(p);
-                for &f in &ingress[p as usize] {
-                    let i = f as usize;
-                    if fmeta[i].0 != st {
-                        fmeta[i] = (st, comp_flows.len() as u32);
-                        comp_flows.push(f);
-                        comp_sd.push((src[i], dst[i]));
-                    }
-                    let o = src[i];
-                    if mark_e[o as usize] != st {
-                        mark_e[o as usize] = st;
-                        bfs.push((o, false));
-                    }
-                }
-            } else {
-                comp_e.push(p);
-                for &f in &egress[p as usize] {
-                    let i = f as usize;
-                    if fmeta[i].0 != st {
-                        fmeta[i] = (st, comp_flows.len() as u32);
-                        comp_flows.push(f);
-                        comp_sd.push((src[i], dst[i]));
-                    }
-                    let o = dst[i];
-                    if mark_i[o as usize] != st {
-                        mark_i[o as usize] = st;
-                        bfs.push((o, true));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Water-filling max-min solve of the component currently in
-    /// `comp_e`/`comp_i`/`comp_flows`, writing results to `new_rate`.
-    ///
-    /// The numerical contract (every operation below is part of it):
-    /// each round finds the minimum fair share `b` over unsaturated
-    /// ports, retires port capacity with one multiply-subtract
-    /// `cap -= cnt·b`, accumulates `b` into one per-component running
-    /// share `S`, and freezes every flow crossing a newly saturated
-    /// port at rate `quantize(S)`. Every step is order-independent
-    /// (min, independent per-port updates, same-value assignment), so
-    /// the solve is a pure function of the component *content* —
-    /// traversal order does not matter, which is the property that
-    /// lets an incremental solver skip untouched components
-    /// bit-exactly.
-    ///
-    /// Flows are frozen by walking the buckets of newly saturated
-    /// ports, not by rescanning the component, so total freeze work is
-    /// `O(Σ port degree) = O(2·flows)` per solve instead of
-    /// `O(rounds·flows)`.
-    fn solve_component(&mut self) -> u64 {
-        let nic = self.params.nic_bytes_per_sec as f64;
-        let Core { scratch, egress, ingress, .. } = self;
-        let Scratch {
-            fmeta,
-            comp_e,
-            comp_i,
-            comp_flows,
-            comp_sd,
-            cap_e,
-            cap_i,
-            cnt_e,
-            cnt_i,
-            sat_e,
-            sat_i,
-            sat_new,
-            comp_frozen,
-            comp_rate,
-            ..
-        } = scratch;
-        for &p in comp_e.iter() {
-            let p = p as usize;
-            cap_e[p] = nic;
-            cnt_e[p] = 0;
-            sat_e[p] = false;
-        }
-        for &p in comp_i.iter() {
-            let p = p as usize;
-            cap_i[p] = nic;
-            cnt_i[p] = 0;
-            sat_i[p] = false;
-        }
-        comp_frozen.clear();
-        comp_frozen.resize(comp_flows.len(), false);
-        comp_rate.clear();
-        comp_rate.resize(comp_flows.len(), 0.0);
-        for &(s, d) in comp_sd.iter() {
-            cnt_e[s as usize] += 1;
-            cnt_i[d as usize] += 1;
-        }
-        let mut unfrozen = comp_flows.len();
-        let mut share = 0.0f64;
-        let mut rounds = 0u64;
-        while unfrozen > 0 {
-            rounds += 1;
-            // Fair share offered by each unsaturated port; the minimum
-            // is binding.
-            let mut b = f64::INFINITY;
-            for &p in comp_e.iter() {
-                let p = p as usize;
-                if !sat_e[p] && cnt_e[p] > 0 {
-                    b = b.min(cap_e[p] / cnt_e[p] as f64);
-                }
-            }
-            for &p in comp_i.iter() {
-                let p = p as usize;
-                if !sat_i[p] && cnt_i[p] > 0 {
-                    b = b.min(cap_i[p] / cnt_i[p] as f64);
-                }
-            }
-            debug_assert!(b.is_finite() && b > 0.0, "degenerate round: b={b}");
-            share += b;
-            let frozen_rate = quantize(share);
-            // Retire capacity; the binding port's residual lands within
-            // f64 rounding of zero, under PORT_EPS, and saturates.
-            sat_new.clear();
-            for &p in comp_e.iter() {
-                let p = p as usize;
-                if !sat_e[p] && cnt_e[p] > 0 {
-                    cap_e[p] -= cnt_e[p] as f64 * b;
-                    if cap_e[p] <= PORT_EPS {
-                        sat_e[p] = true;
-                        sat_new.push((p as u32, false));
-                    }
-                }
-            }
-            for &p in comp_i.iter() {
-                let p = p as usize;
-                if !sat_i[p] && cnt_i[p] > 0 {
-                    cap_i[p] -= cnt_i[p] as f64 * b;
-                    if cap_i[p] <= PORT_EPS {
-                        sat_i[p] = true;
-                        sat_new.push((p as u32, true));
-                    }
-                }
-            }
-            // Freeze the flows of every newly saturated port at the
-            // accumulated share (bit-identical for all of them).
-            for &(p, ing) in sat_new.iter() {
-                let bucket = if ing { &ingress[p as usize] } else { &egress[p as usize] };
-                for &f in bucket {
-                    let ci = fmeta[f as usize].1 as usize;
-                    if !comp_frozen[ci] {
-                        comp_frozen[ci] = true;
-                        comp_rate[ci] = frozen_rate;
-                        let (s, d) = comp_sd[ci];
-                        cnt_e[s as usize] -= 1;
-                        cnt_i[d as usize] -= 1;
-                        unfrozen -= 1;
-                    }
-                }
-            }
-        }
-        rounds
-    }
-
-    /// Re-solve every component reachable from the seed ports and
-    /// materialize (in ascending flow-id order) every flow whose rate
-    /// changed bitwise. The changed set is left in `scratch.changed`
-    /// for the caller (the incremental solver repairs its heap from
-    /// it). Seeds may repeat; visited components are skipped.
-    fn resolve_seeds<I: IntoIterator<Item = (u32, bool)>>(&mut self, now: SimTime, seeds: I) {
-        let _prof = simcore::prof::span("net.solve");
-        self.begin_pass();
-        for (p, ing) in seeds {
-            let seen = if ing {
-                self.scratch.mark_i[p as usize]
-            } else {
-                self.scratch.mark_e[p as usize]
-            };
-            if seen == self.scratch.stamp {
-                continue;
-            }
-            self.collect_component(p, ing);
-            if self.scratch.comp_flows.is_empty() {
-                continue;
-            }
-            self.stats_resolves += 1;
-            self.stats_comp_flows += self.scratch.comp_flows.len() as u64;
-            let rounds = self.solve_component();
-            self.stats_rounds += rounds;
-            let Core { scratch, rate, .. } = self;
-            for (ci, &f) in scratch.comp_flows.iter().enumerate() {
-                let bits = scratch.comp_rate[ci].to_bits();
-                if bits != rate[f as usize].to_bits() {
-                    scratch.changed.push((f, bits));
-                }
-            }
-        }
-        let mut changed = std::mem::take(&mut self.scratch.changed);
-        self.stats_changed += changed.len() as u64;
-        {
-            let _mat = simcore::prof::span("net.materialize");
-            simcore::prof::count("flows_changed", changed.len() as u64);
-            // Ascending flow-id order: the set of changed flows is a pure
-            // function of the affected components, so both solver flavors
-            // materialize (and fold `delivered_bytes`) identically.
-            changed.sort_unstable();
-            for &(f, bits) in &changed {
-                self.set_rate(now, f, f64::from_bits(bits));
-            }
-        }
-        self.scratch.changed = changed;
     }
 
     /// Observable per-flow state, for the differential harness:
@@ -615,11 +266,86 @@ impl Core {
     }
 }
 
-/// The production network state machine: incremental component
-/// re-solves driven by a dirty port set, plus a lazily-repaired
-/// min-heap of completion horizons.
+/// One `(src, dst)` NIC port pair carrying at least one live flow.
+/// Every flow on an edge crosses the same two ports, so the solve
+/// freezes them together, at one rate.
+struct Edge {
+    src: u32,
+    dst: u32,
+    /// The solved rate every flow of the edge holds — except flows that
+    /// joined since the last solve (see `fresh`). A newly created edge
+    /// starts at 0.0, which no solve produces.
+    rate: f64,
+    /// A flow joined this (pre-existing) edge since the last solve. Its
+    /// rateless joiner must be materialized even when the edge's solved
+    /// rate comes back bitwise unchanged.
+    fresh: bool,
+    /// Index of this edge in `egress[src]` / `ingress[dst]`.
+    pos_e: u32,
+    pos_i: u32,
+    /// Live flows on the edge (the multiplicity is `flows.len()`).
+    flows: Vec<FlowId>,
+}
+
+/// Reusable solver scratch (one allocation per network, not one per
+/// resolve). Port visit marks are u32 stamps so a pass starts without
+/// clearing anything.
+#[derive(Default)]
+struct Scratch {
+    /// Current pass stamp; a mark equal to it means "visited this pass".
+    stamp: u32,
+    mark_e: Vec<u32>,
+    mark_i: Vec<u32>,
+    /// Residual capacity / unfrozen-flow count / saturation per port,
+    /// (re)initialized per component.
+    cap_e: Vec<f64>,
+    cap_i: Vec<f64>,
+    cnt_e: Vec<u32>,
+    cnt_i: Vec<u32>,
+    sat_e: Vec<bool>,
+    sat_i: Vec<bool>,
+    /// Ports that saturated in the current round, whose edge buckets are
+    /// walked to freeze their edges.
+    sat_new: Vec<(u32, bool)>,
+    /// The component under solve: ports and edges, in BFS discovery
+    /// order (the solve is order-independent, so no canonical sort is
+    /// needed).
+    comp_e: Vec<u32>,
+    comp_i: Vec<u32>,
+    comp_edges: Vec<u32>,
+    bfs: Vec<(u32, bool)>,
+    /// Per edge slot: frozen in the current solve, and the rate it froze
+    /// at. Components of one pass are disjoint, so slot-indexed state is
+    /// never shared between them.
+    frozen: Vec<bool>,
+    solved: Vec<f64>,
+    /// Flows whose re-solved rate differs bitwise from the stored one;
+    /// the new rate is their edge's.
+    changed: Vec<FlowId>,
+    /// Completion pop buffer reused across `take_completed_into` calls.
+    done_buf: Vec<FlowId>,
+}
+
+/// The production network state machine: incremental edge-level
+/// component re-solves driven by a dirty port set, plus a
+/// lazily-repaired min-heap of completion horizons.
 pub struct Network {
-    core: Core,
+    flows: FlowSlab,
+    /// Edge slot table; free slots are listed in `free_edges`.
+    edges: Vec<Edge>,
+    free_edges: Vec<u32>,
+    /// Dense `src * nodes + dst → edge slot` index (`NONE` = no live
+    /// flow on that pair); 1 MiB at 512 nodes.
+    edge_of: Vec<u32>,
+    /// Per flow id: `(edge slot, index in that edge's flows)`.
+    link: Vec<(u32, u32)>,
+    /// Per-port live edges, with back-pointers in the edges.
+    egress: Vec<Vec<u32>>,
+    ingress: Vec<Vec<u32>>,
+    /// Per-port live NIC flows: the solve's initial fair-share divisors.
+    live_e: Vec<u32>,
+    live_i: Vec<u32>,
+    scratch: Scratch,
     /// Ports whose flow population changed since the last resolve.
     /// Every entry was pushed at the same instant, `pending_at`:
     /// mutations at a *later* instant, and every rate/horizon read,
@@ -643,47 +369,63 @@ pub struct Network {
     /// Earliest heap entry time per flow slot (`MAX` = none); the
     /// entry with `t == heap_t[id]` is the canonical one.
     heap_t: Vec<SimTime>,
+    stats_resolves: u64,
+    stats_comp_flows: u64,
+    stats_comp_edges: u64,
+    stats_changed: u64,
+    stats_rounds: u64,
+    stats_solve_ns: u64,
 }
 
 impl Network {
     /// Network over `nodes` nodes.
     pub fn new(params: NetParams, nodes: u32) -> Self {
+        let n = nodes as usize;
+        let scratch = Scratch {
+            mark_e: vec![0; n],
+            mark_i: vec![0; n],
+            cap_e: vec![0.0; n],
+            cap_i: vec![0.0; n],
+            cnt_e: vec![0; n],
+            cnt_i: vec![0; n],
+            sat_e: vec![false; n],
+            sat_i: vec![false; n],
+            ..Scratch::default()
+        };
         Network {
-            core: Core::new(params, nodes),
+            flows: FlowSlab::new(params, nodes),
+            edges: Vec::new(),
+            free_edges: Vec::new(),
+            edge_of: vec![NONE; n * n],
+            link: Vec::new(),
+            egress: vec![Vec::new(); n],
+            ingress: vec![Vec::new(); n],
+            live_e: vec![0; n],
+            live_i: vec![0; n],
+            scratch,
             dirty: Vec::new(),
             pending_at: SimTime::ZERO,
             heap: BinaryHeap::new(),
             heap_t: Vec::new(),
-        }
-    }
-
-    /// Push a heap entry for `f` only if its horizon moved *earlier*
-    /// than the flow's canonical entry (`heap_t`). Horizons that move
-    /// later keep their old entry; the pop loops re-insert it at the
-    /// true horizon when it surfaces. This caps heap growth near the
-    /// live-flow count instead of one entry per re-rate.
-    fn heap_push(&mut self, f: FlowId) {
-        let i = f as usize;
-        if i >= self.heap_t.len() {
-            self.heap_t.resize(self.core.slab_len(), SimTime::MAX);
-        }
-        let h = self.core.horizon[i];
-        if h < self.heap_t[i] {
-            self.heap_t[i] = h;
-            self.heap.push(Reverse((h, f)));
+            stats_resolves: 0,
+            stats_comp_flows: 0,
+            stats_comp_edges: 0,
+            stats_changed: 0,
+            stats_rounds: 0,
+            stats_solve_ns: 0,
         }
     }
 
     /// Number of active flows.
     pub fn active_flows(&self) -> usize {
-        self.core.live_count
+        self.flows.live_count
     }
 
     /// Total bytes delivered so far. Exact whenever no flow is in
     /// flight (lazy materialization defers per-flow residue until a
     /// rate change or completion).
     pub fn delivered_bytes(&self) -> f64 {
-        self.core.delivered_bytes
+        self.flows.delivered_bytes
     }
 
     /// Start a flow; returns its id. Caller re-arms its completion
@@ -694,10 +436,11 @@ impl Network {
         if !self.dirty.is_empty() && now != self.pending_at {
             self.resolve();
         }
-        let id = self.core.insert(now, src, dst, bytes);
+        let id = self.flows.insert(now, src, dst, bytes);
         if src == dst {
             self.heap_push(id);
         } else {
+            self.attach(id, src, dst);
             self.dirty.push((src, false));
             self.dirty.push((dst, true));
             self.pending_at = now;
@@ -705,24 +448,342 @@ impl Network {
         id
     }
 
-    /// Drain the dirty set through the core solver (materializing at
-    /// the instant the population changed) and repair the heap for
-    /// every flow whose horizon moved.
+    /// Put a NIC flow on its `(src, dst)` edge, creating the edge if the
+    /// pair carries no live flow yet.
+    fn attach(&mut self, f: FlowId, src: u32, dst: u32) {
+        let key = src as usize * self.flows.nodes as usize + dst as usize;
+        let e = match self.edge_of[key] {
+            NONE => {
+                let e = self.free_edges.pop().unwrap_or_else(|| {
+                    self.edges.push(Edge {
+                        src: 0,
+                        dst: 0,
+                        rate: 0.0,
+                        fresh: false,
+                        pos_e: NONE,
+                        pos_i: NONE,
+                        flows: Vec::new(),
+                    });
+                    (self.edges.len() - 1) as u32
+                });
+                // A reused slot keeps only its flow list's allocation:
+                // the stored rate is reset so the first solve of the new
+                // pair always reads as a change.
+                let edge = &mut self.edges[e as usize];
+                edge.src = src;
+                edge.dst = dst;
+                edge.rate = 0.0;
+                edge.fresh = false;
+                edge.pos_e = self.egress[src as usize].len() as u32;
+                edge.pos_i = self.ingress[dst as usize].len() as u32;
+                self.egress[src as usize].push(e);
+                self.ingress[dst as usize].push(e);
+                self.edge_of[key] = e;
+                e
+            }
+            e => {
+                self.edges[e as usize].fresh = true;
+                e
+            }
+        };
+        let edge = &mut self.edges[e as usize];
+        if self.link.len() <= f as usize {
+            self.link.resize(self.flows.len(), (NONE, NONE));
+        }
+        self.link[f as usize] = (e, edge.flows.len() as u32);
+        edge.flows.push(f);
+        self.live_e[src as usize] += 1;
+        self.live_i[dst as usize] += 1;
+    }
+
+    /// Swap-remove a completed NIC flow from its edge; an edge left
+    /// empty leaves both port buckets and returns to the free list.
+    fn detach(&mut self, f: FlowId) {
+        let (e, pos) = self.link[f as usize];
+        let edge = &mut self.edges[e as usize];
+        edge.flows.swap_remove(pos as usize);
+        if let Some(&moved) = edge.flows.get(pos as usize) {
+            self.link[moved as usize].1 = pos;
+        }
+        let (s, d) = (edge.src as usize, edge.dst as usize);
+        self.live_e[s] -= 1;
+        self.live_i[d] -= 1;
+        if !edge.flows.is_empty() {
+            return;
+        }
+        let (pe, pi) = (edge.pos_e as usize, edge.pos_i as usize);
+        self.egress[s].swap_remove(pe);
+        if let Some(&moved) = self.egress[s].get(pe) {
+            self.edges[moved as usize].pos_e = pe as u32;
+        }
+        self.ingress[d].swap_remove(pi);
+        if let Some(&moved) = self.ingress[d].get(pi) {
+            self.edges[moved as usize].pos_i = pi as u32;
+        }
+        self.edge_of[s * self.flows.nodes as usize + d] = NONE;
+        self.free_edges.push(e);
+    }
+
+    /// Push a heap entry for `f` only if its horizon moved *earlier*
+    /// than the flow's canonical entry (`heap_t`). Horizons that move
+    /// later keep their old entry; the pop loops re-insert it at the
+    /// true horizon when it surfaces. This caps heap growth near the
+    /// live-flow count instead of one entry per re-rate.
+    fn heap_push(&mut self, f: FlowId) {
+        let i = f as usize;
+        if i >= self.heap_t.len() {
+            self.heap_t.resize(self.flows.len(), SimTime::MAX);
+        }
+        let h = self.flows.horizon[i];
+        if h < self.heap_t[i] {
+            self.heap_t[i] = h;
+            self.heap.push(Reverse((h, f)));
+        }
+    }
+
+    /// Drain the dirty set: re-solve every component reachable from a
+    /// dirty port, materialize (at the instant the population changed)
+    /// every flow whose rate moved, and repair the heap for each.
     fn resolve(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
-        let dirty = std::mem::take(&mut self.dirty);
         let t0 = std::time::Instant::now();
-        self.core.resolve_seeds(self.pending_at, dirty.iter().copied());
-        self.core.stats_solve_ns += t0.elapsed().as_nanos() as u64;
-        self.dirty = dirty;
+        {
+            let _prof = simcore::prof::span("net.solve");
+            self.begin_pass();
+            for k in 0..self.dirty.len() {
+                let (p, ing) = self.dirty[k];
+                let s = &self.scratch;
+                let seen = if ing { s.mark_i[p as usize] } else { s.mark_e[p as usize] };
+                if seen == s.stamp {
+                    continue;
+                }
+                self.collect_component(p, ing);
+                if self.scratch.comp_edges.is_empty() {
+                    continue;
+                }
+                self.stats_resolves += 1;
+                self.stats_comp_edges += self.scratch.comp_edges.len() as u64;
+                self.stats_comp_flows +=
+                    self.scratch.comp_e.iter().map(|&p| self.live_e[p as usize] as u64).sum::<u64>();
+                self.stats_rounds += self.solve_component();
+                self.collect_changed();
+            }
+            let Network { flows, edges, link, scratch, .. } = self;
+            // Ascending ids; sorting bare ids (not id/rate pairs) halves
+            // the sort's traffic, and each rate is one lookup away.
+            scratch.changed.sort_unstable();
+            let rates = scratch.changed.iter().map(|&f| (f, edges[link[f as usize].0 as usize].rate));
+            flows.apply_rates(self.pending_at, rates);
+            self.stats_changed += scratch.changed.len() as u64;
+        }
+        self.stats_solve_ns += t0.elapsed().as_nanos() as u64;
         self.dirty.clear();
-        let changed = std::mem::take(&mut self.core.scratch.changed);
-        for &(f, _) in &changed {
+        let changed = std::mem::take(&mut self.scratch.changed);
+        for &f in &changed {
             self.heap_push(f);
         }
-        self.core.scratch.changed = changed;
+        self.scratch.changed = changed;
+    }
+
+    /// Start a resolve pass: bump the visit stamp and size the per-edge
+    /// scratch to the edge table.
+    fn begin_pass(&mut self) {
+        let s = &mut self.scratch;
+        if s.stamp == u32::MAX {
+            s.mark_e.iter_mut().for_each(|m| *m = 0);
+            s.mark_i.iter_mut().for_each(|m| *m = 0);
+            s.stamp = 0;
+        }
+        s.stamp += 1;
+        s.frozen.resize(self.edges.len(), false);
+        s.solved.resize(self.edges.len(), 0.0);
+        s.changed.clear();
+    }
+
+    /// BFS the connected component of the port graph containing the
+    /// seed port, marking every port visited with the pass stamp. Fills
+    /// `comp_e`/`comp_i`/`comp_edges`; an edge is collected once, from
+    /// its egress port. Traversal order depends on the seed, but the
+    /// solve below is order-independent, so any seed reproduces the same
+    /// rates bit-for-bit.
+    fn collect_component(&mut self, seed: u32, seed_ing: bool) {
+        let _prof = simcore::prof::span_hot("net.bfs");
+        let Network { scratch, edges, egress, ingress, .. } = self;
+        let st = scratch.stamp;
+        let Scratch { mark_e, mark_i, comp_e, comp_i, comp_edges, bfs, .. } = scratch;
+        comp_e.clear();
+        comp_i.clear();
+        comp_edges.clear();
+        bfs.clear();
+        if seed_ing {
+            mark_i[seed as usize] = st;
+        } else {
+            mark_e[seed as usize] = st;
+        }
+        bfs.push((seed, seed_ing));
+        while let Some((p, ing)) = bfs.pop() {
+            if ing {
+                comp_i.push(p);
+                for &e in &ingress[p as usize] {
+                    let o = edges[e as usize].src as usize;
+                    if mark_e[o] != st {
+                        mark_e[o] = st;
+                        bfs.push((o as u32, false));
+                    }
+                }
+            } else {
+                comp_e.push(p);
+                for &e in &egress[p as usize] {
+                    comp_edges.push(e);
+                    let o = edges[e as usize].dst as usize;
+                    if mark_i[o] != st {
+                        mark_i[o] = st;
+                        bfs.push((o as u32, true));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Water-filling max-min solve of the component currently in
+    /// `comp_e`/`comp_i`/`comp_edges`, writing each edge's rate to
+    /// `solved`. Returns the number of rounds.
+    ///
+    /// The numerical contract (every operation below is part of it):
+    /// each port starts from its live-flow count; each round finds the
+    /// minimum fair share `b` over unsaturated ports, retires port
+    /// capacity with one multiply-subtract `cap -= cnt·b`, accumulates
+    /// `b` into one per-component running share `S`, and freezes every
+    /// edge crossing a newly saturated port at rate `S`, taking its
+    /// multiplicity off both of its ports' counts. Every step is
+    /// order-independent (min, independent per-port updates, same-value
+    /// assignment), so the solve is a pure function of the component
+    /// *content* — which lets an incremental solver skip untouched
+    /// components bit-exactly. A flow-level solve that freezes the same
+    /// flows one at a time sees the same counts, hence the same floats.
+    ///
+    /// Edges are frozen by walking the buckets of newly saturated
+    /// ports, so total freeze work is `O(2·edges)` per solve.
+    fn solve_component(&mut self) -> u64 {
+        let nic = self.flows.params.nic_bytes_per_sec as f64;
+        let Network { scratch, edges, egress, ingress, live_e, live_i, .. } = self;
+        let Scratch {
+            comp_e,
+            comp_i,
+            comp_edges,
+            cap_e,
+            cap_i,
+            cnt_e,
+            cnt_i,
+            sat_e,
+            sat_i,
+            sat_new,
+            frozen,
+            solved,
+            ..
+        } = scratch;
+        for &p in comp_e.iter() {
+            let p = p as usize;
+            cap_e[p] = nic;
+            cnt_e[p] = live_e[p];
+            sat_e[p] = false;
+        }
+        for &p in comp_i.iter() {
+            let p = p as usize;
+            cap_i[p] = nic;
+            cnt_i[p] = live_i[p];
+            sat_i[p] = false;
+        }
+        for &e in comp_edges.iter() {
+            frozen[e as usize] = false;
+        }
+        let mut unfrozen = comp_edges.len();
+        let mut share = 0.0f64;
+        let mut rounds = 0u64;
+        while unfrozen > 0 {
+            rounds += 1;
+            // Fair share offered by each unsaturated port; the minimum
+            // is binding.
+            let mut b = f64::INFINITY;
+            for &p in comp_e.iter() {
+                let p = p as usize;
+                if !sat_e[p] && cnt_e[p] > 0 {
+                    b = b.min(cap_e[p] / cnt_e[p] as f64);
+                }
+            }
+            for &p in comp_i.iter() {
+                let p = p as usize;
+                if !sat_i[p] && cnt_i[p] > 0 {
+                    b = b.min(cap_i[p] / cnt_i[p] as f64);
+                }
+            }
+            debug_assert!(b.is_finite() && b > 0.0, "degenerate round: b={b}");
+            share += b;
+            // Retire capacity; the binding port's residual lands within
+            // f64 rounding of zero, under PORT_EPS, and saturates.
+            sat_new.clear();
+            for &p in comp_e.iter() {
+                let p = p as usize;
+                if !sat_e[p] && cnt_e[p] > 0 {
+                    cap_e[p] -= cnt_e[p] as f64 * b;
+                    if cap_e[p] <= PORT_EPS {
+                        sat_e[p] = true;
+                        sat_new.push((p as u32, false));
+                    }
+                }
+            }
+            for &p in comp_i.iter() {
+                let p = p as usize;
+                if !sat_i[p] && cnt_i[p] > 0 {
+                    cap_i[p] -= cnt_i[p] as f64 * b;
+                    if cap_i[p] <= PORT_EPS {
+                        sat_i[p] = true;
+                        sat_new.push((p as u32, true));
+                    }
+                }
+            }
+            // Freeze the edges of every newly saturated port at the
+            // accumulated share (bit-identical for all of them).
+            for &(p, ing) in sat_new.iter() {
+                let bucket = if ing { &ingress[p as usize] } else { &egress[p as usize] };
+                for &e in bucket {
+                    let e = e as usize;
+                    if !frozen[e] {
+                        frozen[e] = true;
+                        solved[e] = share;
+                        let edge = &edges[e];
+                        let m = edge.flows.len() as u32;
+                        cnt_e[edge.src as usize] -= m;
+                        cnt_i[edge.dst as usize] -= m;
+                        unfrozen -= 1;
+                    }
+                }
+            }
+        }
+        rounds
+    }
+
+    /// Compare the solved component against the stored rates, per edge,
+    /// and queue every flow whose rate changed bitwise. An edge whose
+    /// rate moved changes all its flows; an unchanged `fresh` edge
+    /// changes only its rateless joiners.
+    fn collect_changed(&mut self) {
+        let Network { scratch, edges, flows, .. } = self;
+        for &e in &scratch.comp_edges {
+            let edge = &mut edges[e as usize];
+            let bits = scratch.solved[e as usize].to_bits();
+            if bits != edge.rate.to_bits() {
+                edge.rate = f64::from_bits(bits);
+                scratch.changed.extend_from_slice(&edge.flows);
+            } else if edge.fresh {
+                scratch
+                    .changed
+                    .extend(edge.flows.iter().filter(|&&f| flows.rate[f as usize].to_bits() != bits));
+            }
+            edge.fresh = false;
+        }
     }
 
     /// Earliest projected completion time across active flows.
@@ -733,16 +794,16 @@ impl Network {
         self.resolve();
         while let Some(&Reverse((t, f))) = self.heap.peek() {
             let i = f as usize;
-            if self.core.live[i] {
-                if self.core.horizon[i] == t {
+            if self.flows.live[i] {
+                if self.flows.horizon[i] == t {
                     return Some(t);
                 }
                 if self.heap_t[i] == t {
                     // Canonical entry surfaced before the (now later)
                     // horizon: repair it in place.
                     self.heap.pop();
-                    self.heap_t[i] = self.core.horizon[i];
-                    self.heap.push(Reverse((self.core.horizon[i], f)));
+                    self.heap_t[i] = self.flows.horizon[i];
+                    self.heap.push(Reverse((self.flows.horizon[i], f)));
                     continue;
                 }
             }
@@ -756,7 +817,7 @@ impl Network {
     /// re-solve is deferred like `start_flow`'s.
     pub fn take_completed_into(&mut self, now: SimTime, done: &mut Vec<FlowId>) {
         self.resolve();
-        let mut popped = std::mem::take(&mut self.core.scratch.done_buf);
+        let mut popped = std::mem::take(&mut self.scratch.done_buf);
         popped.clear();
         while let Some(&Reverse((t, f))) = self.heap.peek() {
             if t > now {
@@ -764,15 +825,15 @@ impl Network {
             }
             self.heap.pop();
             let i = f as usize;
-            if self.core.live[i] {
-                if self.core.horizon[i] == t {
+            if self.flows.live[i] {
+                if self.flows.horizon[i] == t {
                     popped.push(f);
                 } else if self.heap_t[i] == t {
                     // Early canonical entry: re-insert at the true
                     // horizon (which may itself be ≤ `now`, in which
                     // case the loop pops it right back).
-                    self.heap_t[i] = self.core.horizon[i];
-                    self.heap.push(Reverse((self.core.horizon[i], f)));
+                    self.heap_t[i] = self.flows.horizon[i];
+                    self.heap.push(Reverse((self.flows.horizon[i], f)));
                 }
             }
         }
@@ -782,10 +843,11 @@ impl Network {
             popped.sort_unstable();
             popped.dedup();
             for &f in &popped {
-                self.core.complete(now, f);
+                self.flows.complete(now, f);
                 let i = f as usize;
-                let (s, d) = (self.core.src[i], self.core.dst[i]);
+                let (s, d) = (self.flows.src[i], self.flows.dst[i]);
                 if s != d {
+                    self.detach(f);
                     self.dirty.push((s, false));
                     self.dirty.push((d, true));
                     self.pending_at = now;
@@ -793,7 +855,7 @@ impl Network {
             }
             done.extend_from_slice(&popped);
         }
-        self.core.scratch.done_buf = popped;
+        self.scratch.done_buf = popped;
     }
 
     /// Pop every flow that has (effectively) finished by `now`.
@@ -813,135 +875,31 @@ impl Network {
     /// Observable per-flow state for the differential harness.
     #[doc(hidden)]
     pub fn debug_state(&self) -> Vec<(FlowId, u32, u32, u64, u64, u64, u64)> {
-        self.core.debug_state()
+        self.flows.debug_state()
     }
 }
 
 impl Drop for Network {
     fn drop(&mut self) {
-        if std::env::var_os("ADIOS_NET_STATS").is_some_and(|v| v != "0") && self.core.stats_resolves > 0 {
+        if std::env::var_os("ADIOS_NET_STATS").is_some_and(|v| v != "0") && self.stats_resolves > 0 {
+            let per = |x: u64| x as f64 / self.stats_resolves as f64;
             eprintln!(
-                "[net] resolves={} comp_flows={} (avg {:.1}) changed={} (avg {:.1}) rounds={} (avg {:.2}) heap={} slab={} solve_s={:.3}",
-                self.core.stats_resolves,
-                self.core.stats_comp_flows,
-                self.core.stats_comp_flows as f64 / self.core.stats_resolves as f64,
-                self.core.stats_changed,
-                self.core.stats_changed as f64 / self.core.stats_resolves as f64,
-                self.core.stats_rounds,
-                self.core.stats_rounds as f64 / self.core.stats_resolves as f64,
+                "[net] resolves={} comp_flows={} (avg {:.1}) comp_edges={} (avg {:.1}) changed={} (avg {:.1}) rounds={} (avg {:.2}) heap={} slab={} edge_slots={} solve_s={:.3}",
+                self.stats_resolves,
+                self.stats_comp_flows,
+                per(self.stats_comp_flows),
+                self.stats_comp_edges,
+                per(self.stats_comp_edges),
+                self.stats_changed,
+                per(self.stats_changed),
+                self.stats_rounds,
+                per(self.stats_rounds),
                 self.heap.len(),
-                self.core.src.len(),
-                self.core.stats_solve_ns as f64 / 1e9,
+                self.flows.len(),
+                self.edges.len(),
+                self.stats_solve_ns as f64 / 1e9,
             );
         }
-    }
-}
-
-/// Reference max-min solver: identical storage and numerical kernel,
-/// but every change re-solves every component and completions are found
-/// by scanning all live flows. Retained as the oracle for the
-/// differential suite; see the module docs.
-pub struct NaiveNetwork {
-    core: Core,
-    /// Population changed at `pending_at`; rates are stale until the
-    /// next resolve (same deferral contract as [`Network`], so the two
-    /// stay bit-identical under identical call sequences).
-    stale: bool,
-    pending_at: SimTime,
-}
-
-impl NaiveNetwork {
-    /// Network over `nodes` nodes.
-    pub fn new(params: NetParams, nodes: u32) -> Self {
-        NaiveNetwork {
-            core: Core::new(params, nodes),
-            stale: false,
-            pending_at: SimTime::ZERO,
-        }
-    }
-
-    /// Number of active flows.
-    pub fn active_flows(&self) -> usize {
-        self.core.live_count
-    }
-
-    /// Total bytes delivered so far.
-    pub fn delivered_bytes(&self) -> f64 {
-        self.core.delivered_bytes
-    }
-
-    /// Full re-solve of the pending population change: every port
-    /// seeds the pass, so every component is visited. Untouched
-    /// components reproduce their rates bit-exactly and materialize
-    /// nothing.
-    fn resolve(&mut self) {
-        if !self.stale {
-            return;
-        }
-        self.stale = false;
-        let n = self.core.nodes;
-        let seeds = (0..n).map(|p| (p, false)).chain((0..n).map(|p| (p, true)));
-        self.core.resolve_seeds(self.pending_at, seeds);
-    }
-
-    /// Start a flow; returns its id. Defers the re-solve exactly like
-    /// [`Network::start_flow`].
-    pub fn start_flow(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> FlowId {
-        if self.stale && now != self.pending_at {
-            self.resolve();
-        }
-        let id = self.core.insert(now, src, dst, bytes);
-        if src != dst {
-            self.stale = true;
-            self.pending_at = now;
-        }
-        id
-    }
-
-    /// Earliest projected completion time across active flows — O(n)
-    /// scan over the whole slab.
-    pub fn next_completion(&mut self) -> Option<SimTime> {
-        self.resolve();
-        (1..self.core.next_id)
-            .filter(|&f| self.core.live[f as usize])
-            .map(|f| self.core.horizon[f as usize])
-            .min()
-    }
-
-    /// Pop every flow that has (effectively) finished by `now`,
-    /// appending their ids (ascending) to `done`.
-    pub fn take_completed_into(&mut self, now: SimTime, done: &mut Vec<FlowId>) {
-        self.resolve();
-        let mut popped = std::mem::take(&mut self.core.scratch.done_buf);
-        popped.clear();
-        popped.extend(
-            (1..self.core.next_id)
-                .filter(|&f| self.core.live[f as usize] && self.core.horizon[f as usize] <= now),
-        );
-        if !popped.is_empty() {
-            for &f in &popped {
-                self.core.complete(now, f);
-                if self.core.src[f as usize] != self.core.dst[f as usize] {
-                    self.stale = true;
-                    self.pending_at = now;
-                }
-            }
-            done.extend_from_slice(&popped);
-        }
-        self.core.scratch.done_buf = popped;
-    }
-
-    /// Pop every flow that has (effectively) finished by `now`.
-    pub fn take_completed(&mut self, now: SimTime) -> Vec<FlowId> {
-        let mut done = Vec::new();
-        self.take_completed_into(now, &mut done);
-        done
-    }
-
-    /// Observable per-flow state for the differential harness.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> Vec<(FlowId, u32, u32, u64, u64, u64, u64)> {
-        self.core.debug_state()
     }
 }
 
@@ -1128,6 +1086,33 @@ mod tests {
         }
     }
 
+    /// Edge bookkeeping: flows aggregate per `(src, dst)` pair, an
+    /// emptied edge leaves its port buckets and its slot is reused, and
+    /// the per-port live counters track every NIC flow.
+    #[test]
+    fn edges_aggregate_and_recycle() {
+        let mut n = net(3);
+        let b = 10 * 1024 * 1024;
+        let a1 = n.start_flow(SimTime::ZERO, 0, 1, b);
+        let a2 = n.start_flow(SimTime::ZERO, 0, 1, 2 * b);
+        n.start_flow(SimTime::ZERO, 2, 1, 3 * b);
+        n.start_flow(SimTime::ZERO, 1, 1, b);
+        assert_eq!(n.edges.len(), 2, "two (src, dst) pairs, loopback excluded");
+        assert_eq!(n.edges[n.link[a1 as usize].0 as usize].flows, vec![a1, a2]);
+        assert_eq!((n.live_e[0], n.live_i[1], n.live_e[2]), (2, 3, 1));
+        let mut now = SimTime::ZERO;
+        while n.active_flows() > 0 {
+            now = n.next_completion().unwrap();
+            n.take_completed(now);
+        }
+        assert!(n.egress.iter().chain(&n.ingress).all(|b| b.is_empty()));
+        assert!(n.edge_of.iter().all(|&e| e == NONE));
+        assert_eq!(n.free_edges.len(), 2);
+        assert!(n.live_e.iter().chain(&n.live_i).all(|&c| c == 0));
+        n.start_flow(now, 1, 2, b);
+        assert_eq!(n.edges.len(), 2, "a freed edge slot is reused");
+    }
+
     /// Smoke-level differential check (the full randomized suite lives
     /// in `tests/network_diff.rs`): a hand-written trace with fan-in,
     /// fan-out and loopback keeps both solvers bit-identical.
@@ -1139,6 +1124,7 @@ mod tests {
         let trace: &[(u64, u32, u32, u64)] = &[
             (0, 0, 1, 40_000_000),
             (0, 0, 2, 25_000_000),
+            (0, 0, 2, 5_000_000),
             (10, 3, 4, 60_000_000),
             (15, 2, 2, 9_000_000),
             (20, 1, 2, 33_000_000),

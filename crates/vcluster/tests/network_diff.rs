@@ -1,10 +1,11 @@
-//! Differential property suite: the incremental water-filling solver
-//! (`Network`) against the retained naive oracle (`NaiveNetwork`).
+//! Differential property suite: the incremental edge-level water-filling
+//! solver (`Network`) against the flow-level oracle (`NaiveNetwork`, an
+//! independent per-flow kernel that re-solves everything).
 //!
 //! Both implementations are driven through identical randomized op
-//! traces — flow starts with uniform / skewed / loopback endpoints,
-//! advances to the next completion, and random-time harvests — and
-//! after *every* op the suite asserts:
+//! traces — flow starts with uniform / skewed / loopback / shuffle
+//! fan-out endpoints, advances to the next completion, and random-time
+//! harvests — and after *every* op the suite asserts:
 //!
 //! * identical per-flow rates, remaining bytes, epochs and horizons
 //!   (bitwise, via `debug_state`);
@@ -16,7 +17,8 @@
 //! Across the `diff_*` tests below the traces total well over 20k ops.
 
 use simcore::{SimDuration, SimRng, SimTime};
-use vcluster::{NaiveNetwork, NetParams, Network};
+use vcluster::network::NaiveNetwork;
+use vcluster::{NetParams, Network};
 
 /// How endpoint pairs are drawn for new flows.
 #[derive(Clone, Copy, Debug)]
@@ -29,6 +31,10 @@ enum Endpoints {
     /// Mostly loopback flows (which bypass the NIC water-filling
     /// entirely) with occasional cross-node traffic mixed in.
     LoopbackHeavy,
+    /// A shuffle's shape: three hot sources fan out to every node, so
+    /// each `(src, dst)` edge carries several flows at once, and small
+    /// flows keep emptying edges and re-creating them.
+    ShuffleFanOut,
 }
 
 impl Endpoints {
@@ -48,6 +54,7 @@ impl Endpoints {
                     (src, rng.index(nodes as usize) as u32)
                 }
             }
+            Endpoints::ShuffleFanOut => (rng.index(3) as u32, rng.index(nodes as usize) as u32),
         }
     }
 }
@@ -235,6 +242,60 @@ fn diff_wide_cluster() {
     // which is exactly the regime the incremental solver exploits.
     let total = run_trace(41, 16, 2_000, Endpoints::Uniform);
     assert!(total >= 2_000);
+}
+
+#[test]
+fn diff_shuffle_fan_out() {
+    let mut total = 0;
+    for seed in [51, 52] {
+        total += run_trace(seed, 12, 2_500, Endpoints::ShuffleFanOut);
+    }
+    assert!(total >= 5_000);
+}
+
+/// Every live flow holds a solved rate (no NIC flow is left rateless).
+fn assert_all_rated(h: &Harness, ctx: &str) {
+    for (id, .., rate_bits, _, _, _) in h.net.debug_state() {
+        assert!(f64::from_bits(rate_bits) > 0.0, "flow {id} left rateless ({ctx})");
+    }
+}
+
+/// Fresh-edge rule: a flow joins an edge at the instant another flow of
+/// that edge completes, so the edge's solved rate (half the NIC, shared
+/// by the survivor and the joiner) comes back bitwise unchanged. The
+/// joiner must still be materialized with that rate.
+#[test]
+fn diff_fresh_edge_join_at_unchanged_rate() {
+    let mut h = Harness::new(2);
+    h.start(0, 1, 4 << 20);
+    h.start(0, 1, 16 << 20);
+    h.check("two flows on one edge");
+    h.advance_to_next();
+    assert_eq!(h.net.active_flows(), 1, "the short flow completed");
+    h.start(0, 1, 8 << 20);
+    h.check("join at unchanged rate");
+    assert_all_rated(&h, "join at unchanged rate");
+    h.drain();
+}
+
+/// Edge slot reuse: an edge empties and, at the same instant, its slot
+/// goes to a new edge whose solved rate equals the old edge's stored
+/// one — first for the same `(src, dst)` pair, then for another pair.
+/// The stored rate must be reset so the new flows are materialized.
+#[test]
+fn diff_edge_slot_reuse_same_instant() {
+    let mut h = Harness::new(3);
+    h.start(0, 1, 4 << 20);
+    h.check("lone flow at line rate");
+    h.advance_to_next();
+    h.start(0, 1, 4 << 20);
+    h.check("same pair reuses the slot");
+    assert_all_rated(&h, "same pair reuses the slot");
+    h.advance_to_next();
+    h.start(2, 0, 4 << 20);
+    h.check("other pair reuses the slot");
+    assert_all_rated(&h, "other pair reuses the slot");
+    h.drain();
 }
 
 /// Regression for the PR 4 same-instant loop: a burst of equal tiny

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
 
+# The benchmark is a package of its own (not a workspace member), so
+# its unit tests — quick sizes of every workload, pinned outputs, the
+# BENCHMARK.json contract — need their own invocation.
+cargo test -q --offline --manifest-path adios-bench/Cargo.toml
+
 # Lint gate: the whole workspace, every test and bench target included,
 # must be clippy-clean. -D warnings turns any new lint into a CI
 # failure instead of scroll-by noise.
