@@ -150,121 +150,6 @@ impl EvalCache {
     }
 }
 
-/// Shape/workload annotation for one fingerprint in an exported
-/// snapshot. The cache itself only knows opaque fingerprints; the
-/// caller (who built the `Experiment`s) says which human-queryable key
-/// each fingerprint answers for, and that is what makes the snapshot
-/// servable by `adios-report serve`'s what-if engine.
-#[derive(Debug, Clone)]
-pub struct SnapshotKey {
-    /// The [`Experiment::fingerprint`] the annotation describes.
-    pub fingerprint: u64,
-    /// Cluster nodes.
-    pub nodes: u64,
-    /// VMs per node.
-    pub vms_per_node: u64,
-    /// Input data per VM, MB.
-    pub data_mb_per_vm: u64,
-    /// Workload label (e.g. `sort`).
-    pub workload: String,
-}
-
-impl EvalCache {
-    /// Export every whole-job score whose fingerprint is annotated in
-    /// `keys` as an `adios.evalcache/1` document. Entries are sorted
-    /// by (shape, workload, plan) so the same cache state always
-    /// serializes to the same bytes; plans serialize as `>`-joined
-    /// pair codes (`cc`, `ad>da`, …). Unannotated fingerprints are
-    /// skipped — without a shape key they could never answer a
-    /// what-if query.
-    pub fn export_snapshot(&self, keys: &[SnapshotKey]) -> simcore::Json {
-        use simcore::Json;
-        let g = self.inner.lock().unwrap();
-        let mut rows: Vec<(u64, u64, u64, String, String, u64, SimDuration)> = Vec::new();
-        for ((fp, assignment), &score) in &g.scores {
-            let Some(k) = keys.iter().find(|k| k.fingerprint == *fp) else {
-                continue;
-            };
-            let plan = assignment
-                .iter()
-                .map(|p| p.code())
-                .collect::<Vec<_>>()
-                .join(">");
-            rows.push((
-                k.nodes,
-                k.vms_per_node,
-                k.data_mb_per_vm,
-                k.workload.clone(),
-                plan,
-                *fp,
-                score,
-            ));
-        }
-        rows.sort();
-        Json::obj()
-            .field("schema", "adios.evalcache/1")
-            .field(
-                "entries",
-                Json::Arr(
-                    rows.into_iter()
-                        .map(|(n, v, d, w, plan, fp, score)| {
-                            Json::obj()
-                                .field("fingerprint", format!("{fp:016x}"))
-                                .field("nodes", n)
-                                .field("vms_per_node", v)
-                                .field("data_mb_per_vm", d)
-                                .field("workload", w)
-                                .field("plan", plan)
-                                .field("score_ns", score.as_nanos())
-                                .field("score_s", score.as_secs_f64())
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    /// Merge an `adios.evalcache/1` snapshot back into this cache.
-    /// Scores restore exactly (`score_ns` is the authoritative value);
-    /// returns how many entries were imported.
-    pub fn import_snapshot(&self, doc: &simcore::Json) -> Result<usize, String> {
-        use simcore::Json;
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != "adios.evalcache/1" {
-            return Err(format!("not an adios.evalcache/1 document (schema '{schema}')"));
-        }
-        let Some(Json::Arr(entries)) = doc.get("entries") else {
-            return Err("snapshot has no entries array".into());
-        };
-        let mut imported = 0usize;
-        for e in entries {
-            let fp_hex = e
-                .get("fingerprint")
-                .and_then(Json::as_str)
-                .ok_or("snapshot entry missing fingerprint")?;
-            let fp = u64::from_str_radix(fp_hex, 16)
-                .map_err(|_| format!("bad fingerprint '{fp_hex}'"))?;
-            let plan_code = e
-                .get("plan")
-                .and_then(Json::as_str)
-                .ok_or("snapshot entry missing plan")?;
-            let mut assignment = Vec::new();
-            for seg in plan_code.split('>') {
-                assignment.push(
-                    seg.parse::<SchedPair>()
-                        .map_err(|err| format!("bad plan '{plan_code}': {err}"))?,
-                );
-            }
-            let ns = e
-                .get("score_ns")
-                .and_then(Json::as_f64)
-                .ok_or("snapshot entry missing score_ns")?;
-            self.insert_score(fp, &assignment, SimDuration::from_nanos(ns as u64));
-            imported += 1;
-        }
-        Ok(imported)
-    }
-}
-
 impl Experiment {
     /// Stable fingerprint of this (cluster, job) configuration — the
     /// workload half of every cache key. Hashes the full `Debug`
@@ -363,42 +248,6 @@ mod tests {
         c.insert_profile(3, prof);
         assert_eq!(c.profile(3, p).map(|x| x.total), Some(SimDuration::from_secs(90)));
         assert_eq!(c.score(3, &[p, p]), Some(SimDuration::from_secs(90)));
-    }
-
-    #[test]
-    fn snapshot_round_trips_scores_exactly() {
-        let c = EvalCache::new();
-        let p = SchedPair::DEFAULT;
-        let q = pair(SchedKind::Anticipatory, SchedKind::Deadline);
-        c.insert_score(7, &[p], SimDuration::from_nanos(30_000_000_001));
-        c.insert_score(7, &[q, p], SimDuration::from_secs(25));
-        c.insert_score(99, &[p], SimDuration::from_secs(1)); // unannotated
-        let keys = vec![SnapshotKey {
-            fingerprint: 7,
-            nodes: 4,
-            vms_per_node: 4,
-            data_mb_per_vm: 512,
-            workload: "sort".into(),
-        }];
-        let doc = c.export_snapshot(&keys);
-        let text = doc.to_string();
-        assert!(text.contains("\"schema\":\"adios.evalcache/1\""), "{text}");
-        assert!(text.contains("\"workload\":\"sort\""), "{text}");
-        assert!(!text.contains("0000000000000063"), "fp 99 must be skipped");
-        // Deterministic bytes: exporting twice is identical.
-        assert_eq!(text, c.export_snapshot(&keys).to_string());
-
-        let fresh = EvalCache::new();
-        assert_eq!(fresh.import_snapshot(&doc), Ok(2));
-        assert_eq!(
-            fresh.score(7, &[p, p]),
-            Some(SimDuration::from_nanos(30_000_000_001)),
-            "ns-exact restore through canonicalization"
-        );
-        assert_eq!(fresh.score(7, &[q, p]), Some(SimDuration::from_secs(25)));
-        // Foreign documents are rejected.
-        let bad = simcore::Json::obj().field("schema", "adios.bench/1");
-        assert!(fresh.import_snapshot(&bad).is_err());
     }
 
     #[test]

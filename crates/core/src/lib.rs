@@ -45,7 +45,7 @@ pub mod profiler;
 pub mod switch_cost;
 
 pub use blend::{calibrate_tenants, BlendedTuner};
-pub use cache::{canonical_assignment, CacheStats, CachedEvaluator, EvalCache, SnapshotKey};
+pub use cache::{canonical_assignment, CacheStats, CachedEvaluator, EvalCache};
 pub use experiment::{Experiment, PhaseProfile};
 pub use heuristic::{
     algorithm1, assignment_plan, CandidateScore, Evaluation, HeuristicResult, PhaseDecision,

@@ -39,5 +39,5 @@ pub mod request;
 pub use elevator::{
     build_elevator, Dispatch, Elevator, ParseSchedError, SchedKind, SchedPair, Tunables,
 };
-pub use pool::{NaiveRqPool, PoolKernel, Qid, RqPool};
+pub use pool::{PoolKernel, Qid, RqPool};
 pub use request::{AddOutcome, Dir, IoRequest, QueuedRq, RequestId, Sector, StreamId};

@@ -14,8 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alerts;
-pub mod serve;
 pub mod store;
 
 use simcore::Json;

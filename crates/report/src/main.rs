@@ -6,11 +6,8 @@
 //! adios-report replay <flight.json>
 //! adios-report rank --metrics-dir <dir> [--require-crossover]
 //! adios-report correlate --metrics-dir <dir>
+//! adios-report overlap --metrics-dir <dir>
 //! adios-report history --ledger <file> <doc.json>...
-//! adios-report whatif --metrics-dir <dir> --nodes N --vms V --data-mb D [--workload W]
-//! adios-report serve --watch <dir> [--once] [--ledger <file>]
-//!              [--query-file <jsonl>] [--alert-rules <json>]
-//!              [--alerts-out <json>] [--poll-ms N] [--tcp addr:port]
 //! ```
 //!
 //! A path of `-` reads from stdin. `render` exits non-zero on parse or
@@ -26,9 +23,11 @@
 //! data) group and exits 2 under `--require-crossover` when no
 //! phase-local ranking crossover exists anywhere (the D6 gate);
 //! `correlate` prints gain-vs-queue-depth/disk-busy tables (the D3
-//! diagnosis); `history` appends `adios.bench/1` documents to an
-//! append-only JSONL ledger with regression deltas, deterministically
-//! and idempotently.
+//! diagnosis); `overlap` prints the mean non-concurrent shuffle share
+//! per `parallel_copies` setting against Table II (the D4 probe);
+//! `history` appends `adios.bench/1` and `adios.profile/1` documents
+//! to an append-only JSONL ledger with regression deltas,
+//! deterministically and idempotently.
 
 use simcore::Json;
 use std::io::Read as _;
@@ -54,10 +53,8 @@ fn usage() -> ExitCode {
     eprintln!("       adios-report replay <flight.json>");
     eprintln!("       adios-report rank --metrics-dir <dir> [--require-crossover]");
     eprintln!("       adios-report correlate --metrics-dir <dir>");
+    eprintln!("       adios-report overlap --metrics-dir <dir>");
     eprintln!("       adios-report history --ledger <file> <doc.json>...");
-    eprintln!("       adios-report whatif --metrics-dir <dir> --nodes N --vms V --data-mb D [--workload W]");
-    eprintln!("       adios-report serve --watch <dir> [--once] [--ledger <file>] [--query-file <jsonl>]");
-    eprintln!("                          [--alert-rules <json>] [--alerts-out <json>] [--poll-ms N] [--tcp addr:port]");
     ExitCode::FAILURE
 }
 
@@ -110,6 +107,12 @@ fn run_store_command(args: &[String]) -> Result<ExitCode, String> {
             print!("{}", report::store::correlate(&runs)?);
             Ok(ExitCode::SUCCESS)
         }
+        "overlap" => {
+            let dir = flag_value(args, "--metrics-dir").ok_or("overlap needs --metrics-dir")?;
+            let runs = report::store::load_runs(&load_metrics_dir(dir)?)?;
+            print!("{}", report::store::overlap(&runs)?.text);
+            Ok(ExitCode::SUCCESS)
+        }
         "history" => {
             let path = flag_value(args, "--ledger").ok_or("history needs --ledger <file>")?;
             let docs: Vec<&String> = args[1..]
@@ -132,54 +135,6 @@ fn run_store_command(args: &[String]) -> Result<ExitCode, String> {
             }
             std::fs::write(path, &ledger).map_err(|e| format!("{path}: {e}"))?;
             Ok(ExitCode::SUCCESS)
-        }
-        "whatif" => {
-            let dir = flag_value(args, "--metrics-dir").ok_or("whatif needs --metrics-dir")?;
-            let nodes = flag_value(args, "--nodes").ok_or("whatif needs --nodes")?;
-            let vms = flag_value(args, "--vms").ok_or("whatif needs --vms")?;
-            let data_mb = flag_value(args, "--data-mb").ok_or("whatif needs --data-mb")?;
-            let workload = flag_value(args, "--workload").unwrap_or("?");
-            let mut store = report::store::Store::new();
-            for (name, doc) in load_metrics_dir(dir)? {
-                // Bench and profile documents in a watched dir feed
-                // the ledger, not the what-if table; skip them here.
-                let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-                if schema == "adios.bench/1" || schema == "adios.profile/1" {
-                    continue;
-                }
-                store.ingest_metrics(&name, &doc)?;
-            }
-            // Route through the serve query engine so the printed line
-            // is byte-identical to a daemon answer on the same inputs.
-            let query = Json::obj()
-                .field("q", "whatif")
-                .field("nodes", nodes.parse::<u64>().map_err(|e| format!("--nodes: {e}"))?)
-                .field("vms_per_node", vms.parse::<u64>().map_err(|e| format!("--vms: {e}"))?)
-                .field(
-                    "data_mb_per_vm",
-                    data_mb.parse::<u64>().map_err(|e| format!("--data-mb: {e}"))?,
-                )
-                .field("workload", workload);
-            println!("{}", report::serve::handle_query(&store, &query.to_string()));
-            Ok(ExitCode::SUCCESS)
-        }
-        "serve" => {
-            let opts = report::serve::ServeOptions {
-                watch: flag_value(args, "--watch")
-                    .ok_or("serve needs --watch <dir>")?
-                    .to_string(),
-                once: args.iter().any(|a| a == "--once"),
-                ledger: flag_value(args, "--ledger").map(str::to_string),
-                alert_rules: flag_value(args, "--alert-rules").map(str::to_string),
-                alerts_out: flag_value(args, "--alerts-out").map(str::to_string),
-                query_file: flag_value(args, "--query-file").map(str::to_string),
-                poll_ms: flag_value(args, "--poll-ms")
-                    .map(|v| v.parse::<u64>().map_err(|e| format!("--poll-ms: {e}")))
-                    .transpose()?
-                    .unwrap_or(250),
-                tcp: flag_value(args, "--tcp").map(str::to_string),
-            };
-            Ok(ExitCode::from(report::serve::run(&opts)?))
         }
         _ => unreachable!(),
     }
@@ -283,7 +238,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("rank" | "correlate" | "history" | "whatif" | "serve") => match run_store_command(&args) {
+        Some("rank" | "correlate" | "overlap" | "history") => match run_store_command(&args) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("adios-report: {e}");

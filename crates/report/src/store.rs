@@ -1,7 +1,8 @@
-//! Cross-run analytics: ingest `adios.metrics/2|3` documents stamped
-//! with a run manifest (see `vcluster::sweep::stamp_manifest`) and
-//! `adios.bench/1` ledger entries, and answer the questions the
-//! discrepancy log keeps asking:
+//! Cross-run analytics: batch tables over manifest-stamped
+//! `adios.metrics/2|3` documents (see `vcluster::sweep::stamp_manifest`)
+//! and an append-only ledger of `adios.bench/1` / `adios.profile/1`
+//! documents. They answer the questions the discrepancy log keeps
+//! asking:
 //!
 //! * [`rank`] — per-phase ranking tables of switch plans within each
 //!   (shape, data size) group, flagging *phase-local ranking
@@ -12,52 +13,34 @@
 //! * [`correlate`] — per-group gain-vs-signal table (Dom0 queue depth,
 //!   disk busy fraction) with Pearson coefficients, the D3 diagnosis
 //!   tool for non-monotone gains across cluster shapes.
-//! * [`history_append`] — an append-only JSONL ledger of
-//!   `adios.bench/1` documents with regression deltas against the
-//!   previous entry of the same kind. Entries are a pure function of
-//!   document content (no timestamps, host-time fields excluded from
-//!   the identity digest), so re-running the command over the same
-//!   documents is byte-identical and idempotent.
+//! * [`overlap`] — mean non-concurrent-shuffle share per shuffle fetch
+//!   concurrency (`parallel_copies`) setting against the paper's
+//!   Table II figure, the D4 probe.
+//! * [`history_append`] — an append-only JSONL ledger with regression
+//!   deltas against the previous entry of the same kind. Entries are a
+//!   pure function of document content (no timestamps, host-time
+//!   fields excluded from the identity digest), so re-running the
+//!   command over the same documents is byte-identical and idempotent.
 //!
-//! Since PR 8 the module is built around the **incremental**
-//! [`Store`]: documents are parsed and reduced to a [`RunExtract`]
-//! exactly once at ingest, and the per-(shape, data) aggregates —
-//! phase ranking rows, Pearson moment accumulators, the
-//! dedup-by-digest ledger state — are maintained as documents arrive
-//! instead of recomputed per query. The batch entry points below build
-//! a throw-away `Store`, so the long-running `adios-report serve`
-//! daemon and the one-shot subcommands share one code path and answer
-//! byte-identically on the same inputs.
-//!
-//! Incremental-aggregate invariants (kept by every ingest):
-//!
-//! 1. Group members are ordered by (plan, file); every rendered table
-//!    walks that order, so ingest order never leaks into output.
-//! 2. Each phase-ranking row is a sorted `(time, run)` list, extended
-//!    by sorted insertion; ties break by (plan, file).
-//! 3. The Pearson accumulators hold the fold of the group's points
-//!    *in member order*: an at-end insertion with an unchanged
-//!    baseline pushes one point, anything else (new baseline, middle
-//!    insertion) rebuilds the group's accumulators from the cached
-//!    extracts. Either way the state equals the member-order fold, so
-//!    any ingest order yields identical coefficients.
-//! 4. A document whose content digest was already ingested is a no-op
-//!    — for metrics docs and for ledger entries alike, across store
-//!    instances sharing one ledger file.
+//! Every table is a pure function of the run *set*, never of the order
+//! the runs arrive in (DESIGN.md, "Cross-run analytics"): runs group
+//! by (nodes, vms, data), each group walks its members in (plan, file)
+//! order, phase rows stable-sort that order by time, Pearson sums fold
+//! in member order, and overlap sums run in file order.
 //!
 //! Like the rest of this crate the module is pure: callers hand in
 //! parsed documents (plus their file names for error messages) and get
-//! rendered text or ledger lines back; `main.rs` and `serve.rs` own
-//! all I/O.
+//! rendered text or ledger lines back; `main.rs` owns all I/O.
 
 use simcore::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// One ingested metrics document plus the identity of its run, pulled
 /// from the `manifest` section.
 #[derive(Debug, Clone)]
 pub struct Run {
-    /// File name the document came from (error messages only).
+    /// File name the document came from (error messages, tie-breaks).
     pub file: String,
     /// Cluster nodes.
     pub nodes: u64,
@@ -69,10 +52,8 @@ pub struct Run {
     pub plan: String,
     /// Telemetry level the run captured (`off`/`counters`/`full`).
     pub telemetry: String,
-    /// Workload name from the manifest (`?` on pre-PR-8 documents).
-    pub workload: String,
     /// Shuffle fetch concurrency (`parallel copies`) from the
-    /// manifest; 0 on pre-PR-8 documents.
+    /// manifest; 0 on documents stamped before the manifest carried it.
     pub parallel_copies: u64,
     /// Parsed document.
     pub doc: Json,
@@ -111,9 +92,9 @@ pub fn load_runs(named: &[(String, Json)]) -> Result<Vec<Run>, String> {
                 "{file}: not an adios.metrics document (schema '{schema}')"
             ));
         }
-        let m = doc
-            .get("manifest")
-            .ok_or_else(|| format!("{file}: no manifest section — produced without --metrics-dir?"))?;
+        let m = doc.get("manifest").ok_or_else(|| {
+            format!("{file}: no manifest section — produced without --metrics-dir?")
+        })?;
         runs.push(Run {
             file: file.clone(),
             nodes: manifest_u64(m, "nodes", file)?,
@@ -121,11 +102,6 @@ pub fn load_runs(named: &[(String, Json)]) -> Result<Vec<Run>, String> {
             data_mb: manifest_u64(m, "data_mb_per_vm", file)?,
             plan: manifest_str(m, "plan", file)?,
             telemetry: manifest_str(m, "telemetry", file)?,
-            workload: m
-                .get("workload")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
             parallel_copies: m
                 .get("parallel_copies")
                 .and_then(Json::as_f64)
@@ -135,6 +111,23 @@ pub fn load_runs(named: &[(String, Json)]) -> Result<Vec<Run>, String> {
         });
     }
     Ok(runs)
+}
+
+/// Runs grouped by (nodes, vms, data), each group in (plan, file)
+/// order — the member order every table walks. The sort is stable, so
+/// even duplicate (plan, file) keys keep their input order.
+fn groups(runs: &[Run]) -> BTreeMap<(u64, u64, u64), Vec<&Run>> {
+    let mut groups: BTreeMap<(u64, u64, u64), Vec<&Run>> = BTreeMap::new();
+    for r in runs {
+        groups
+            .entry((r.nodes, r.vms, r.data_mb))
+            .or_default()
+            .push(r);
+    }
+    for members in groups.values_mut() {
+        members.sort_by(|a, b| (&a.plan, &a.file).cmp(&(&b.plan, &b.file)));
+    }
+    groups
 }
 
 fn group_header(key: (u64, u64, u64), n: usize) -> String {
@@ -160,26 +153,83 @@ const PHASES: [&str; 3] = ["ph1_s", "ph2_s", "ph3_s"];
 /// reference the D4 overlap sweep compares against.
 pub const TABLE2_SHUFFLE_PCT: f64 = 29.5;
 
+fn phase_times(r: &Run) -> Result<[f64; 3], String> {
+    let mut t = [0.0; 3];
+    for (slot, ph) in t.iter_mut().zip(PHASES) {
+        *slot = num(&r.doc, &["phases", ph])
+            .ok_or_else(|| format!("{}: missing phases.{ph}", r.file))?;
+    }
+    Ok(t)
+}
+
 /// Per-phase plan rankings within each (shape, data) group, with
 /// crossover detection. `Err` on an empty set or a document missing
 /// its `phases` section.
 pub fn rank(runs: &[Run]) -> Result<RankReport, String> {
-    store_of(runs)?.rank()
-}
-
-/// Gain-vs-signal tables per group: each plan's makespan gain over the
-/// group baseline against Dom0 queue depth and disk busy fraction,
-/// plus Pearson coefficients over the group (D3 diagnosis).
-pub fn correlate(runs: &[Run]) -> Result<String, String> {
-    store_of(runs)?.correlate()
-}
-
-fn store_of(runs: &[Run]) -> Result<Store, String> {
-    let mut s = Store::new();
-    for r in runs {
-        s.ingest_run(r);
+    if runs.is_empty() {
+        return Err("no runs to rank".into());
     }
-    Ok(s)
+    let mut out = String::from("adios cross-run ranking (adios.metrics/2)\n");
+    let mut crossovers = 0;
+    for (key, members) in groups(runs) {
+        let times = members
+            .iter()
+            .map(|r| phase_times(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        out.push('\n');
+        out.push_str(&group_header(key, members.len()));
+        for ph in 0..PHASES.len() {
+            // Stable sort of the member order: time ties stay in
+            // (plan, file) order.
+            let mut row: Vec<(f64, &str)> = members
+                .iter()
+                .zip(&times)
+                .map(|(r, t)| (t[ph], r.plan.as_str()))
+                .collect();
+            row.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+            let best = row[0].0;
+            out.push_str(&format!("  ph{}", ph + 1));
+            for (j, (t, plan)) in row.iter().enumerate() {
+                if j == 0 {
+                    out.push_str(&format!("  1. {plan} {t:.3}s"));
+                } else {
+                    out.push_str(&format!("  {}. {plan} +{:.3}s", j + 1, t - best));
+                }
+            }
+            out.push('\n');
+        }
+        // A crossover between plans A and B: A strictly faster in one
+        // phase, strictly slower in another. Each pair counts once.
+        let mut found = 0;
+        for a in 0..members.len() {
+            for b in a + 1..members.len() {
+                let (mut a_wins, mut b_wins) = (Vec::new(), Vec::new());
+                for (ph, (ta, tb)) in times[a].iter().zip(&times[b]).enumerate() {
+                    if ta < tb {
+                        a_wins.push(ph + 1);
+                    } else if tb < ta {
+                        b_wins.push(ph + 1);
+                    }
+                }
+                if !a_wins.is_empty() && !b_wins.is_empty() {
+                    out.push_str(&format!(
+                        "  ** crossover: {} wins ph{a_wins:?}, {} wins ph{b_wins:?}\n",
+                        members[a].plan, members[b].plan
+                    ));
+                    found += 1;
+                }
+            }
+        }
+        if found == 0 {
+            out.push_str("  (no phase-local ranking crossover)\n");
+        }
+        crossovers += found;
+    }
+    out.push_str(&format!("\ncrossovers: {crossovers}\n"));
+    Ok(RankReport {
+        text: out,
+        crossovers,
+    })
 }
 
 /// Mean of a full-telemetry time series (`sum[]` / `count[]` buckets),
@@ -198,14 +248,14 @@ fn series_mean(doc: &Json, name: &str) -> Option<f64> {
     }
 }
 
-// --- incremental store ------------------------------------------------
+fn makespan(r: &Run) -> Result<f64, String> {
+    num(&r.doc, &["run", "makespan_s"]).ok_or_else(|| format!("{}: missing run.makespan_s", r.file))
+}
 
 /// Single-pass Pearson moment accumulator: push `(x, y)` points, read
-/// the coefficient any time. The store keeps one pair of these per
-/// (shape, data) group, extended at ingest instead of re-folding every
-/// run on every `correlate` query.
+/// the coefficient at the end.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PearsonAcc {
+struct PearsonAcc {
     n: u64,
     sx: f64,
     sy: f64,
@@ -215,8 +265,7 @@ pub struct PearsonAcc {
 }
 
 impl PearsonAcc {
-    /// Fold one point in.
-    pub fn push(&mut self, x: f64, y: f64) {
+    fn push(&mut self, x: f64, y: f64) {
         self.n += 1;
         self.sx += x;
         self.sy += y;
@@ -227,7 +276,7 @@ impl PearsonAcc {
 
     /// Pearson r over the pushed points; `None` below 3 points or on a
     /// degenerate (zero-variance) axis.
-    pub fn r(&self) -> Option<f64> {
+    fn r(&self) -> Option<f64> {
         if self.n < 3 {
             return None;
         }
@@ -240,858 +289,126 @@ impl PearsonAcc {
         let cov = self.sxy - self.sx * self.sy / n;
         Some(cov / (vx * vy).sqrt())
     }
-
-    /// Points folded so far.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// True when no point has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
 }
 
-/// The per-run facts every query needs, extracted exactly once when
-/// the document is ingested. Optional fields stay `None` when the
-/// document lacks the signal; the query that needs them reports the
-/// same error the batch path always has.
-#[derive(Debug, Clone)]
-struct RunExtract {
-    file: String,
-    plan: String,
-    workload: String,
-    makespan_s: Option<f64>,
-    phases: Option<[f64; 3]>,
-    /// Which phase key was missing, for the error message.
-    missing_phase: Option<&'static str>,
-    qdepth: Option<f64>,
-    /// Disk-busy fraction (busy_s normalised to one disk-second per
-    /// node over the makespan).
-    busy: Option<f64>,
-    shuffle_pct: Option<f64>,
-}
-
-impl RunExtract {
-    fn from_run(r: &Run) -> RunExtract {
-        let mut phases = [0.0f64; 3];
-        let mut missing_phase = None;
-        for (i, ph) in PHASES.iter().enumerate() {
-            match num(&r.doc, &["phases", ph]) {
-                Some(t) => phases[i] = t,
-                None => {
-                    if missing_phase.is_none() {
-                        missing_phase = Some(*ph);
-                    }
-                }
-            }
-        }
-        let makespan_s = num(&r.doc, &["run", "makespan_s"]);
-        let qdepth = series_mean(&r.doc, "dom0_qdepth")
-            .or_else(|| num(&r.doc, &["dom0_elevator", "queue_depth", "mean"]));
-        let busy = match (num(&r.doc, &["disk", "busy_s"]), makespan_s) {
-            (Some(busy_s), Some(mk)) => Some(busy_s / (mk * r.nodes as f64)),
-            _ => None,
-        };
-        RunExtract {
-            file: r.file.clone(),
-            plan: r.plan.clone(),
-            workload: r.workload.clone(),
-            makespan_s,
-            phases: if missing_phase.is_none() { Some(phases) } else { None },
-            missing_phase,
-            qdepth,
-            busy,
-            shuffle_pct: num(&r.doc, &["phases", "non_concurrent_shuffle_pct"]),
-        }
+/// Gain-vs-signal tables per group: each plan's makespan gain over the
+/// group baseline (`cc`/`default`, else the first member) against Dom0
+/// queue depth and disk busy fraction, plus Pearson coefficients
+/// folded in member order (D3 diagnosis).
+pub fn correlate(runs: &[Run]) -> Result<String, String> {
+    if runs.is_empty() {
+        return Err("no runs to correlate".into());
     }
-}
-
-/// One (shape, data) group's maintained aggregates.
-#[derive(Debug, Default)]
-struct GroupState {
-    /// Extracts in ingest order (stable ids; never reordered).
-    runs: Vec<RunExtract>,
-    /// Run ids sorted by (plan, file) — the render order.
-    order: Vec<usize>,
-    /// Per-phase `(time, run-id)` rows sorted by (time, plan, file).
-    rows: [Vec<(f64, usize)>; 3],
-    /// Cached crossover lines (recomputed for this group at ingest).
-    crossovers: Vec<String>,
-    /// Run id of the gain baseline (`cc`/`default`, else first in
-    /// order).
-    baseline: Option<usize>,
-    /// Gain-vs-queue-depth moments, member-order fold.
-    acc_qd: PearsonAcc,
-    /// Gain-vs-disk-busy moments, member-order fold.
-    acc_busy: PearsonAcc,
-}
-
-impl GroupState {
-    fn member_key(&self, id: usize) -> (&str, &str) {
-        (self.runs[id].plan.as_str(), self.runs[id].file.as_str())
-    }
-
-    fn pick_baseline(&self) -> Option<usize> {
-        self.order
+    let mut out = String::from("adios cross-run correlation (adios.metrics/2)\n");
+    for (key, members) in groups(runs) {
+        out.push('\n');
+        out.push_str(&group_header(key, members.len()));
+        let base = members
             .iter()
-            .copied()
-            .find(|&id| self.runs[id].plan == "cc" || self.runs[id].plan == "default")
-            .or(self.order.first().copied())
-    }
-
-    /// Gain of run `id` over the baseline, when both makespans exist.
-    fn gain_pct(&self, id: usize) -> Option<f64> {
-        let base = self.baseline?;
-        let base_mk = self.runs[base].makespan_s?;
-        let mk = self.runs[id].makespan_s?;
-        Some((base_mk - mk) / base_mk * 100.0)
-    }
-
-    fn push_point(&mut self, id: usize) {
-        let (Some(gain), Some(qd), Some(busy)) =
-            (self.gain_pct(id), self.runs[id].qdepth, self.runs[id].busy)
-        else {
-            return;
-        };
-        self.acc_qd.push(gain, qd);
-        self.acc_busy.push(gain, busy);
-    }
-
-    fn rebuild_accumulators(&mut self) {
-        self.acc_qd = PearsonAcc::default();
-        self.acc_busy = PearsonAcc::default();
-        for i in 0..self.order.len() {
-            let id = self.order[i];
-            self.push_point(id);
-        }
-    }
-
-    /// Fold one new extract into every aggregate. Returns the change
-    /// in this group's crossover count.
-    fn ingest(&mut self, e: RunExtract) -> isize {
-        let id = self.runs.len();
-        self.runs.push(e);
-        let key = self.member_key(id);
-        let pos = self
-            .order
-            .iter()
-            .position(|&o| self.member_key(o) > key)
-            .unwrap_or(self.order.len());
-        let at_end = pos == self.order.len();
-        self.order.insert(pos, id);
-
-        if let Some(ph) = self.runs[id].phases {
-            for (i, row) in self.rows.iter_mut().enumerate() {
-                let t = ph[i];
-                // (time, plan, file) insertion point — matches the
-                // batch sort the rows replaced.
-                let runs = &self.runs;
-                let rpos = row
-                    .iter()
-                    .position(|&(rt, rid)| {
-                        (rt, runs[rid].plan.as_str(), runs[rid].file.as_str())
-                            > (t, runs[id].plan.as_str(), runs[id].file.as_str())
-                    })
-                    .unwrap_or(row.len());
-                row.insert(rpos, (t, id));
-            }
-        }
-
-        let old_cross = self.crossovers.len() as isize;
-        self.recompute_crossovers();
-
-        let new_baseline = self.pick_baseline();
-        if new_baseline == self.baseline && at_end {
-            self.push_point(id);
-        } else {
-            self.baseline = new_baseline;
-            self.rebuild_accumulators();
-        }
-        self.crossovers.len() as isize - old_cross
-    }
-
-    /// A crossover between plans A and B: A strictly faster in one
-    /// phase, strictly slower in another. Count each pair once.
-    fn recompute_crossovers(&mut self) {
-        self.crossovers.clear();
-        let phased: Vec<usize> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&id| self.runs[id].phases.is_some())
-            .collect();
-        for a in 0..phased.len() {
-            for b in a + 1..phased.len() {
-                let (pa, pb) = (
-                    self.runs[phased[a]].phases.unwrap(),
-                    self.runs[phased[b]].phases.unwrap(),
-                );
-                let mut a_wins = Vec::new();
-                let mut b_wins = Vec::new();
-                for ph in 0..PHASES.len() {
-                    if pa[ph] < pb[ph] {
-                        a_wins.push(ph + 1);
-                    } else if pb[ph] < pa[ph] {
-                        b_wins.push(ph + 1);
-                    }
-                }
-                if !a_wins.is_empty() && !b_wins.is_empty() {
-                    self.crossovers.push(format!(
-                        "  ** crossover: {} wins ph{:?}, {} wins ph{:?}",
-                        self.runs[phased[a]].plan, a_wins, self.runs[phased[b]].plan, b_wins
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// A service-level (`adios.metrics/3`, no manifest) document's SLO
-/// extract, kept for the `service` query.
-#[derive(Debug, Clone)]
-struct ServiceExtract {
-    file: String,
-    policy: String,
-    p50_s: f64,
-    p99_s: f64,
-    throughput_jpm: f64,
-    map_util: f64,
-    reduce_util: f64,
-}
-
-/// One plan's expected score for a (shape, data, workload) key, loaded
-/// from an `adios.evalcache/1` snapshot.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    nodes: u64,
-    vms: u64,
-    data_mb: u64,
-    workload: String,
-    plan: String,
-    score_s: f64,
-}
-
-/// Per-kind ledger state the history ingest maintains instead of
-/// re-parsing the full JSONL text per document.
-#[derive(Debug, Default)]
-struct LedgerKind {
-    /// Every digest ever appended for this kind — re-ingesting any of
-    /// them (not just the latest) is a no-op, even across store
-    /// instances sharing one ledger file.
-    digests: BTreeSet<String>,
-    /// The latest entry's metrics map (delta reference).
-    last_metrics: Option<Json>,
-    /// Trailing metric maps, oldest → newest (alerting window input).
-    history: Vec<Json>,
-}
-
-/// What [`Store::ingest_metrics`] did with a document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ingested {
-    /// A manifest-stamped run joined the rank/correlate groups.
-    Run,
-    /// A service-level document joined the SLO list.
-    Service,
-    /// An `adios.evalcache/1` snapshot merged N what-if entries.
-    CacheEntries(usize),
-    /// Content digest already ingested — no state changed.
-    Duplicate,
-}
-
-/// Outcome of [`history_append`] / [`Store::ingest_bench`].
-#[derive(Debug)]
-pub struct HistoryOutcome {
-    /// The full new ledger text (caller writes it back).
-    pub ledger: String,
-    /// One-line human summary of what happened.
-    pub line: String,
-    /// False when the document's digest was already in the ledger
-    /// (idempotent re-run) and nothing was appended.
-    pub appended: bool,
-    /// Worst regression percentage vs the previous entry, if any
-    /// comparison was possible. Positive = slower.
-    pub worst_pct: Option<f64>,
-}
-
-/// The incremental cross-run analytics store. See the module docs for
-/// the maintained aggregates and their invariants.
-#[derive(Debug, Default)]
-pub struct Store {
-    groups: BTreeMap<(u64, u64, u64), GroupState>,
-    run_count: usize,
-    /// Content digests of every ingested document (metrics, service,
-    /// cache snapshots) — the dedup set.
-    doc_digests: BTreeSet<u64>,
-    services: Vec<ServiceExtract>,
-    cache_entries: Vec<CacheEntry>,
-    /// Sum of per-group crossover counts.
-    crossovers: usize,
-    /// Mean non-concurrent-shuffle share per parallel-copies setting
-    /// (sum, count) — the D4 overlap aggregate.
-    overlap: BTreeMap<u64, (f64, u64)>,
-    // --- ledger state ---
-    ledger: String,
-    ledger_entries: usize,
-    kinds: BTreeMap<String, LedgerKind>,
-}
-
-impl Store {
-    /// Empty store.
-    pub fn new() -> Store {
-        Store::default()
-    }
-
-    /// Number of metrics runs ingested into rank/correlate groups.
-    pub fn runs(&self) -> usize {
-        self.run_count
-    }
-
-    /// Number of (shape, data) groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Ingest one named document: manifest-stamped `adios.metrics/*`
-    /// runs feed the rank/correlate groups, manifest-less
-    /// `adios.metrics/3` service docs feed the SLO list, and
-    /// `adios.evalcache/1` snapshots feed the what-if table. A
-    /// document whose content digest was already ingested is a no-op.
-    pub fn ingest_metrics(&mut self, file: &str, doc: &Json) -> Result<Ingested, String> {
-        let digest = fnv1a_str(&doc.to_string());
-        if !self.doc_digests.insert(digest) {
-            return Ok(Ingested::Duplicate);
-        }
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema == "adios.evalcache/1" {
-            return Ok(Ingested::CacheEntries(self.ingest_cache_doc(file, doc)?));
-        }
-        if !schema.starts_with("adios.metrics/") {
-            return Err(format!(
-                "{file}: not an adios.metrics document (schema '{schema}')"
-            ));
-        }
-        if doc.get("manifest").is_none() {
-            // Service-level documents (`serve-jobs`) carry no manifest;
-            // anything else without one is a misuse the batch loader
-            // has always rejected.
-            if doc.get("kind").and_then(Json::as_str) == Some("service") {
-                self.ingest_service(file, doc);
-                return Ok(Ingested::Service);
-            }
-            return Err(format!(
-                "{file}: no manifest section — produced without --metrics-dir?"
-            ));
-        }
-        let runs = load_runs(&[(file.to_string(), doc.clone())])?;
-        self.ingest_run(&runs[0]);
-        Ok(Ingested::Run)
-    }
-
-    /// Ingest an already-validated [`Run`] (the batch path).
-    pub fn ingest_run(&mut self, r: &Run) {
-        let e = RunExtract::from_run(r);
-        if r.parallel_copies > 0 {
-            if let Some(pct) = e.shuffle_pct {
-                let slot = self.overlap.entry(r.parallel_copies).or_insert((0.0, 0));
-                slot.0 += pct;
-                slot.1 += 1;
-            }
-        }
-        let g = self.groups.entry((r.nodes, r.vms, r.data_mb)).or_default();
-        let delta = g.ingest(e);
-        self.crossovers = (self.crossovers as isize + delta) as usize;
-        self.run_count += 1;
-    }
-
-    fn ingest_service(&mut self, file: &str, doc: &Json) {
-        self.services.push(ServiceExtract {
-            file: file.to_string(),
-            policy: doc
-                .get("policy")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            p50_s: num(doc, &["latency", "p50_s"]).unwrap_or(0.0),
-            p99_s: num(doc, &["latency", "p99_s"]).unwrap_or(0.0),
-            throughput_jpm: num(doc, &["service", "throughput_jpm"]).unwrap_or(0.0),
-            map_util: num(doc, &["slots", "map_util"]).unwrap_or(0.0),
-            reduce_util: num(doc, &["slots", "reduce_util"]).unwrap_or(0.0),
-        });
-        self.services.sort_by(|a, b| a.file.cmp(&b.file));
-    }
-
-    fn ingest_cache_doc(&mut self, file: &str, doc: &Json) -> Result<usize, String> {
-        let Some(Json::Arr(entries)) = doc.get("entries") else {
-            return Err(format!("{file}: evalcache snapshot has no entries array"));
-        };
-        let mut added = 0usize;
-        for e in entries {
-            let plan = e
-                .get("plan")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{file}: snapshot entry missing plan"))?;
-            let score = num(e, &["score_s"])
-                .ok_or_else(|| format!("{file}: snapshot entry missing score_s"))?;
-            self.cache_entries.push(CacheEntry {
-                nodes: num(e, &["nodes"]).unwrap_or(0.0) as u64,
-                vms: num(e, &["vms_per_node"]).unwrap_or(0.0) as u64,
-                data_mb: num(e, &["data_mb_per_vm"]).unwrap_or(0.0) as u64,
-                workload: e
-                    .get("workload")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                plan: plan.to_string(),
-                score_s: score,
-            });
-            added += 1;
-        }
-        Ok(added)
-    }
-
-    // --- queries ------------------------------------------------------
-
-    /// Per-phase plan rankings per group with crossover detection —
-    /// rendered from the maintained rows, no document re-reads.
-    pub fn rank(&self) -> Result<RankReport, String> {
-        if self.run_count == 0 {
-            return Err("no runs to rank".into());
-        }
-        let mut out = String::new();
-        out.push_str("adios cross-run ranking (adios.metrics/2)\n");
-        for (key, g) in &self.groups {
-            out.push('\n');
-            out.push_str(&group_header(*key, g.order.len()));
-            // A run without a phases section poisons the whole rank —
-            // same contract as the batch path always had.
-            for &id in &g.order {
-                if let Some(ph) = g.runs[id].missing_phase {
-                    return Err(format!("{}: missing phases.{ph}", g.runs[id].file));
-                }
-            }
-            for (i, row) in g.rows.iter().enumerate() {
-                let best = row[0].0;
-                out.push_str(&format!("  ph{}", i + 1));
-                for (j, &(t, id)) in row.iter().enumerate() {
-                    let plan = &g.runs[id].plan;
-                    if j == 0 {
-                        out.push_str(&format!("  1. {plan} {t:.3}s"));
-                    } else {
-                        out.push_str(&format!("  {}. {plan} +{:.3}s", j + 1, t - best));
-                    }
-                }
-                out.push('\n');
-            }
-            for line in &g.crossovers {
-                out.push_str(line);
-                out.push('\n');
-            }
-            if g.crossovers.is_empty() {
-                out.push_str("  (no phase-local ranking crossover)\n");
-            }
-        }
-        out.push_str(&format!("\ncrossovers: {}\n", self.crossovers));
-        Ok(RankReport {
-            text: out,
-            crossovers: self.crossovers,
-        })
-    }
-
-    /// Gain-vs-signal tables per group with Pearson coefficients from
-    /// the maintained moment accumulators.
-    pub fn correlate(&self) -> Result<String, String> {
-        if self.run_count == 0 {
-            return Err("no runs to correlate".into());
-        }
-        let mut out = String::new();
-        out.push_str("adios cross-run correlation (adios.metrics/2)\n");
-        for (key, g) in &self.groups {
-            out.push('\n');
-            out.push_str(&group_header(*key, g.order.len()));
-            let base = g.baseline.expect("non-empty group has a baseline");
-            let base_mk = g.runs[base]
-                .makespan_s
-                .ok_or_else(|| format!("{}: missing run.makespan_s", g.runs[base].file))?;
+            .find(|r| r.plan == "cc" || r.plan == "default")
+            .unwrap_or(&members[0]);
+        let base_mk = makespan(base)?;
+        out.push_str(&format!(
+            "  baseline {} makespan {:.3}s\n  {:<10} {:>10} {:>8} {:>8} {:>9}\n",
+            base.plan, base_mk, "plan", "makespan", "gain%", "qdepth", "busy"
+        ));
+        let (mut acc_qd, mut acc_busy) = (PearsonAcc::default(), PearsonAcc::default());
+        for r in &members {
+            let mk = makespan(r)?;
+            let gain = (base_mk - mk) / base_mk * 100.0;
+            let qd = series_mean(&r.doc, "dom0_qdepth")
+                .or_else(|| num(&r.doc, &["dom0_elevator", "queue_depth", "mean"]))
+                .ok_or_else(|| format!("{}: no queue-depth signal", r.file))?;
+            // busy_s normalised to one disk-second per node over the
+            // makespan.
+            let busy = num(&r.doc, &["disk", "busy_s"])
+                .map(|busy_s| busy_s / (mk * r.nodes as f64))
+                .ok_or_else(|| format!("{}: missing disk.busy_s", r.file))?;
+            acc_qd.push(gain, qd);
+            acc_busy.push(gain, busy);
             out.push_str(&format!(
-                "  baseline {} makespan {:.3}s\n  {:<10} {:>10} {:>8} {:>8} {:>9}\n",
-                g.runs[base].plan, base_mk, "plan", "makespan", "gain%", "qdepth", "busy"
+                "  {:<10} {:>9.3}s {:>8.2} {:>8.2} {:>9.3}\n",
+                r.plan, mk, gain, qd, busy
             ));
-            for &id in &g.order {
-                let r = &g.runs[id];
-                let mk = r
-                    .makespan_s
-                    .ok_or_else(|| format!("{}: missing run.makespan_s", r.file))?;
-                let gain = (base_mk - mk) / base_mk * 100.0;
-                let qd = r
-                    .qdepth
-                    .ok_or_else(|| format!("{}: no queue-depth signal", r.file))?;
-                let busy = r
-                    .busy
-                    .ok_or_else(|| format!("{}: missing disk.busy_s", r.file))?;
-                out.push_str(&format!(
-                    "  {:<10} {:>9.3}s {:>8.2} {:>8.2} {:>9.3}\n",
-                    r.plan, mk, gain, qd, busy
-                ));
-            }
-            if g.order.len() < 3 {
-                out.push_str("  (fewer than 3 runs — no correlation)\n");
-            } else {
-                // A degenerate axis (zero variance) has no coefficient.
-                let fmt = |c: Option<f64>| c.map_or("n/a".into(), |c| format!("{c:+.3}"));
-                out.push_str(&format!(
-                    "  corr(gain, qdepth) = {}   corr(gain, busy) = {}\n",
-                    fmt(g.acc_qd.r()),
-                    fmt(g.acc_busy.r())
-                ));
-            }
         }
-        Ok(out)
+        if members.len() < 3 {
+            out.push_str("  (fewer than 3 runs — no correlation)\n");
+        } else {
+            // A degenerate axis (zero variance) has no coefficient.
+            let fmt = |c: Option<f64>| c.map_or("n/a".into(), |c| format!("{c:+.3}"));
+            out.push_str(&format!(
+                "  corr(gain, qdepth) = {}   corr(gain, busy) = {}\n",
+                fmt(acc_qd.r()),
+                fmt(acc_busy.r())
+            ));
+        }
     }
-
-    /// Answer a what-if plan query: best plan for (shape, data,
-    /// workload), with provenance. Sources, in preference order: the
-    /// eval-cache snapshot (exact key), an exact ingested metrics
-    /// group (`cached`), nearest-manifest interpolation over the data
-    /// axis (`interpolated`), nothing (`unknown`). Never simulates.
-    pub fn whatif(&self, nodes: u64, vms: u64, data_mb: u64, workload: &str) -> Json {
-        let base = Json::obj()
-            .field("q", "whatif")
-            .field("nodes", nodes)
-            .field("vms_per_node", vms)
-            .field("data_mb_per_vm", data_mb)
-            .field("workload", workload);
-
-        // 1. Exact eval-cache snapshot key.
-        let mut best: Option<(f64, &str)> = None;
-        for e in &self.cache_entries {
-            if (e.nodes, e.vms, e.data_mb) == (nodes, vms, data_mb)
-                && workload_matches(&e.workload, workload)
-            {
-                let cand = (e.score_s, e.plan.as_str());
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-        }
-        if let Some((score, plan)) = best {
-            return base
-                .field("plan", plan)
-                .field("expected_makespan_s", score)
-                .field("provenance", "cached")
-                .field("source", "evalcache");
-        }
-
-        // 2. Exact ingested metrics group.
-        if let Some(g) = self.groups.get(&(nodes, vms, data_mb)) {
-            if let Some((mk, plan)) = group_best(g, workload) {
-                return base
-                    .field("plan", plan)
-                    .field("expected_makespan_s", mk)
-                    .field("provenance", "cached")
-                    .field("source", "metrics");
-            }
-        }
-
-        // 3. Nearest-manifest interpolation along the data axis.
-        let mut sized: Vec<(u64, &GroupState)> = self
-            .groups
-            .iter()
-            .filter(|((n, v, _), g)| {
-                (*n, *v) == (nodes, vms) && group_best(g, workload).is_some()
-            })
-            .map(|((_, _, mb), g)| (*mb, g))
-            .collect();
-        sized.sort_by_key(|(mb, _)| *mb);
-        let lo = sized.iter().rev().find(|(mb, _)| *mb < data_mb);
-        let hi = sized.iter().find(|(mb, _)| *mb > data_mb);
-        match (lo, hi) {
-            (Some((mb_lo, g_lo)), Some((mb_hi, g_hi))) => {
-                // Linear interpolation per plan present on both sides;
-                // the answer is the argmin of interpolated makespans.
-                let frac = (data_mb - mb_lo) as f64 / (mb_hi - mb_lo) as f64;
-                let mut best: Option<(f64, &str)> = None;
-                for &id in &g_lo.order {
-                    let r = &g_lo.runs[id];
-                    if !workload_matches(&r.workload, workload) {
-                        continue;
-                    }
-                    let (Some(mk_lo), Some(other)) = (
-                        r.makespan_s,
-                        g_hi.order.iter().map(|&j| &g_hi.runs[j]).find(|o| {
-                            o.plan == r.plan && workload_matches(&o.workload, workload)
-                        }),
-                    ) else {
-                        continue;
-                    };
-                    let Some(mk_hi) = other.makespan_s else { continue };
-                    let mk = mk_lo + (mk_hi - mk_lo) * frac;
-                    let cand = (mk, r.plan.as_str());
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-                if let Some((mk, plan)) = best {
-                    return base
-                        .field("plan", plan)
-                        .field("expected_makespan_s", mk)
-                        .field("provenance", "interpolated")
-                        .field("source", format!("metrics:{mb_lo}mb..{mb_hi}mb"));
-                }
-            }
-            (Some((mb, g)), None) | (None, Some((mb, g))) => {
-                if let Some((mk, plan)) = group_best(g, workload) {
-                    return base
-                        .field("plan", plan)
-                        .field("expected_makespan_s", mk)
-                        .field("provenance", "interpolated")
-                        .field("source", format!("metrics:nearest {mb}mb"));
-                }
-            }
-            (None, None) => {}
-        }
-        base.field("provenance", "unknown")
-    }
-
-    /// The D4 overlap report: mean non-concurrent-shuffle share per
-    /// shuffle-fetch-concurrency (`parallel_copies`) setting, and
-    /// which setting lands closest to `target_pct` (Table II).
-    pub fn overlap(&self, target_pct: f64) -> Json {
-        let mut rows = Vec::new();
-        let mut best: Option<(f64, u64, f64)> = None; // (|Δ|, pc, mean)
-        for (&pc, &(sum, n)) in &self.overlap {
-            let mean = sum / n as f64;
-            rows.push(
-                Json::obj()
-                    .field("parallel_copies", pc)
-                    .field("mean_shuffle_pct", mean)
-                    .field("runs", n),
-            );
-            let cand = ((mean - target_pct).abs(), pc, mean);
-            if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                best = Some(cand);
-            }
-        }
-        let mut out = Json::obj()
-            .field("q", "overlap")
-            .field("target_pct", target_pct)
-            .field("settings", Json::Arr(rows));
-        if let Some((delta, pc, mean)) = best {
-            out = out
-                .field("best_parallel_copies", pc)
-                .field("best_mean_shuffle_pct", mean)
-                .field("best_delta_pct", delta);
-        }
-        out
-    }
-
-    /// Service-level SLO lines, one per ingested `adios.metrics/3`
-    /// document, sorted by file.
-    pub fn service_slos(&self) -> Json {
-        Json::Arr(
-            self.services
-                .iter()
-                .map(|s| {
-                    Json::obj()
-                        .field("file", s.file.clone())
-                        .field("policy", s.policy.clone())
-                        .field("p50_latency_s", s.p50_s)
-                        .field("p99_latency_s", s.p99_s)
-                        .field("throughput_jpm", s.throughput_jpm)
-                        .field("map_slot_util", s.map_util)
-                        .field("reduce_slot_util", s.reduce_util)
-                })
-                .collect(),
-        )
-    }
-
-    /// Ingest-state counters (the `stats` query).
-    pub fn stats(&self) -> Json {
-        Json::obj()
-            .field("runs", self.run_count)
-            .field("groups", self.groups.len())
-            .field("crossovers", self.crossovers)
-            .field("services", self.services.len())
-            .field("cache_entries", self.cache_entries.len())
-            .field("ledger_entries", self.ledger_entries)
-    }
-
-    /// Ledger summary (the `history` query): total entry count plus
-    /// per-kind entry and distinct-digest counts.
-    pub fn history_summary(&self) -> Json {
-        Json::obj()
-            .field("q", "history")
-            .field("entries", self.ledger_entries as u64)
-            .field(
-                "kinds",
-                Json::Arr(
-                    self.kinds
-                        .iter()
-                        .map(|(kind, k)| {
-                            Json::obj()
-                                .field("kind", kind.clone())
-                                .field("entries", k.history.len() as u64)
-                                .field("digests", k.digests.len() as u64)
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    // --- ledger -------------------------------------------------------
-
-    /// Adopt an existing JSONL ledger: parse every entry into the
-    /// per-kind digest sets and trailing windows. The text is kept
-    /// verbatim so appends stay byte-stable.
-    pub fn load_ledger(&mut self, text: &str) -> Result<(), String> {
-        self.ledger = String::new();
-        self.ledger_entries = 0;
-        self.kinds.clear();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let e = Json::parse(line).map_err(|err| format!("ledger line {}: {err}", i + 1))?;
-            let kind = e
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("ledger line {}: entry has no kind", i + 1))?
-                .to_string();
-            let k = self.kinds.entry(kind).or_default();
-            if let Some(d) = e.get("digest").and_then(Json::as_str) {
-                k.digests.insert(d.to_string());
-            }
-            if let Some(m) = e.get("metrics") {
-                k.last_metrics = Some(m.clone());
-                k.history.push(m.clone());
-            }
-            self.ledger_entries += 1;
-        }
-        self.ledger = text.to_string();
-        Ok(())
-    }
-
-    /// The current ledger text (write it back after ingests).
-    pub fn ledger(&self) -> &str {
-        &self.ledger
-    }
-
-    /// Trailing metric maps of a bench kind, oldest → newest — the
-    /// alert evaluator's reference window input.
-    pub fn trailing_metrics(&self, kind: &str) -> &[Json] {
-        self.kinds.get(kind).map(|k| k.history.as_slice()).unwrap_or(&[])
-    }
-
-    /// Append an `adios.bench/1` document to the ledger, computing
-    /// regression deltas against the previous entry of the same kind.
-    /// The identity digest covers only the deterministic metrics map —
-    /// host-time fields like `wall_s` never enter the ledger — and a
-    /// digest seen *anywhere* in the ledger (not just the latest
-    /// entry) is deduplicated instead of re-appended, so re-ingesting
-    /// an old document is a no-op even across daemon restarts.
-    pub fn ingest_bench(&mut self, doc: &Json, file: &str) -> Result<HistoryOutcome, String> {
-        let (kind, metrics) = bench_metrics(doc, file)?;
-        let digest = format!("{:016x}", fnv1a_str(&metrics.to_string()));
-        let k = self.kinds.entry(kind.clone()).or_default();
-        if k.digests.contains(&digest) {
-            return Ok(HistoryOutcome {
-                ledger: self.ledger.clone(),
-                line: format!("history: {kind} unchanged (digest {digest}), not appended"),
-                appended: false,
-                worst_pct: None,
-            });
-        }
-
-        let Json::Obj(fields) = &metrics else { unreachable!() };
-        let metric_count = fields.len();
-        let seq = self.ledger_entries + 1;
-        let mut entry = Json::obj()
-            .field("seq", seq as u64)
-            .field("kind", kind.as_str())
-            .field("digest", digest.as_str())
-            .field("entries", metric_count as u64);
-        let mut worst: Option<(f64, String)> = None;
-        if let Some(p) = &k.last_metrics {
-            let mut compared = 0u64;
-            let mut best: Option<(f64, String)> = None;
-            for (name, v) in fields {
-                let (Some(new), Some(old)) = (v.as_f64(), num(p, &[name])) else {
-                    continue;
-                };
-                if old == 0.0 {
-                    continue;
-                }
-                let pct = (new - old) / old * 100.0;
-                compared += 1;
-                if worst.as_ref().is_none_or(|(w, _)| pct > *w) {
-                    worst = Some((pct, name.clone()));
-                }
-                if best.as_ref().is_none_or(|(b, _)| pct < *b) {
-                    best = Some((pct, name.clone()));
-                }
-            }
-            entry = entry.field("compared", compared);
-            if let (Some((w, wn)), Some((b, bn))) = (&worst, &best) {
-                entry = entry
-                    .field("worst_pct", *w)
-                    .field("worst", wn.as_str())
-                    .field("best_pct", *b)
-                    .field("best", bn.as_str());
-            }
-        }
-        entry = entry.field("metrics", metrics.clone());
-
-        if !self.ledger.is_empty() && !self.ledger.ends_with('\n') {
-            self.ledger.push('\n');
-        }
-        self.ledger.push_str(&entry.to_string());
-        self.ledger.push('\n');
-        self.ledger_entries = seq;
-        k.digests.insert(digest);
-        k.last_metrics = Some(metrics.clone());
-        k.history.push(metrics);
-
-        let line = match &worst {
-            Some((w, wn)) => format!(
-                "history: {kind} seq {seq} appended, {metric_count} metrics, worst delta {w:+.2}% ({wn})"
-            ),
-            None => format!(
-                "history: {kind} seq {seq} appended, {metric_count} metrics (first of its kind)"
-            ),
-        };
-        Ok(HistoryOutcome {
-            ledger: self.ledger.clone(),
-            line,
-            appended: true,
-            worst_pct: worst.map(|(w, _)| w),
-        })
-    }
+    Ok(out)
 }
 
-fn workload_matches(have: &str, want: &str) -> bool {
-    have == want || have == "?" || want == "?"
+/// Result of [`overlap`]: the rendered table plus its rows.
+#[derive(Debug)]
+pub struct OverlapReport {
+    /// Human-readable table.
+    pub text: String,
+    /// `(parallel_copies, runs, mean non-concurrent-shuffle %)` per
+    /// setting, in ascending `parallel_copies` order.
+    pub rows: Vec<(u64, u64, f64)>,
 }
 
-/// Best (makespan, plan) of a group among workload-matching members.
-fn group_best<'a>(g: &'a GroupState, workload: &str) -> Option<(f64, &'a str)> {
-    let mut best: Option<(f64, &str)> = None;
-    for &id in &g.order {
-        let r = &g.runs[id];
-        if !workload_matches(&r.workload, workload) {
-            continue;
-        }
-        let Some(mk) = r.makespan_s else { continue };
-        let cand = (mk, r.plan.as_str());
-        if best.is_none_or(|b| cand < b) {
-            best = Some(cand);
+/// The D4 overlap probe: mean non-concurrent-shuffle share per shuffle
+/// fetch-concurrency (`parallel_copies`) setting, and the setting that
+/// lands closest to the paper's Table II share. Sums run in file
+/// order, so any input order gives the same bits. Runs without a
+/// `parallel_copies` stamp or a shuffle share are skipped; `Err` when
+/// none is left.
+pub fn overlap(runs: &[Run]) -> Result<OverlapReport, String> {
+    let mut by_file: Vec<&Run> = runs.iter().collect();
+    by_file.sort_by(|a, b| a.file.cmp(&b.file));
+    let mut sums: BTreeMap<u64, (f64, u64)> = BTreeMap::new();
+    for r in by_file.into_iter().filter(|r| r.parallel_copies > 0) {
+        if let Some(pct) = num(&r.doc, &["phases", "non_concurrent_shuffle_pct"]) {
+            let slot = sums.entry(r.parallel_copies).or_insert((0.0, 0));
+            slot.0 += pct;
+            slot.1 += 1;
         }
     }
-    best
+    if sums.is_empty() {
+        return Err(
+            "no runs with a parallel_copies stamp and phases.non_concurrent_shuffle_pct".into(),
+        );
+    }
+    let rows: Vec<(u64, u64, f64)> = sums
+        .into_iter()
+        .map(|(pc, (sum, n))| (pc, n, sum / n as f64))
+        .collect();
+    let mut out = format!(
+        "adios shuffle-overlap probe (adios.metrics/2)\n\n  Table II non-concurrent shuffle at 1 wave: {TABLE2_SHUFFLE_PCT:.1}%\n  {:>15} {:>5} {:>14} {:>9}\n",
+        "parallel_copies", "runs", "mean shuffle%", "delta"
+    );
+    for &(pc, n, mean) in &rows {
+        out.push_str(&format!(
+            "  {pc:>15} {n:>5} {mean:>14.3} {:>+9.3}\n",
+            mean - TABLE2_SHUFFLE_PCT
+        ));
+    }
+    // `min_by` keeps the first of equal elements: a tie on |delta| goes
+    // to the smaller setting.
+    let delta = |mean: f64| (mean - TABLE2_SHUFFLE_PCT).abs();
+    let (pc, _, mean) = rows
+        .iter()
+        .copied()
+        .min_by(|a, b| delta(a.2).total_cmp(&delta(b.2)))
+        .expect("rows is non-empty");
+    out.push_str(&format!(
+        "  closest to Table II: parallel_copies {pc} ({mean:.3}%)\n"
+    ));
+    Ok(OverlapReport { text: out, rows })
 }
 
 // --- history ledger ---------------------------------------------------
 
-pub(crate) fn fnv1a_str(s: &str) -> u64 {
+fn fnv1a_str(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in s.as_bytes() {
         h ^= *b as u64;
@@ -1104,9 +421,8 @@ pub(crate) fn fnv1a_str(s: &str) -> u64 {
 /// document order. `mean_ns` per benchmark for micro docs,
 /// `makespan_s` per cell for sweep docs, and `profile_<sub>_share_pct`
 /// per subsystem for `adios.profile/1` docs (kind `profile` — the
-/// wall-time attribution regression signal). Public so the alert
-/// evaluator can classify a document before it is ingested.
-pub fn bench_metrics(doc: &Json, file: &str) -> Result<(String, Json), String> {
+/// wall-time attribution regression signal).
+fn bench_metrics(doc: &Json, file: &str) -> Result<(String, Json), String> {
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema == "adios.profile/1" {
         let mut shares =
@@ -1170,18 +486,125 @@ pub fn bench_metrics(doc: &Json, file: &str) -> Result<(String, Json), String> {
         }
         Ok(("micro".into(), metrics))
     } else {
-        Err(format!("{file}: bench document has neither cells nor results"))
+        Err(format!(
+            "{file}: bench document has neither cells nor results"
+        ))
     }
 }
 
-/// Append `doc` to the JSONL ledger (batch form: parses the ledger
-/// into a throw-away [`Store`] and delegates to
-/// [`Store::ingest_bench`], so the daemon and the subcommand behave
-/// identically).
+/// Outcome of [`history_append`].
+#[derive(Debug)]
+pub struct HistoryOutcome {
+    /// The full new ledger text (caller writes it back).
+    pub ledger: String,
+    /// One-line human summary of what happened.
+    pub line: String,
+    /// False when the document's digest was already in the ledger
+    /// (idempotent re-run) and nothing was appended.
+    pub appended: bool,
+    /// Worst regression percentage vs the previous entry, if any
+    /// comparison was possible. Positive = slower.
+    pub worst_pct: Option<f64>,
+}
+
+/// Append an `adios.bench/1` or `adios.profile/1` document to the
+/// JSONL `ledger`, computing regression deltas against the previous
+/// entry of the same kind. The identity digest covers only the
+/// deterministic metrics map — host-time fields like `wall_s` never
+/// enter the ledger — and a digest seen *anywhere* in the ledger (not
+/// just the latest entry) is a no-op, so re-ingesting an old document
+/// leaves the ledger untouched.
 pub fn history_append(ledger: &str, doc: &Json, file: &str) -> Result<HistoryOutcome, String> {
-    let mut s = Store::new();
-    s.load_ledger(ledger)?;
-    s.ingest_bench(doc, file)
+    // One pass over the ledger: validate every entry, keep (kind, entry).
+    let mut entries: Vec<(String, Json)> = Vec::new();
+    for (i, line) in ledger.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let e = Json::parse(line).map_err(|err| format!("ledger line {}: {err}", i + 1))?;
+        let kind = e
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("ledger line {}: entry has no kind", i + 1))?
+            .to_string();
+        entries.push((kind, e));
+    }
+
+    let (kind, metrics) = bench_metrics(doc, file)?;
+    let digest = format!("{:016x}", fnv1a_str(&metrics.to_string()));
+    let same_kind = || entries.iter().filter(|(k, _)| *k == kind).map(|(_, e)| e);
+    if same_kind().any(|e| e.get("digest").and_then(Json::as_str) == Some(digest.as_str())) {
+        return Ok(HistoryOutcome {
+            ledger: ledger.to_string(),
+            line: format!("history: {kind} unchanged (digest {digest}), not appended"),
+            appended: false,
+            worst_pct: None,
+        });
+    }
+    let previous = same_kind().filter_map(|e| e.get("metrics")).next_back();
+
+    let Json::Obj(fields) = &metrics else {
+        unreachable!()
+    };
+    let metric_count = fields.len();
+    let seq = entries.len() + 1;
+    let mut entry = Json::obj()
+        .field("seq", seq as u64)
+        .field("kind", kind.as_str())
+        .field("digest", digest.as_str())
+        .field("entries", metric_count as u64);
+    let mut worst: Option<(f64, String)> = None;
+    if let Some(p) = previous {
+        let mut compared = 0u64;
+        let mut best: Option<(f64, String)> = None;
+        for (name, v) in fields {
+            let (Some(new), Some(old)) = (v.as_f64(), num(p, &[name])) else {
+                continue;
+            };
+            if old == 0.0 {
+                continue;
+            }
+            let pct = (new - old) / old * 100.0;
+            compared += 1;
+            if worst.as_ref().is_none_or(|(w, _)| pct > *w) {
+                worst = Some((pct, name.clone()));
+            }
+            if best.as_ref().is_none_or(|(b, _)| pct < *b) {
+                best = Some((pct, name.clone()));
+            }
+        }
+        entry = entry.field("compared", compared);
+        if let (Some((w, wn)), Some((b, bn))) = (&worst, &best) {
+            entry = entry
+                .field("worst_pct", *w)
+                .field("worst", wn.as_str())
+                .field("best_pct", *b)
+                .field("best", bn.as_str());
+        }
+    }
+    entry = entry.field("metrics", metrics.clone());
+
+    let mut out = ledger.to_string();
+    if !out.is_empty() && !out.ends_with('\n') {
+        out.push('\n');
+    }
+    out.push_str(&entry.to_string());
+    out.push('\n');
+
+    let line = match &worst {
+        Some((w, wn)) => format!(
+            "history: {kind} seq {seq} appended, {metric_count} metrics, worst delta {w:+.2}% ({wn})"
+        ),
+        None => format!(
+            "history: {kind} seq {seq} appended, {metric_count} metrics (first of its kind)"
+        ),
+    };
+    Ok(HistoryOutcome {
+        ledger: out,
+        line,
+        appended: true,
+        worst_pct: worst.map(|(w, _)| w),
+    })
 }
 
 #[cfg(test)]
@@ -1246,7 +669,8 @@ mod tests {
         let r = rank(&runs).unwrap();
         assert!(r.crossovers >= 1, "{}", r.text);
         assert!(
-            r.text.contains("** crossover: ad wins ph[1], da wins ph[2, 3]"),
+            r.text
+                .contains("** crossover: ad wins ph[1], da wins ph[2, 3]"),
             "{}",
             r.text
         );
@@ -1327,9 +751,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_ingest_is_order_independent() {
-        // Any ingest order must render the exact batch rank/correlate
-        // bytes — invariant 1–3 of the module docs.
+    fn tables_are_independent_of_input_order() {
+        // Any input order must render the same rank/correlate/overlap
+        // bytes: members walk (plan, file) order, overlap sums walk
+        // file order.
         let docs = vec![
             doc(4, 4, 512, "ad", 30.0, [10.0, 12.0, 8.0], 6.0),
             doc(4, 4, 512, "da", 29.0, [11.0, 11.0, 7.0], 7.0),
@@ -1338,152 +763,61 @@ mod tests {
             doc(2, 2, 64, "dd", 19.0, [7.0, 7.5, 3.9], 5.5),
         ];
         let runs = load_runs(&docs).unwrap();
-        let batch_rank = rank(&runs).unwrap().text;
-        let batch_corr = correlate(&runs).unwrap();
+        let base_rank = rank(&runs).unwrap().text;
+        let base_corr = correlate(&runs).unwrap();
+        let base_overlap = overlap(&runs).unwrap().text;
         // A few representative permutations (reversed, rotated, swapped).
-        let orders: Vec<Vec<usize>> = vec![
-            vec![4, 3, 2, 1, 0],
-            vec![2, 0, 4, 1, 3],
-            vec![1, 4, 0, 3, 2],
-        ];
-        for order in orders {
-            let mut s = Store::new();
-            for &i in &order {
-                s.ingest_run(&runs[i]);
-            }
-            assert_eq!(s.rank().unwrap().text, batch_rank, "order {order:?}");
-            assert_eq!(s.correlate().unwrap(), batch_corr, "order {order:?}");
-        }
-    }
-
-    #[test]
-    fn store_dedupes_metrics_docs_by_digest() {
-        let mut s = Store::new();
-        let (f, d) = doc(4, 4, 512, "cc", 30.0, [10.0, 12.0, 8.0], 4.0);
-        assert_eq!(s.ingest_metrics(&f, &d).unwrap(), Ingested::Run);
-        // Same content under another name: no-op.
-        assert_eq!(s.ingest_metrics("copy.json", &d).unwrap(), Ingested::Duplicate);
-        assert_eq!(s.runs(), 1);
-    }
-
-    #[test]
-    fn store_ingests_service_docs_without_manifest() {
-        let svc = Json::obj()
-            .field("schema", "adios.metrics/3")
-            .field("kind", "service")
-            .field("policy", "adaptive")
-            .field("service", Json::obj().field("throughput_jpm", 7.5))
-            .field(
-                "latency",
-                Json::obj().field("p50_s", 20.0).field("p99_s", 45.0),
-            )
-            .field(
-                "slots",
-                Json::obj().field("map_util", 0.8).field("reduce_util", 0.6),
+        for order in [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 4, 0, 3, 2]] {
+            let permuted: Vec<Run> = order.iter().map(|&i| runs[i].clone()).collect();
+            assert_eq!(rank(&permuted).unwrap().text, base_rank, "order {order:?}");
+            assert_eq!(correlate(&permuted).unwrap(), base_corr, "order {order:?}");
+            assert_eq!(
+                overlap(&permuted).unwrap().text,
+                base_overlap,
+                "order {order:?}"
             );
-        let mut s = Store::new();
-        assert_eq!(s.ingest_metrics("svc.json", &svc).unwrap(), Ingested::Service);
-        let slos = s.service_slos().to_string();
-        assert!(slos.contains("\"policy\":\"adaptive\""), "{slos}");
-        assert!(slos.contains("\"p99_latency_s\":45"), "{slos}");
-    }
-
-    #[test]
-    fn whatif_prefers_cache_then_metrics_then_interpolates() {
-        let mut s = Store::new();
-        // No data at all: unknown.
-        let a = s.whatif(4, 4, 512, "sort").to_string();
-        assert!(a.contains("\"provenance\":\"unknown\""), "{a}");
-
-        // Ingest two data sizes of one shape.
-        for (f, d) in [
-            doc(4, 4, 256, "cc", 20.0, [8.0, 8.0, 4.0], 5.0),
-            doc(4, 4, 256, "dd", 24.0, [9.0, 10.0, 5.0], 5.5),
-            doc(4, 4, 1024, "cc", 60.0, [20.0, 24.0, 16.0], 6.0),
-            doc(4, 4, 1024, "dd", 48.0, [18.0, 20.0, 10.0], 6.5),
-        ] {
-            s.ingest_metrics(&f, &d).unwrap();
         }
-        // Exact group: cached from metrics.
-        let a = s.whatif(4, 4, 256, "sort").to_string();
-        assert!(a.contains("\"provenance\":\"cached\""), "{a}");
-        assert!(a.contains("\"source\":\"metrics\""), "{a}");
-        assert!(a.contains("\"plan\":\"cc\""), "{a}");
-        // Between sizes: interpolated. At 640 MB (midpoint), cc = 40.0
-        // and dd = 36.0 — dd wins only through interpolation.
-        let a = s.whatif(4, 4, 640, "sort").to_string();
-        assert!(a.contains("\"provenance\":\"interpolated\""), "{a}");
-        assert!(a.contains("\"plan\":\"dd\""), "{a}");
-        assert!(a.contains("256mb..1024mb"), "{a}");
-        // Outside the sampled range: nearest group, still interpolated.
-        let a = s.whatif(4, 4, 2048, "sort").to_string();
-        assert!(a.contains("nearest 1024mb"), "{a}");
-
-        // An eval-cache snapshot outranks everything.
-        let snap = Json::obj()
-            .field("schema", "adios.evalcache/1")
-            .field(
-                "entries",
-                Json::Arr(vec![Json::obj()
-                    .field("nodes", 4u64)
-                    .field("vms_per_node", 4u64)
-                    .field("data_mb_per_vm", 256u64)
-                    .field("workload", "sort")
-                    .field("plan", "ad")
-                    .field("score_s", 18.5)]),
-            );
-        assert_eq!(
-            s.ingest_metrics("snap.json", &snap).unwrap(),
-            Ingested::CacheEntries(1)
-        );
-        let a = s.whatif(4, 4, 256, "sort").to_string();
-        assert!(a.contains("\"source\":\"evalcache\""), "{a}");
-        assert!(a.contains("\"plan\":\"ad\""), "{a}");
-        assert!(a.contains("\"expected_makespan_s\":18.5"), "{a}");
-        // A different workload does not see sort's cache entry.
-        let a = s.whatif(4, 4, 256, "wordcount").to_string();
-        assert!(a.contains("\"provenance\":\"unknown\""), "{a}");
     }
 
     #[test]
     fn overlap_tracks_parallel_copies_axis() {
-        let mut s = Store::new();
-        // Distinct pc settings via manifest parallel_copies: rebuild
-        // docs with the pc stamped in and a controlled shuffle pct.
+        // Distinct pc settings via manifest parallel_copies, each with a
+        // controlled shuffle share.
         let with_pc = |plan: &str, pc: u64, pct: f64| {
-            let (_, mut d) = doc(4, 4, 512, plan, 30.0, [10.0, 12.0, 8.0], 6.0);
-            if let Some(Json::Obj(m)) = d.get("manifest").cloned() {
-                let mut m2 = m;
-                for f in m2.iter_mut() {
-                    if f.0 == "parallel_copies" {
-                        f.1 = Json::from(pc);
-                    }
-                }
-                if let Json::Obj(fields) = &mut d {
-                    for f in fields.iter_mut() {
-                        if f.0 == "manifest" {
-                            f.1 = Json::Obj(m2.clone());
-                        }
-                        if f.0 == "phases" {
-                            if let Json::Obj(ph) = &mut f.1 {
-                                for p in ph.iter_mut() {
-                                    if p.0 == "non_concurrent_shuffle_pct" {
-                                        p.1 = Json::from(pct);
-                                    }
-                                }
-                            }
-                        }
-                    }
+            let (_, d) = doc(4, 4, 512, plan, 30.0, [10.0, 12.0, 8.0], 6.0);
+            let mut run = load_runs(&[(format!("{plan}.json"), d)]).unwrap().remove(0);
+            run.parallel_copies = pc;
+            if let Json::Obj(fields) = &mut run.doc {
+                let (_, phases) = fields.iter_mut().find(|(k, _)| k == "phases").unwrap();
+                if let Json::Obj(ph) = phases {
+                    let (_, v) = ph
+                        .iter_mut()
+                        .find(|(k, _)| k == "non_concurrent_shuffle_pct")
+                        .unwrap();
+                    *v = Json::from(pct);
                 }
             }
-            d
+            run
         };
-        s.ingest_metrics("a.json", &with_pc("cc@pc1", 1, 40.0)).unwrap();
-        s.ingest_metrics("b.json", &with_pc("cc@pc5", 5, 28.0)).unwrap();
-        s.ingest_metrics("c.json", &with_pc("cc@pc10", 10, 14.0)).unwrap();
-        let o = s.overlap(TABLE2_SHUFFLE_PCT).to_string();
-        assert!(o.contains("\"best_parallel_copies\":5"), "{o}");
-        assert!(o.contains("\"target_pct\":29.5"), "{o}");
+        let runs = vec![
+            with_pc("cc@pc1", 1, 40.0),
+            with_pc("cc@pc5", 5, 28.0),
+            with_pc("dd@pc5", 5, 30.0),
+            with_pc("cc@pc10", 10, 14.0),
+            // No stamp: skipped.
+            with_pc("old", 0, 29.5),
+        ];
+        let o = overlap(&runs).unwrap();
+        assert_eq!(o.rows, vec![(1, 1, 40.0), (5, 2, 29.0), (10, 1, 14.0)]);
+        assert!(o.text.contains("at 1 wave: 29.5%"), "{}", o.text);
+        assert!(
+            o.text
+                .contains("closest to Table II: parallel_copies 5 (29.000%)"),
+            "{}",
+            o.text
+        );
+        // Nothing stamped: an error, not an empty table.
+        assert!(overlap(&runs[4..]).is_err());
     }
 
     fn micro(names_means: &[(&str, f64)]) -> Json {
@@ -1517,7 +851,11 @@ mod tests {
         assert_eq!(o3.worst_pct.map(|w| w.round()), Some(10.0));
         assert!(o3.ledger.contains("\"worst\":\"push\""), "{}", o3.ledger);
         assert!(o3.ledger.contains("\"compared\":2"), "{}", o3.ledger);
-        assert!(o3.line.contains("worst delta +10.00% (push)"), "{}", o3.line);
+        assert!(
+            o3.line.contains("worst delta +10.00% (push)"),
+            "{}",
+            o3.line
+        );
     }
 
     fn profile(net_ns: u64, iosched_ns: u64) -> Json {
@@ -1530,7 +868,10 @@ mod tests {
         };
         Json::obj().field("schema", "adios.profile/1").field(
             "spans",
-            Json::Arr(vec![span("net.solve", net_ns), span("iosched.dispatch", iosched_ns)]),
+            Json::Arr(vec![
+                span("net.solve", net_ns),
+                span("iosched.dispatch", iosched_ns),
+            ]),
         )
     }
 
@@ -1556,7 +897,9 @@ mod tests {
     fn history_rejects_skeleton_profiles() {
         let doc = Json::obj().field("schema", "adios.profile/1").field(
             "spans",
-            Json::Arr(vec![Json::obj().field("name", "net.solve").field("calls", 1u64)]),
+            Json::Arr(vec![Json::obj()
+                .field("name", "net.solve")
+                .field("calls", 1u64)]),
         );
         let err = history_append("", &doc, "p.json").unwrap_err();
         assert!(err.contains("no measured wall time"), "{err}");
@@ -1573,25 +916,6 @@ mod tests {
         let o3 = history_append(&l2, &a, "a.json").unwrap();
         assert!(!o3.appended, "{}", o3.line);
         assert_eq!(o3.ledger, l2);
-    }
-
-    #[test]
-    fn history_dedupes_across_store_instances_over_one_ledger() {
-        // The daemon-restart contract: instance 1 ingests and persists
-        // the ledger; instance 2 adopts the same ledger text and must
-        // treat a re-ingest of the same doc as a no-op.
-        let a = micro(&[("push", 100.0), ("pop", 200.0)]);
-        let mut first = Store::new();
-        first.load_ledger("").unwrap();
-        let o1 = first.ingest_bench(&a, "a.json").unwrap();
-        assert!(o1.appended);
-        let persisted = first.ledger().to_string();
-
-        let mut second = Store::new();
-        second.load_ledger(&persisted).unwrap();
-        let o2 = second.ingest_bench(&a, "a.json").unwrap();
-        assert!(!o2.appended, "{}", o2.line);
-        assert_eq!(second.ledger(), persisted);
     }
 
     #[test]
@@ -1659,17 +983,30 @@ mod tests {
                 ]),
             );
         let o = history_append("", &sweep, "s.json").unwrap();
-        assert!(o.ledger.contains("\"mj_best-single_latency_s\":30.5"), "{}", o.ledger);
-        assert!(o.ledger.contains("\"mj_adaptive_latency_s\":28.25"), "{}", o.ledger);
+        assert!(
+            o.ledger.contains("\"mj_best-single_latency_s\":30.5"),
+            "{}",
+            o.ledger
+        );
+        assert!(
+            o.ledger.contains("\"mj_adaptive_latency_s\":28.25"),
+            "{}",
+            o.ledger
+        );
         // The service cells are part of the identity: a latency change
         // is a new ledger entry, not a dedupe.
         let mut changed = sweep.clone();
         if let Json::Obj(fields) = &mut changed {
-            let mj = fields.iter_mut().find(|(k, _)| k == "multijob_cells").unwrap();
+            let mj = fields
+                .iter_mut()
+                .find(|(k, _)| k == "multijob_cells")
+                .unwrap();
             if let Json::Arr(cells) = &mut mj.1 {
                 if let Json::Obj(c0) = &mut cells[0] {
-                    c0.iter_mut().find(|(k, _)| k == "mean_latency_s").unwrap().1 =
-                        Json::Num(31.0);
+                    c0.iter_mut()
+                        .find(|(k, _)| k == "mean_latency_s")
+                        .unwrap()
+                        .1 = Json::Num(31.0);
                 }
             }
         }

@@ -506,8 +506,8 @@ mod tests {
     #[test]
     fn prop_string_escape_round_trip() {
         // Any string the writer can emit must come back bit-identical
-        // through the parser — the contract the cross-run store's doc
-        // ingestion leans on.
+        // through the parser — the contract the cross-run tables' doc
+        // loading leans on.
         crate::check::check(300, |g| {
             let s = gen_string(g);
             let text = Json::Str(s.clone()).to_string();

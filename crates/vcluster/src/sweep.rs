@@ -127,14 +127,14 @@ pub struct CellResult {
     pub wall_s: f64,
     /// The cell's full `adios.metrics/2` document — the per-cell
     /// artifact a `--metrics-dir` export writes for the cross-run
-    /// analytics store.
+    /// analytics.
     pub metrics: Json,
 }
 
 /// The identity of one sweep cell's run: shape × data size × plan ×
 /// telemetry level × seed. This is the key under which a
 /// `--metrics-dir` export stores the cell's metrics document and the
-/// cross-run store (`adios-report rank`/`correlate`) groups runs.
+/// cross-run tables (`adios-report rank`/`correlate`) group runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunManifest {
     /// Physical nodes.
@@ -147,7 +147,7 @@ pub struct RunManifest {
     pub plan: String,
     /// Telemetry level label (`off`/`counters`/`full`).
     pub telemetry: String,
-    /// Workload name (e.g. `sort`) — half of a what-if query key.
+    /// Workload name (e.g. `sort`).
     pub workload: String,
     /// Effective shuffle fetch concurrency the cell ran with (after
     /// any cell override) — the D4 overlap-axis key.
@@ -218,7 +218,7 @@ impl RunManifest {
 
 /// A copy of a metrics document with the run manifest stamped in,
 /// right after the `telemetry` field — the form `--metrics-dir`
-/// exports write and the cross-run store ingests.
+/// exports write and the cross-run tables read.
 pub fn stamp_manifest(doc: &Json, m: &RunManifest) -> Json {
     match doc {
         Json::Obj(entries) => {

@@ -142,12 +142,13 @@ set -e
   || { echo "error: flight replay must re-find the violation (got ${replay_rc})" >&2; exit 1; }
 rm -f "${flight_json}"
 
-# Decision-observability smoke: the cross-run store must ingest the
+# Decision-observability smoke: the cross-run ledger must ingest the
 # committed bench documents into a fresh ledger (exit 0, two entries,
-# schema-gated inside `history`), and a 2-cell mini-sweep must round-
-# trip through `rank` and `correlate`. `rank` without
-# --require-crossover must exit 0 even when the tiny grid has none;
-# the Fig. 6 crossover itself is covered by unit tests and the
+# schema-gated inside `history`), and a mini-sweep over two node
+# counts (a comma list), two pairs and two parallel-copies settings
+# must round-trip through `rank`, `correlate` and `overlap`. `rank`
+# without --require-crossover must exit 0 even when the tiny grid has
+# none; the Fig. 6 crossover itself is covered by unit tests and the
 # EXPERIMENTS.md 4x4/512MB recipe.
 ledger="$(mktemp)"; rm -f "${ledger}"
 cargo run -q --release --offline -p adios-report -- history \
@@ -167,68 +168,18 @@ grep -q '"mj_adaptive_latency_s"' "${ledger}" \
   || { echo "error: multi-job bench cells missing from ledger" >&2; exit 1; }
 sweep_dir="$(mktemp -d)"
 cargo run -q --release --offline --bin repro-cli -- sweep \
-  --nodes 2 --vms 2 --data-mb 64 --pairs cc,dd --metrics-dir "${sweep_dir}" > /dev/null
+  --nodes 2,3 --vms 2 --data-mb 64 --pairs cc,dd --parallel-copies 1,5 \
+  --metrics-dir "${sweep_dir}" > /dev/null
 cargo run -q --release --offline -p adios-report -- rank \
   --metrics-dir "${sweep_dir}" > /dev/null
 cargo run -q --release --offline -p adios-report -- correlate \
   --metrics-dir "${sweep_dir}" > /dev/null
+overlap_out="$(cargo run -q --release --offline -p adios-report -- overlap \
+  --metrics-dir "${sweep_dir}")"
+[[ "$(grep -cE '^ +[15] +4 ' <<< "${overlap_out}")" -eq 2 ]] \
+  || { echo "error: overlap must report both parallel-copies settings" >&2; \
+       echo "${overlap_out}" >&2; exit 1; }
 rm -rf "${ledger}" "${sweep_dir}"
-
-# Always-on analytics smoke: `serve --once` over a fresh watched
-# directory must answer a what-if query byte-identically to the batch
-# `whatif` subcommand on the same documents (the daemon is the batch
-# store fed incrementally — same bytes by construction, gated here
-# end to end), and the answer must resolve from measured runs.
-watch_dir="$(mktemp -d)"
-cargo run -q --release --offline --bin repro-cli -- sweep \
-  --nodes 2 --vms 2 --data-mb 64,96 --pairs cc,dd --watch-out "${watch_dir}" > /dev/null
-queries="$(mktemp)"
-printf '%s\n' \
-  '{"q":"whatif","nodes":2,"vms_per_node":2,"data_mb_per_vm":64,"workload":"sort"}' \
-  > "${queries}"
-serve_answer="$(cargo run -q --release --offline -p adios-report -- serve \
-  --watch "${watch_dir}" --once --query-file "${queries}" 2> /dev/null)"
-batch_answer="$(cargo run -q --release --offline -p adios-report -- whatif \
-  --metrics-dir "${watch_dir}" --nodes 2 --vms 2 --data-mb 64 --workload sort)"
-[[ "${serve_answer}" == "${batch_answer}" ]] \
-  || { echo "error: serve whatif != batch whatif" >&2; \
-       echo "serve: ${serve_answer}" >&2; echo "batch: ${batch_answer}" >&2; exit 1; }
-echo "${serve_answer}" | grep -q '"provenance":"cached"' \
-  || { echo "error: whatif on a measured group must be provenance=cached" >&2; exit 1; }
-
-# Regression alerting gate: ingest a baseline bench document (empty
-# trailing window, exit 0), then a perturbed copy whose headline metric
-# doubles against a 10% relative-delta rule — the alert must fire and
-# `--once` must exit 2, writing an adios.alerts/1 document.
-alert_ledger="$(mktemp)"; rm -f "${alert_ledger}"
-alert_rules="$(mktemp)"
-printf '%s\n' \
-  '{"schema":"adios.alertrules/1","rules":[{"metric":"smoke_bench","max_delta_pct":10,"window":1}]}' \
-  > "${alert_rules}"
-printf '%s\n' \
-  '{"schema":"adios.bench/1","results":[{"name":"smoke_bench","mean_ns":1000.0}]}' \
-  > "${watch_dir}/zz_bench_baseline.json"
-cargo run -q --release --offline -p adios-report -- serve \
-  --watch "${watch_dir}" --once --ledger "${alert_ledger}" \
-  --alert-rules "${alert_rules}" > /dev/null 2>&1 \
-  || { echo "error: baseline bench ingest must not trip the alert gate" >&2; exit 1; }
-printf '%s\n' \
-  '{"schema":"adios.bench/1","results":[{"name":"smoke_bench","mean_ns":2000.0}]}' \
-  > "${watch_dir}/zz_bench_perturbed.json"
-alerts_out="$(mktemp)"
-set +e
-cargo run -q --release --offline -p adios-report -- serve \
-  --watch "${watch_dir}" --once --ledger "${alert_ledger}" \
-  --alert-rules "${alert_rules}" --alerts-out "${alerts_out}" > /dev/null 2>&1
-alert_rc=$?
-set -e
-[[ "${alert_rc}" -eq 2 ]] \
-  || { echo "error: perturbed bench doc must exit 2 via the alert rule (got ${alert_rc})" >&2; exit 1; }
-grep -q '"schema":"adios.alerts/1"' "${alerts_out}" \
-  || { echo "error: fired alerts must be written as adios.alerts/1" >&2; exit 1; }
-grep -q '"metric":"smoke_bench"' "${alerts_out}" \
-  || { echo "error: alerts doc must name the tripped metric" >&2; exit 1; }
-rm -rf "${watch_dir}" "${queries}" "${alert_ledger}" "${alert_rules}" "${alerts_out}"
 
 # Dependency guard: every node reachable over normal, build, and dev
 # edges must be a path crate inside this repo. A registry dependency
@@ -242,4 +193,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler/flight smoke + history/rank/correlate smoke + serve whatif/alert gate green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler/flight smoke + history/rank/correlate/overlap smoke green; dependency graph is workspace-only"

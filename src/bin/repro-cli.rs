@@ -8,16 +8,15 @@
 //!                 [--busy-pair dd] [--idle-pair cc] [--map-pair ac] [--reduce-pair dd]
 //! repro-cli sweep [--workload sort] [--nodes 4,8,...] [--vms 4] [--data-mb 512,...]
 //!                 [--pairs cc,dd,...] [--parallel-copies 1,5,10,...]
-//!                 [--json-out FILE] [--metrics-dir DIR] [--watch-out DIR]
-//! repro-cli tune  [--workload sort] [--nodes 4] [--vms 4] [--data-mb 512] [--json]
-//!                 [--cache-out FILE]
+//!                 [--json-out FILE] [--metrics-dir DIR]
+//! repro-cli tune  [--workload sort] [--nodes 4] [--vms 4] [--data-mb 512] [--json true]
 //! repro-cli switch-cost [--from cc] [--to ad] [--vms 4] [--mb 600]
 //! repro-cli waves [--data-mb 128,192,256,320,384,448,512]
 //! repro-cli serve-jobs [--nodes 4] [--vms 4] [--duration-s 300] [--rate 6]
 //!                 [--seed 42] [--tenants sort:2,wordcount:1] [--data-mb 64]
 //!                 [--policy adaptive|PAIR] [--margin 0.05] [--switch-cost-ms 500]
 //!                 [--retune-s 5] [--max-concurrent 8] [--arrivals-file FILE]
-//!                 [--metrics-out FILE] [--watch-out DIR] [--flight-out FILE]
+//!                 [--metrics-out FILE] [--flight-out FILE]
 //! ```
 //!
 //! Pairs use the paper's two-letter codes (`c`=CFQ, `d`=deadline,
@@ -35,19 +34,12 @@
 //! per-cell `adios.bench/1` document with events/sec and wall-clock
 //! per cell, and `--metrics-dir` additionally writes each cell's full
 //! manifest-stamped `adios.metrics/2` document into the directory —
-//! the input format of `adios-report rank`/`correlate`. `--watch-out`
-//! is the same export aimed at a running `adios-report serve` daemon's
-//! `--watch` directory (both flags may be given; each dir gets every
-//! cell). `--parallel-copies` adds a shuffle fetch-concurrency axis to
-//! the grid: each listed value re-runs every cell with that many
-//! parallel reduce-side fetch streams (cell labels gain an `@pcN`
-//! suffix; `0`/absent inherits the workload default) — the D4 overlap
-//! experiment `adios-report serve`'s `overlap` query aggregates.
-//!
-//! `tune --cache-out FILE` exports the tuning pass's eval cache as an
-//! `adios.evalcache/1` snapshot annotated with this experiment's
-//! shape/data/workload key — the file `adios-report serve` answers
-//! `whatif` queries from with `provenance: "cached"`.
+//! the input format of `adios-report rank`/`correlate`/`overlap`.
+//! `--parallel-copies` adds a shuffle fetch-concurrency axis to the
+//! grid: each listed value re-runs every cell with that many parallel
+//! reduce-side fetch streams (cell labels gain an `@pcN` suffix;
+//! `0`/absent inherits the workload default) — the D4 overlap
+//! experiment `adios-report overlap` aggregates.
 //!
 //! `serve-jobs` runs the multi-job cluster service: an open-loop
 //! Poisson stream (or an `adios.jobs/1` arrival trace via
@@ -76,21 +68,24 @@
 //!
 //! Every output flag is validated *before* the simulation runs: a
 //! path pointing into a missing directory fails immediately with a
-//! clear error instead of losing the results after a long run.
+//! clear error instead of losing the results after a long run. A flag
+//! value that does not parse exits 2 with `--flag: "value": error`.
 
 use adaptive_disk_sched::iosched::SchedPair;
 use adaptive_disk_sched::metasched::{
     calibrate_tenants, measure_switch_cost, BlendedTuner, DdConfig, EvalCache, Experiment,
-    MetaScheduler, PhaseReactivePolicy, QueueDepthPolicy, SnapshotKey,
+    MetaScheduler, PhaseReactivePolicy, QueueDepthPolicy,
 };
-use adaptive_disk_sched::mrsim::{JobPhase, JobSpec, WorkloadSpec};
+use adaptive_disk_sched::mrsim::{ClusterShape, JobPhase, JobSpec, WorkloadSpec};
 use adaptive_disk_sched::vcluster::{
     run_job, run_service, run_sweep, stamp_manifest, ArrivalSpec, ClusterParams, ClusterSim,
     FixedPolicy, RunManifest, ServiceParams, ServicePolicy, SweepGrid, SwitchPlan, TenantMix,
 };
 use simcore::{Json, OracleConfig, SimDuration, Telemetry, TraceOracle};
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::exit;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
@@ -117,6 +112,36 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     m
 }
 
+/// Parse the value `v` of `--key`; a bad value prints
+/// `--key: "v": error` and exits 2 instead of panicking.
+fn parse_value<T: FromStr>(key: &str, v: &str) -> T
+where
+    T::Err: Display,
+{
+    v.parse().unwrap_or_else(|e| {
+        eprintln!("--{key}: {v:?}: {e}");
+        exit(2);
+    })
+}
+
+/// The parsed value of `--key`, if given.
+fn flag<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    flags.get(key).map(|v| parse_value(key, v))
+}
+
+/// The parsed entries of a comma-separated `--key` list, if given.
+fn flag_list<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<Vec<T>>
+where
+    T::Err: Display,
+{
+    flags
+        .get(key)
+        .map(|v| v.split(',').map(|x| parse_value(key, x.trim())).collect())
+}
+
 fn workload(flags: &HashMap<String, String>) -> WorkloadSpec {
     match flags.get("workload").map(String::as_str).unwrap_or("sort") {
         "sort" => WorkloadSpec::sort(),
@@ -131,11 +156,11 @@ fn workload(flags: &HashMap<String, String>) -> WorkloadSpec {
 
 fn cluster(flags: &HashMap<String, String>) -> ClusterParams {
     let mut p = ClusterParams::default();
-    if let Some(n) = flags.get("nodes") {
-        p.shape.nodes = n.parse().expect("--nodes");
+    if let Some(n) = flag(flags, "nodes") {
+        p.shape.nodes = n;
     }
-    if let Some(v) = flags.get("vms") {
-        p.shape.vms_per_node = v.parse().expect("--vms");
+    if let Some(v) = flag(flags, "vms") {
+        p.shape.vms_per_node = v;
     }
     if let Some(t) = flags.get("telemetry") {
         p.node.telemetry = Telemetry::parse(t).unwrap_or_else(|| {
@@ -188,22 +213,29 @@ fn validate_out_flags(flags: &HashMap<String, String>, keys: &[&str]) {
 
 fn job(flags: &HashMap<String, String>) -> JobSpec {
     let mut j = JobSpec::new(workload(flags));
-    if let Some(mb) = flags.get("data-mb") {
-        j.data_per_vm_bytes = mb.parse::<u64>().expect("--data-mb") * 1024 * 1024;
+    if let Some(mb) = flag::<u64>(flags, "data-mb") {
+        j.data_per_vm_bytes = mb * 1024 * 1024;
     }
     j
 }
 
+/// Exit 2 with a clear message when `job` cannot run on `shape` (too
+/// few VMs for the replicas, no blocks, ...), instead of letting the
+/// simulator's constructor panic on it.
+fn check_job(shape: &ClusterShape, job: &JobSpec) {
+    if let Err(e) = job.validate(shape) {
+        eprintln!(
+            "invalid job on {}x{} VMs, {} MB/VM: {e}",
+            shape.nodes,
+            shape.vms_per_node,
+            job.data_per_vm_bytes >> 20
+        );
+        exit(2);
+    }
+}
+
 fn pair(flags: &HashMap<String, String>, key: &str, default: &str) -> SchedPair {
-    flags
-        .get(key)
-        .map(String::as_str)
-        .unwrap_or(default)
-        .parse()
-        .unwrap_or_else(|e| {
-            eprintln!("--{key}: {e}");
-            exit(2);
-        })
+    parse_value(key, flags.get(key).map(String::as_str).unwrap_or(default))
 }
 
 /// Every output-path flag `run` accepts — validated up front, so a
@@ -225,6 +257,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     let params = cluster(&flags);
     simcore::prof::set_level(params.node.telemetry);
     let j = job(&flags);
+    check_job(&params.shape, &j);
     let p = pair(&flags, "pair", "cc");
     let mut params = params;
     if flags.contains_key("trace-out") && params.node.trace_capacity == 0 {
@@ -243,10 +276,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     match mode {
         "plan" => {}
         "reactive" => {
-            let tick_ms: u64 = flags
-                .get("tick-ms")
-                .map(|v| v.parse().expect("--tick-ms"))
-                .unwrap_or(500);
+            let tick_ms: u64 = flag(&flags, "tick-ms").unwrap_or(500);
             let period = SimDuration::from_millis(tick_ms);
             match flags.get("policy").map(String::as_str).unwrap_or("queue") {
                 "queue" => {
@@ -344,82 +374,40 @@ fn cmd_run(flags: HashMap<String, String>) {
     }
 }
 
-/// Parse a comma-separated list flag, defaulting to the given single
-/// value.
-fn num_list(flags: &HashMap<String, String>, key: &str, default: u64) -> Vec<u64> {
-    flags
-        .get(key)
-        .map(|v| {
-            v.split(',')
-                .map(|x| x.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("--{key} expects a comma-separated number list, got {v:?}");
-                    exit(2);
-                }))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![default])
-}
-
-fn cmd_sweep(flags: HashMap<String, String>) {
+fn cmd_sweep(mut flags: HashMap<String, String>) {
     validate_out_flags(&flags, &["json-out"]);
-    // `--watch-out` is `--metrics-dir` aimed at a serve daemon's watch
-    // directory; both can be given and each receives every cell doc.
-    let export_dirs: Vec<&String> = ["metrics-dir", "watch-out"]
-        .iter()
-        .filter_map(|k| flags.get(*k))
-        .collect();
-    for dir in &export_dirs {
+    let metrics_dir = flags.get("metrics-dir").cloned();
+    if let Some(dir) = &metrics_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("--metrics-dir/--watch-out: cannot create {dir}: {e}");
+            eprintln!("--metrics-dir: cannot create {dir}: {e}");
             exit(1);
         }
     }
+    // `--nodes` and `--data-mb` are comma lists here (unlike `run`), so
+    // they are parsed as lists and kept away from `cluster()`/`job()`,
+    // which read one number.
+    let nodes: Vec<u32> =
+        flag_list(&flags, "nodes").unwrap_or_else(|| vec![ClusterParams::default().shape.nodes]);
+    flags.remove("nodes");
     let base = cluster(&flags);
-    let nodes = num_list(&flags, "nodes", base.shape.nodes as u64);
-    // `--data-mb` is a comma list here (unlike `run`), so parse it
-    // directly instead of through `job()`, which expects one number.
     let mut j = JobSpec::new(workload(&flags));
-    let data_mb = num_list(&flags, "data-mb", j.data_per_vm_bytes >> 20);
+    let data_mb: Vec<u64> =
+        flag_list(&flags, "data-mb").unwrap_or_else(|| vec![j.data_per_vm_bytes >> 20]);
     // The grid overrides the size per cell; seed the base job with the
     // first entry so single-size sweeps match a lone `run` exactly.
     j.data_per_vm_bytes = data_mb[0] * 1024 * 1024;
     // Default grid: all 16 elevator pairs; `--pairs cc,dd` restricts
     // it (CI's mini-sweeps, quick A/B comparisons).
-    let pairs: Vec<SchedPair> = match flags.get("pairs") {
-        Some(list) => list
-            .split(',')
-            .map(|c| {
-                c.trim().parse().unwrap_or_else(|e| {
-                    eprintln!("--pairs entry {c:?}: {e}");
-                    exit(2);
-                })
-            })
-            .collect(),
-        None => SchedPair::all(),
-    };
+    let pairs: Vec<SchedPair> = flag_list(&flags, "pairs").unwrap_or_else(SchedPair::all);
     // Optional shuffle fetch-concurrency axis (D4); empty = one run
     // per cell with the workload's own `parallel_copies`.
-    let parallel_copies: Vec<u32> = flags
-        .get("parallel-copies")
-        .map(|v| {
-            v.split(',')
-                .map(|x| {
-                    x.trim().parse().unwrap_or_else(|_| {
-                        eprintln!(
-                            "--parallel-copies expects a comma-separated number list, got {v:?}"
-                        );
-                        exit(2);
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let parallel_copies: Vec<u32> = flag_list(&flags, "parallel-copies").unwrap_or_default();
     let grid = SweepGrid {
         shapes: nodes
             .iter()
             .map(|&n| {
                 let mut s = base.shape;
-                s.nodes = n as u32;
+                s.nodes = n;
                 s
             })
             .collect(),
@@ -430,10 +418,17 @@ fn cmd_sweep(flags: HashMap<String, String>) {
             .collect(),
         parallel_copies,
     };
+    for shape in &grid.shapes {
+        for &mb in &grid.data_mb_per_vm {
+            let mut cell_job = j.clone();
+            cell_job.data_per_vm_bytes = mb * 1024 * 1024;
+            check_job(shape, &cell_job);
+        }
+    }
     let report = run_sweep(&base, &j, &grid);
-    for dir in &export_dirs {
+    if let Some(dir) = &metrics_dir {
         // One manifest-stamped adios.metrics/2 document per cell —
-        // the run set `adios-report rank`/`correlate`/`serve` ingests.
+        // the run set `adios-report rank`/`correlate`/`overlap` reads.
         for r in &report.results {
             let m = RunManifest::new(&r.cell, &base, &j);
             let doc = stamp_manifest(&r.metrics, &m);
@@ -494,28 +489,9 @@ fn cmd_sweep(flags: HashMap<String, String>) {
 }
 
 fn cmd_tune(flags: HashMap<String, String>) {
-    validate_out_flags(&flags, &["cache-out"]);
     let exp = Experiment::new(cluster(&flags), job(&flags));
-    // Annotate the eval cache fingerprint with this experiment's
-    // human-queryable key *before* the scheduler takes ownership, so a
-    // `--cache-out` snapshot can answer `adios-report serve` what-if
-    // queries for this shape.
-    let key = SnapshotKey {
-        fingerprint: exp.fingerprint(),
-        nodes: exp.params.shape.nodes as u64,
-        vms_per_node: exp.params.shape.vms_per_node as u64,
-        data_mb_per_vm: exp.job.data_per_vm_bytes >> 20,
-        workload: exp.job.workload.name.clone(),
-    };
-    let cache = EvalCache::new();
-    let report = MetaScheduler::new(exp).tune_with_cache(&cache);
-    if let Some(path) = flags.get("cache-out") {
-        let snap = cache.export_snapshot(&[key]);
-        write_out(path, &(snap.to_string() + "\n"));
-        if !flags.contains_key("json") {
-            println!("wrote eval-cache snapshot {path}");
-        }
-    }
+    check_job(&exp.params.shape, &exp.job);
+    let report = MetaScheduler::new(exp).tune();
     if flags.contains_key("json") {
         // Machine-readable one-liner for scripting (simcore::Json —
         // the in-tree writer used for all experiment dumps).
@@ -560,11 +536,11 @@ fn rounded(x: f64, digits: u32) -> f64 {
 
 fn cmd_switch_cost(flags: HashMap<String, String>) {
     let mut cfg = DdConfig::default();
-    if let Some(v) = flags.get("vms") {
-        cfg.vms = v.parse().expect("--vms");
+    if let Some(v) = flag(&flags, "vms") {
+        cfg.vms = v;
     }
-    if let Some(mb) = flags.get("mb") {
-        cfg.bytes_per_vm = mb.parse::<u64>().expect("--mb") * 1_000_000;
+    if let Some(mb) = flag::<u64>(&flags, "mb") {
+        cfg.bytes_per_vm = mb * 1_000_000;
     }
     let from = pair(&flags, "from", "cc");
     let to = pair(&flags, "to", "ad");
@@ -582,15 +558,13 @@ fn cmd_switch_cost(flags: HashMap<String, String>) {
 
 fn cmd_waves(flags: HashMap<String, String>) {
     let params = cluster(&flags);
-    let list = flags
-        .get("data-mb")
-        .cloned()
-        .unwrap_or_else(|| "128,192,256,320,384,448,512".into());
+    let list: Vec<u64> = flag_list(&flags, "data-mb")
+        .unwrap_or_else(|| vec![128, 192, 256, 320, 384, 448, 512]);
     println!("{:>8} {:>7} {:>24} {:>10}", "data/VM", "waves", "non-concurrent shuffle", "time");
-    for mb in list.split(',') {
-        let mb: u64 = mb.trim().parse().expect("--data-mb list");
+    for mb in list {
         let mut j = JobSpec::new(WorkloadSpec::sort());
         j.data_per_vm_bytes = mb * 1024 * 1024;
+        check_job(&params.shape, &j);
         let waves = j.waves(&params.shape);
         let out = run_job(&params, &j, SwitchPlan::single(SchedPair::DEFAULT));
         println!(
@@ -607,10 +581,7 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
     validate_out_flags(&flags, &["metrics-out", "flight-out"]);
     let params = cluster(&flags);
     simcore::prof::set_level(params.node.telemetry);
-    let data_mb: u64 = flags
-        .get("data-mb")
-        .map(|v| v.parse().expect("--data-mb"))
-        .unwrap_or(64);
+    let data_mb: u64 = flag(&flags, "data-mb").unwrap_or(64);
     let mix_str = flags
         .get("tenants")
         .map(String::as_str)
@@ -623,25 +594,22 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
         shape: params.shape,
         ..ServiceParams::default()
     };
-    if let Some(v) = flags.get("duration-s") {
-        sp.duration = SimDuration::from_secs(v.parse().expect("--duration-s"));
+    if let Some(v) = flag(&flags, "duration-s") {
+        sp.duration = SimDuration::from_secs(v);
     }
-    if let Some(v) = flags.get("seed") {
-        sp.seed = v.parse().expect("--seed");
+    if let Some(v) = flag(&flags, "seed") {
+        sp.seed = v;
     }
-    if let Some(v) = flags.get("retune-s") {
-        sp.retune_period = SimDuration::from_secs(v.parse().expect("--retune-s"));
+    if let Some(v) = flag(&flags, "retune-s") {
+        sp.retune_period = SimDuration::from_secs(v);
     }
-    if let Some(v) = flags.get("switch-cost-ms") {
-        sp.switch_cost = SimDuration::from_millis(v.parse().expect("--switch-cost-ms"));
+    if let Some(v) = flag(&flags, "switch-cost-ms") {
+        sp.switch_cost = SimDuration::from_millis(v);
     }
-    if let Some(v) = flags.get("max-concurrent") {
-        sp.max_concurrent = v.parse().expect("--max-concurrent");
+    if let Some(v) = flag(&flags, "max-concurrent") {
+        sp.max_concurrent = v;
     }
-    let rate: f64 = flags
-        .get("rate")
-        .map(|v| v.parse().expect("--rate"))
-        .unwrap_or(6.0);
+    let rate: f64 = flag(&flags, "rate").unwrap_or(6.0);
     let arrivals = match flags.get("arrivals-file") {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -664,10 +632,7 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
     // still use it for task service times).
     let cache = EvalCache::new();
     let profiles = calibrate_tenants(&params, &mix, &cache);
-    let margin: f64 = flags
-        .get("margin")
-        .map(|v| v.parse().expect("--margin"))
-        .unwrap_or(0.05);
+    let margin: f64 = flag(&flags, "margin").unwrap_or(0.05);
     let mut policy: Box<dyn ServicePolicy> =
         match flags.get("policy").map(String::as_str).unwrap_or("adaptive") {
             "adaptive" => Box::new(BlendedTuner::new(profiles.clone(), margin)),
@@ -762,24 +727,6 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
     }
     if let Some(path) = flags.get("metrics-out") {
         write_out(path, &(out.metrics.to_string() + "\n"));
-        println!("wrote {path}");
-    }
-    if let Some(dir) = flags.get("watch-out") {
-        // Drop the service metrics document where a running
-        // `adios-report serve --watch` daemon will pick it up. The file
-        // name keys on (policy, seed, duration) so repeated runs with
-        // the same knobs overwrite rather than accumulate.
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("--watch-out: cannot create {dir}: {e}");
-            exit(1);
-        }
-        let path = format!(
-            "{dir}/serve-{}-seed{}-{}s.json",
-            policy.name(),
-            sp.seed,
-            sp.duration.as_secs_f64() as u64
-        );
-        write_out(&path, &(out.metrics.to_string() + "\n"));
         println!("wrote {path}");
     }
 }
