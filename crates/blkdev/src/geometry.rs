@@ -120,12 +120,6 @@ impl DiskParams {
         let rate = self.media_rate_at(lba);
         SimDuration::from_nanos(bytes.saturating_mul(1_000_000_000) / rate)
     }
-
-    /// Average rotational latency (half a revolution) — handy for
-    /// back-of-envelope assertions in tests.
-    pub fn avg_rotational_latency(&self) -> SimDuration {
-        self.revolution().div(2)
-    }
 }
 
 #[cfg(test)]

@@ -372,9 +372,6 @@ impl<P: PoolKernel> Elevator for Anticipatory<P> {
         self.stats.clear();
         self.pools.drain_all()
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 
 }
 

@@ -297,9 +297,6 @@ impl<P: PoolKernel> Elevator for Cfq<P> {
         self.queued = 0;
         out
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 
 }
 

@@ -177,9 +177,6 @@ impl<P: PoolKernel> Elevator for DeadlineSched<P> {
         self.batch_left = 0;
         self.pools.drain_all()
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 
 }
 

@@ -186,9 +186,6 @@ pub trait Elevator: Send {
 
     /// Remove and return everything still queued (elevator switch).
     fn drain(&mut self) -> Vec<QueuedRq>;
-
-    /// Downcast hook for scheduler-specific inspection (tests, debug).
-    fn as_any(&self) -> &dyn std::any::Any;
 }
 
 /// Tunables for all schedulers (Linux 2.6 defaults).

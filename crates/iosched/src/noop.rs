@@ -113,9 +113,6 @@ impl Elevator for Noop {
         self.queued = 0;
         out
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 
 }
 

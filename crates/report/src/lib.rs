@@ -218,9 +218,6 @@ pub fn render(doc: &Json) -> Result<String, String> {
     if schema == "adios.profile/1" {
         return render_profile(doc);
     }
-    if schema == "adios.flight/1" {
-        return render_flight(doc);
-    }
     if !schema.starts_with("adios.metrics/") && !schema.starts_with("adios.bench/") {
         return Err(format!("unsupported schema {schema:?}"));
     }
@@ -438,62 +435,6 @@ fn render_profile(doc: &Json) -> Result<String, String> {
     Ok(out)
 }
 
-/// Render an `adios.flight/1` crash-dump document: the fault header,
-/// the snapshot timeline, and per-trace record counts.
-fn render_flight(doc: &Json) -> Result<String, String> {
-    let mut out = String::new();
-    let reason = doc.get("reason").and_then(Json::as_str).unwrap_or("?");
-    let _ = writeln!(out, "== adios.flight/1 (reason: {reason}) ==");
-    let g = |k: &str| doc.get(k).and_then(Json::as_i64).unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "  cluster: {} nodes x {} VMs, {} events processed, t={:.3}s",
-        g("nodes"),
-        g("vms"),
-        g("events"),
-        doc.get("t_s").and_then(Json::as_f64).unwrap_or(0.0),
-    );
-    if let Some(snaps) = doc.get("snapshots").and_then(Json::as_arr) {
-        let _ = writeln!(out, "\n[snapshots]  ({} retained)", snaps.len());
-        for s in snaps {
-            let sg = |k: &str| s.get(k).and_then(Json::as_i64).unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "  t={:>9.3}s events={:>10} queue={:>7} streams={:>5} flows={:>5} \
-                 maps={:>4.0}% reduces={:>4.0}%",
-                s.get("t_s").and_then(Json::as_f64).unwrap_or(0.0),
-                sg("events"),
-                sg("queue"),
-                sg("streams"),
-                sg("flows"),
-                s.get("maps_done_frac").and_then(Json::as_f64).unwrap_or(0.0) * 100.0,
-                s.get("reduces_done_frac").and_then(Json::as_f64).unwrap_or(0.0) * 100.0,
-            );
-        }
-    }
-    let trace_line = |out: &mut String, label: &str, t: &Json| {
-        let retained = t.get("records").and_then(Json::as_arr).map_or(0, <[Json]>::len);
-        let _ = writeln!(
-            out,
-            "  {:<16} {} records retained ({} total, {} dropped)",
-            label,
-            retained,
-            t.get("total").and_then(Json::as_i64).unwrap_or(0),
-            t.get("dropped").and_then(Json::as_i64).unwrap_or(0),
-        );
-    };
-    let _ = writeln!(out, "\n[traces]");
-    if let Some(t) = doc.get("cluster_trace") {
-        trace_line(&mut out, "cluster", t);
-    }
-    if let Some(nodes) = doc.get("node_traces").and_then(Json::as_arr) {
-        for (i, t) in nodes.iter().enumerate() {
-            trace_line(&mut out, &format!("node{i}"), t);
-        }
-    }
-    Ok(out)
-}
-
 /// Compare the subsystem shares of two `adios.profile/1` documents.
 /// Returns the rendered table and whether any subsystem's share moved
 /// by more than `threshold_pct` percentage points (the
@@ -532,78 +473,6 @@ pub fn diff_profile_shares(
         let _ = writeln!(out, "all subsystem shares within gate");
     }
     Ok((out, tripped))
-}
-
-/// Outcome of replaying a flight-recorder dump through the trace
-/// oracle.
-#[derive(Debug)]
-pub struct FlightReplay {
-    /// Rendered report (per-trace verdicts plus violation lines).
-    pub text: String,
-    /// Total violations found across all embedded traces.
-    pub violations: usize,
-}
-
-/// Decode every trace embedded in an `adios.flight/1` document and
-/// replay each through a fresh [`simcore::TraceOracle`]. A dump taken
-/// at a fault reproduces the violation here — the post-mortem is
-/// checkable offline, away from the run that died.
-pub fn replay_flight(doc: &Json) -> Result<FlightReplay, String> {
-    use simcore::trace::TraceRecord;
-    if doc.get("schema").and_then(Json::as_str) != Some("adios.flight/1") {
-        return Err("not an adios.flight document".into());
-    }
-    let mut out = String::new();
-    let mut total_violations = 0usize;
-    let reason = doc.get("reason").and_then(Json::as_str).unwrap_or("?");
-    let _ = writeln!(out, "replaying flight dump (reason: {reason})");
-    let mut replay_one = |label: &str, t: &Json| -> Result<(), String> {
-        let recs_json = t
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{label}: trace has no records array"))?;
-        let records: Vec<TraceRecord> = recs_json
-            .iter()
-            .map(TraceRecord::from_json)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| format!("{label}: undecodable trace record"))?;
-        let mut oracle = simcore::TraceOracle::default();
-        oracle.replay_records(&records);
-        let v = oracle.violations();
-        if v.is_empty() {
-            let _ = writeln!(out, "  {label:<16} {} records: clean", records.len());
-        } else {
-            let _ = writeln!(
-                out,
-                "  {label:<16} {} records: {} violation(s)",
-                records.len(),
-                v.len()
-            );
-            for msg in v {
-                let _ = writeln!(out, "    - {msg}");
-            }
-            total_violations += v.len();
-        }
-        Ok(())
-    };
-    if let Some(t) = doc.get("cluster_trace") {
-        replay_one("cluster", t)?;
-    }
-    if let Some(nodes) = doc.get("node_traces").and_then(Json::as_arr) {
-        for (i, t) in nodes.iter().enumerate() {
-            replay_one(&format!("node{i}"), t)?;
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{}",
-        if total_violations == 0 {
-            "flight replay clean".to_string()
-        } else {
-            format!("flight replay found {total_violations} violation(s)")
-        }
-    );
-    Ok(FlightReplay { text: out, violations: total_violations })
 }
 
 /// One numeric difference surfaced by [`diff`].

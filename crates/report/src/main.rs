@@ -3,7 +3,6 @@
 //! ```text
 //! adios-report render <doc.json>
 //! adios-report diff <a.json> <b.json> [--shape] [--fail-on-delta] [--fail-on-share-delta [pct]]
-//! adios-report replay <flight.json>
 //! adios-report rank --metrics-dir <dir> [--require-crossover]
 //! adios-report correlate --metrics-dir <dir>
 //! adios-report overlap --metrics-dir <dir>
@@ -50,7 +49,6 @@ fn usage() -> ExitCode {
     eprintln!("usage: adios-report render <doc.json>");
     eprintln!("       adios-report diff <a.json> <b.json> [--shape] [--fail-on-delta]");
     eprintln!("                          [--fail-on-share-delta [pct]]");
-    eprintln!("       adios-report replay <flight.json>");
     eprintln!("       adios-report rank --metrics-dir <dir> [--require-crossover]");
     eprintln!("       adios-report correlate --metrics-dir <dir>");
     eprintln!("       adios-report overlap --metrics-dir <dir>");
@@ -216,23 +214,6 @@ fn main() -> ExitCode {
                     }
                 }
                 (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("adios-report: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("replay") => {
-            let [_, path] = args.as_slice() else { return usage() };
-            match load(path).and_then(|doc| report::replay_flight(&doc)) {
-                Ok(replay) => {
-                    print!("{}", replay.text);
-                    if replay.violations == 0 {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::from(2)
-                    }
-                }
-                Err(e) => {
                     eprintln!("adios-report: {e}");
                     ExitCode::FAILURE
                 }

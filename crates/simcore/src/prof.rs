@@ -343,33 +343,9 @@ impl Profile {
         self.nodes.len() <= 1
     }
 
-    /// Sum of measured self-time, ns (the denominator of every share).
-    pub fn measured_ns(&self) -> u64 {
-        self.nodes.iter().skip(1).map(|n| self.self_ns_of(n)).sum()
-    }
-
     fn self_ns_of(&self, n: &Node) -> u64 {
         let child_ns: u64 = n.children.iter().map(|&c| self.nodes[c as usize].total_ns).sum();
         n.total_ns.saturating_sub(child_ns)
-    }
-
-    /// Per-subsystem `(name, self_ns)` rollup, sorted by self-time
-    /// descending then name (deterministic for equal times).
-    pub fn subsystem_self_ns(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        for n in self.nodes.iter().skip(1) {
-            let self_ns = self.self_ns_of(n);
-            if self_ns == 0 {
-                continue;
-            }
-            let sub = subsystem(n.name);
-            match out.iter_mut().find(|(s, _)| s == sub) {
-                Some(e) => e.1 += self_ns,
-                None => out.push((sub.to_string(), self_ns)),
-            }
-        }
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 
     fn node_json(&self, idx: usize, wall: bool) -> Json {

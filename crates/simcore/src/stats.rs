@@ -223,7 +223,6 @@ impl SampleSet {
 pub struct ThroughputMeter {
     window: SimDuration,
     window_start: SimTime,
-    first_record: SimTime,
     bytes_in_window: u64,
     total_bytes: u64,
     samples: SampleSet,
@@ -237,7 +236,6 @@ impl ThroughputMeter {
         ThroughputMeter {
             window,
             window_start: SimTime::ZERO,
-            first_record: SimTime::ZERO,
             bytes_in_window: 0,
             total_bytes: 0,
             samples: SampleSet::new(),
@@ -257,7 +255,6 @@ impl ThroughputMeter {
     pub fn record(&mut self, now: SimTime, bytes: u64) {
         if !self.started {
             self.window_start = now;
-            self.first_record = now;
             self.started = true;
         }
         while now >= self.window_start + self.window {
@@ -299,14 +296,6 @@ impl ThroughputMeter {
     /// Total bytes recorded over the meter's lifetime.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Lifetime average MB/s between first record and `now`.
-    pub fn lifetime_mbps(&self, now: SimTime) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        Self::mbps(self.total_bytes, now.saturating_since(self.first_record))
     }
 }
 

@@ -133,12 +133,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Span in milliseconds, as a float (for reporting only).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// True if this span is zero.
     #[inline]
     pub const fn is_zero(self) -> bool {

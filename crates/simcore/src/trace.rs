@@ -331,139 +331,6 @@ impl TraceRecord {
             JobComplete { job } => fnv1a(h, &[t, 21, job]),
         }
     }
-
-    /// Canonical field list of this record: time, variant tag, then
-    /// the fields in exactly [`TraceRecord::fold`]'s order (`fold`
-    /// keeps its own copy to stay allocation-free on the push path;
-    /// the round-trip test pins the two in sync via the digest).
-    fn words(&self) -> Vec<u64> {
-        use TraceEvent::*;
-        let t = self.t.as_nanos();
-        match self.ev {
-            SchedInstall { layer, sched } => vec![t, 1, layer.tag(), sched as u64],
-            Arrive { layer, id, sector, sectors, write } => {
-                vec![t, 2, layer.tag(), id, sector, sectors, write as u64]
-            }
-            MergeBack { layer, id, sector, sectors, write } => {
-                vec![t, 3, layer.tag(), id, sector, sectors, write as u64]
-            }
-            MergeFront { layer, id, sector, sectors, write } => {
-                vec![t, 4, layer.tag(), id, sector, sectors, write as u64]
-            }
-            Dispatch { layer, id, sector, sectors, write } => {
-                vec![t, 5, layer.tag(), id, sector, sectors, write as u64]
-            }
-            Complete { layer, id } => vec![t, 6, layer.tag(), id],
-            IdleArm { layer, until } => vec![t, 7, layer.tag(), until.as_nanos()],
-            SwitchBegin { layer, to } => vec![t, 8, layer.tag(), to as u64],
-            SwapDone { layer, to } => vec![t, 9, layer.tag(), to as u64],
-            SwitchEnd { layer, to } => vec![t, 10, layer.tag(), to as u64],
-            RingOcc { vm, occupied, bound } => {
-                vec![t, 11, vm as u64, occupied as u64, bound as u64]
-            }
-            DiskService { id, seek_ns, rotation_ns, transfer_ns, sectors, sequential } => {
-                vec![t, 12, id, seek_ns, rotation_ns, transfer_ns, sectors, sequential as u64]
-            }
-            FlowStart { id, src, dst, bytes } => vec![t, 13, id, src as u64, dst as u64, bytes],
-            FlowEnd { id } => vec![t, 14, id],
-            Phase { phase } => vec![t, 15, phase as u64],
-            PolicyDecision { observed_bits, threshold_bits, streak, acted } => {
-                vec![t, 16, observed_bits, threshold_bits, streak as u64, acted as u64]
-            }
-            JobArrive { job, bytes } => vec![t, 17, job, bytes],
-            JobAdmit { job } => vec![t, 18, job],
-            SlotAcquire { job, gvm, map } => vec![t, 19, job, gvm as u64, map as u64],
-            SlotRelease { job, gvm, map, bytes } => {
-                vec![t, 20, job, gvm as u64, map as u64, bytes]
-            }
-            JobComplete { job } => vec![t, 21, job],
-        }
-    }
-
-    /// Encode this record for a flight-recorder dump. Every word is a
-    /// decimal **string** because the JSON writer stores integers as
-    /// `i64` and several fields are genuine `u64`s ([`Layer::Host`]'s
-    /// tag is `u64::MAX`; `PolicyDecision` carries `f64::to_bits`
-    /// patterns) that would saturate or lose bits as numbers.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(self.words().iter().map(|w| Json::Str(w.to_string())).collect())
-    }
-
-    /// Decode a record encoded by [`TraceRecord::to_json`]. `None` on
-    /// any structural mismatch (wrong arity, unknown tag, non-numeric
-    /// word) — a corrupt dump yields a decode error, not a panic.
-    pub fn from_json(j: &Json) -> Option<TraceRecord> {
-        use TraceEvent::*;
-        let words: Vec<u64> = j
-            .as_arr()?
-            .iter()
-            .map(|w| w.as_str()?.parse::<u64>().ok())
-            .collect::<Option<Vec<u64>>>()?;
-        let (&t, &k, f) = match words.as_slice() {
-            [t, k, rest @ ..] => (t, k, rest),
-            _ => return None,
-        };
-        let layer = |tag: u64| {
-            if tag == u64::MAX {
-                Layer::Host
-            } else {
-                Layer::Guest(tag as u32)
-            }
-        };
-        let ev = match (k, f) {
-            (1, &[l, sched]) => SchedInstall { layer: layer(l), sched: sched as u8 },
-            (2, &[l, id, sector, sectors, write]) => {
-                Arrive { layer: layer(l), id, sector, sectors, write: write != 0 }
-            }
-            (3, &[l, id, sector, sectors, write]) => {
-                MergeBack { layer: layer(l), id, sector, sectors, write: write != 0 }
-            }
-            (4, &[l, id, sector, sectors, write]) => {
-                MergeFront { layer: layer(l), id, sector, sectors, write: write != 0 }
-            }
-            (5, &[l, id, sector, sectors, write]) => {
-                Dispatch { layer: layer(l), id, sector, sectors, write: write != 0 }
-            }
-            (6, &[l, id]) => Complete { layer: layer(l), id },
-            (7, &[l, until]) => IdleArm { layer: layer(l), until: SimTime::from_nanos(until) },
-            (8, &[l, to]) => SwitchBegin { layer: layer(l), to: to as u8 },
-            (9, &[l, to]) => SwapDone { layer: layer(l), to: to as u8 },
-            (10, &[l, to]) => SwitchEnd { layer: layer(l), to: to as u8 },
-            (11, &[vm, occupied, bound]) => RingOcc {
-                vm: vm as u32,
-                occupied: occupied as u32,
-                bound: bound as u32,
-            },
-            (12, &[id, seek_ns, rotation_ns, transfer_ns, sectors, sequential]) => DiskService {
-                id,
-                seek_ns,
-                rotation_ns,
-                transfer_ns,
-                sectors,
-                sequential: sequential != 0,
-            },
-            (13, &[id, src, dst, bytes]) => {
-                FlowStart { id, src: src as u32, dst: dst as u32, bytes }
-            }
-            (14, &[id]) => FlowEnd { id },
-            (15, &[phase]) => Phase { phase: phase as u8 },
-            (16, &[observed_bits, threshold_bits, streak, acted]) => PolicyDecision {
-                observed_bits,
-                threshold_bits,
-                streak: streak as u32,
-                acted: acted != 0,
-            },
-            (17, &[job, bytes]) => JobArrive { job, bytes },
-            (18, &[job]) => JobAdmit { job },
-            (19, &[job, gvm, map]) => SlotAcquire { job, gvm: gvm as u32, map: map != 0 },
-            (20, &[job, gvm, map, bytes]) => {
-                SlotRelease { job, gvm: gvm as u32, map: map != 0, bytes }
-            }
-            (21, &[job]) => JobComplete { job },
-            _ => return None,
-        };
-        Some(TraceRecord { t: SimTime::from_nanos(t), ev })
-    }
 }
 
 /// A bounded, drop-oldest ring of [`TraceRecord`]s with a rolling
@@ -498,11 +365,6 @@ impl Trace {
     /// A ring that never drops (grows without bound) — for oracle runs.
     pub fn unbounded() -> Self {
         Trace::bounded(usize::MAX)
-    }
-
-    /// True when pushes are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.cap > 0
     }
 
     /// Append one record, evicting the oldest when full.
@@ -728,16 +590,6 @@ impl TraceOracle {
             return;
         }
         for rec in trace.records() {
-            self.observe(rec);
-        }
-    }
-
-    /// Replay a bare record slice — the flight-recorder path, where the
-    /// records were decoded from a dump rather than held in a [`Trace`].
-    /// Unlike [`TraceOracle::replay`] there is no drop check: a flight
-    /// ring is truncated by design, so this checks what survived.
-    pub fn replay_records(&mut self, records: &[TraceRecord]) {
-        for rec in records {
             self.observe(rec);
         }
     }
@@ -1433,107 +1285,6 @@ pub fn idle_summary(trace: &Trace) -> HashMap<Layer, (u64, OnlineStats)> {
 mod tests {
     use super::*;
 
-    /// One record of every variant, with extreme field values (Host
-    /// tag = `u64::MAX`, `f64::to_bits` patterns) that would corrupt a
-    /// naive integer JSON encoding.
-    fn one_of_each() -> Vec<TraceRecord> {
-        use TraceEvent::*;
-        let t = SimTime::from_nanos(123_456_789);
-        let host = Layer::Host;
-        let g1 = Layer::Guest(1);
-        [
-            SchedInstall { layer: host, sched: b'd' },
-            Arrive { layer: g1, id: 7, sector: 100, sectors: 8, write: true },
-            MergeBack { layer: g1, id: 8, sector: 108, sectors: 8, write: true },
-            MergeFront { layer: g1, id: 9, sector: 92, sectors: 8, write: false },
-            Dispatch { layer: host, id: 7, sector: 100, sectors: 24, write: true },
-            Complete { layer: host, id: 7 },
-            IdleArm { layer: g1, until: SimTime::from_nanos(u64::MAX - 1) },
-            SwitchBegin { layer: host, to: b'n' },
-            SwapDone { layer: host, to: b'n' },
-            SwitchEnd { layer: host, to: b'n' },
-            RingOcc { vm: 3, occupied: 31, bound: 42 },
-            DiskService {
-                id: 7,
-                seek_ns: 4_200_000,
-                rotation_ns: 2_000_000,
-                transfer_ns: 900_000,
-                sectors: 24,
-                sequential: false,
-            },
-            FlowStart { id: 11, src: 0, dst: 63, bytes: u64::MAX },
-            FlowEnd { id: 11 },
-            Phase { phase: 2 },
-            PolicyDecision {
-                observed_bits: (-3.25f64).to_bits(),
-                threshold_bits: f64::NAN.to_bits(),
-                streak: 4,
-                acted: true,
-            },
-            JobArrive { job: 99, bytes: 1 << 40 },
-            JobAdmit { job: 99 },
-            SlotAcquire { job: 99, gvm: 5, map: true },
-            SlotRelease { job: 99, gvm: 5, map: true, bytes: 1 << 40 },
-            JobComplete { job: 99 },
-        ]
-        .into_iter()
-        .map(|ev| TraceRecord { t, ev })
-        .collect()
-    }
-
-    #[test]
-    fn record_json_round_trips_every_variant() {
-        for rec in one_of_each() {
-            let j = rec.to_json();
-            let text = j.to_string();
-            let parsed = Json::parse(&text).expect("record json parses");
-            let back = TraceRecord::from_json(&parsed).expect("record decodes");
-            assert_eq!(back, rec, "round-trip changed {text}");
-            // words() must agree with fold(): equal records, equal digests.
-            assert_eq!(back.fold(FNV_OFFSET), rec.fold(FNV_OFFSET));
-        }
-    }
-
-    #[test]
-    fn record_from_json_rejects_corrupt_input() {
-        let good = one_of_each()[1].to_json().to_string();
-        let parsed = Json::parse(&good).unwrap();
-        assert!(TraceRecord::from_json(&parsed).is_some());
-        for bad in [
-            "[]",
-            "[\"1\"]",
-            "[\"1\",\"99\",\"0\"]",          // unknown tag
-            "[\"1\",\"2\",\"0\",\"1\"]",      // wrong arity for Arrive
-            "[\"1\",\"2\",\"x\",\"1\",\"2\",\"3\",\"0\"]", // non-numeric word
-            "{\"t\":1}",
-        ] {
-            let j = Json::parse(bad).expect("test input parses");
-            assert!(TraceRecord::from_json(&j).is_none(), "accepted {bad}");
-        }
-    }
-
-    #[test]
-    fn replay_records_matches_replay_on_full_history() {
-        let mut trace = Trace::unbounded();
-        let t = SimTime::from_nanos(5);
-        trace.push(t, TraceEvent::JobArrive { job: 1, bytes: 0 });
-        trace.push(t, TraceEvent::JobAdmit { job: 1 });
-        trace.push(t, TraceEvent::JobComplete { job: 1 });
-        let records: Vec<TraceRecord> = trace.records().copied().collect();
-        let mut a = TraceOracle::default();
-        a.replay(&trace);
-        let mut b = TraceOracle::default();
-        b.replay_records(&records);
-        assert_eq!(a.violations(), b.violations());
-        // And a violating slice is caught the same way.
-        let mut c = TraceOracle::default();
-        c.replay_records(&[TraceRecord {
-            t,
-            ev: TraceEvent::JobComplete { job: 999_999 },
-        }]);
-        assert!(!c.violations().is_empty());
-    }
-
     fn ev_arrive(layer: Layer, id: u64, sector: u64, sectors: u64) -> TraceEvent {
         TraceEvent::Arrive { layer, id, sector, sectors, write: false }
     }
@@ -1741,7 +1492,8 @@ mod tests {
     }
 
     /// Lifecycle-order violations: admission without arrival, slot
-    /// acquire before admission, completion while holding a slot.
+    /// acquire before admission, completion while holding a slot,
+    /// completion of a job that never arrived.
     #[test]
     fn oracle_flags_multijob_lifecycle_violations() {
         let mut tr = Trace::unbounded();
@@ -1752,9 +1504,15 @@ mod tests {
         tr.push(t(3), TraceEvent::JobAdmit { job: 1 });
         tr.push(t(4), TraceEvent::SlotAcquire { job: 1, gvm: 0, map: true });
         tr.push(t(5), TraceEvent::JobComplete { job: 1 }); // still holds a slot
+        tr.push(t(6), TraceEvent::JobComplete { job: 999_999 }); // never arrived
         let mut o = TraceOracle::default();
         o.replay(&tr);
-        assert_eq!(o.violations().len(), 3, "{:?}", o.violations());
+        assert_eq!(o.violations().len(), 4, "{:?}", o.violations());
+        assert!(
+            o.violations()[3].contains("without arriving"),
+            "{:?}",
+            o.violations()
+        );
     }
 
     /// Byte conservation: the job's map releases must sum to the bytes

@@ -348,42 +348,6 @@ enum Ev {
     PolicyTick,
 }
 
-/// Periodic coarse sim-state snapshots for the crash flight recorder.
-/// Always on: one snapshot every `every` events costs a handful of
-/// field reads, and the ring bounds total memory. On panic, oracle
-/// violation, or strict exit, [`ClusterSim::flight_dump`] packages the
-/// snapshots together with the retained trace tail as a replayable
-/// `adios.flight/1` post-mortem document.
-#[derive(Debug)]
-struct FlightRecorder {
-    /// Snapshot cadence in processed events (power of two; the run
-    /// loop compares `events >> every_log2`).
-    every_log2: u32,
-    /// Ring bound: the newest `cap` snapshots are retained.
-    cap: usize,
-    /// Last `events >> every_log2` mark a snapshot was taken at.
-    last_mark: u64,
-    snaps: VecDeque<Json>,
-}
-
-impl FlightRecorder {
-    fn new() -> Self {
-        FlightRecorder {
-            every_log2: 16,
-            cap: 32,
-            last_mark: 0,
-            snaps: VecDeque::new(),
-        }
-    }
-
-    fn push(&mut self, snap: Json) {
-        if self.snaps.len() == self.cap {
-            self.snaps.pop_front();
-        }
-        self.snaps.push_back(snap);
-    }
-}
-
 /// The cluster simulator. Build one per job execution.
 pub struct ClusterSim {
     params: ClusterParams,
@@ -451,9 +415,6 @@ pub struct ClusterSim {
     /// Audit log of every consulted policy step `(time, audit, acted)`
     /// — the explained observe→threshold→hysteresis→switch chain.
     policy_audit: Vec<(SimTime, PolicyAudit, bool)>,
-    /// Crash post-mortem state: periodic snapshots for
-    /// [`ClusterSim::flight_dump`].
-    flight: FlightRecorder,
 }
 
 impl ClusterSim {
@@ -528,7 +489,6 @@ impl ClusterSim {
             policy_ticks: 0,
             policy_decisions: Vec::new(),
             policy_audit: Vec::new(),
-            flight: FlightRecorder::new(),
             params,
             job,
             plan,
@@ -566,61 +526,6 @@ impl ClusterSim {
             current_pair: self.nodes[0].pair(),
             switching: self.nodes.iter().any(|n| n.switching()),
         }
-    }
-
-    /// One coarse flight-recorder snapshot of live cluster state —
-    /// cheap enough to take every 2^16 events unconditionally.
-    fn flight_snapshot(&self) -> Json {
-        let s = self.snapshot();
-        Json::obj()
-            .field("t_s", self.now.as_secs_f64())
-            .field("events", self.events_processed)
-            .field("queue", self.queue.len() as u64)
-            .field("streams", self.streams.len() as u64)
-            .field("flows", self.net.active_flows() as u64)
-            .field("maps_done_frac", s.maps_done_fraction)
-            .field("reduces_done_frac", s.reduces_done_fraction)
-            .field("switching", s.switching)
-            .field(
-                "dom0_queues",
-                Json::Arr(s.dom0_queue_lens.iter().map(|&q| Json::from(q as u64)).collect()),
-            )
-    }
-
-    /// Package the flight-recorder state as a replayable
-    /// `adios.flight/1` post-mortem document: the periodic snapshots
-    /// plus the retained tail of the cluster trace and of every node
-    /// trace (records in [`simcore::trace::TraceRecord::to_json`]
-    /// string encoding, decodable by `from_json` and checkable with
-    /// [`simcore::TraceOracle::replay_records`]). Called on panic,
-    /// oracle violation, or `ADIOS_STRICT` exit — never on the happy
-    /// path.
-    pub fn flight_dump(&self, reason: &str) -> Json {
-        let trace_json = |tr: &Trace| {
-            Json::obj()
-                .field("total", tr.total())
-                .field("dropped", tr.dropped())
-                .field(
-                    "records",
-                    Json::Arr(tr.records().map(|r| r.to_json()).collect()),
-                )
-        };
-        let mut snaps: Vec<Json> = self.flight.snaps.iter().cloned().collect();
-        // The dump itself is the final snapshot — state at the fault.
-        snaps.push(self.flight_snapshot());
-        Json::obj()
-            .field("schema", "adios.flight/1")
-            .field("reason", reason)
-            .field("nodes", self.nodes.len() as u64)
-            .field("vms", self.params.shape.total_vms() as u64)
-            .field("events", self.events_processed)
-            .field("t_s", self.now.as_secs_f64())
-            .field("snapshots", Json::Arr(snaps))
-            .field("cluster_trace", trace_json(&self.trace))
-            .field(
-                "node_traces",
-                Json::Arr(self.nodes.iter().map(|n| trace_json(n.trace())).collect()),
-            )
     }
 
     fn gvm_loc(&self, gvm: u32) -> (u32, VmId) {
@@ -1487,11 +1392,6 @@ impl ClusterSim {
                     eta,
                     top,
                 );
-            }
-            if self.events_processed >> self.flight.every_log2 != self.flight.last_mark {
-                self.flight.last_mark = self.events_processed >> self.flight.every_log2;
-                let snap = self.flight_snapshot();
-                self.flight.push(snap);
             }
             // The coarse per-batch span carries the driver's own share
             // of the profile (rearm + claim + dispatch, minus whatever

@@ -380,20 +380,9 @@ impl NodeStack {
         &self.guests[vm as usize].meter
     }
 
-    /// Mutable per-VM meter.
-    pub fn vm_meter_mut(&mut self, vm: VmId) -> &mut ThroughputMeter {
-        &mut self.guests[vm as usize].meter
-    }
-
     /// The physical disk's cumulative statistics.
     pub fn disk_stats(&self) -> &blkdev::DiskStats {
         self.disk.stats()
-    }
-
-    /// Borrow the Dom0 elevator (downcast via `as_any` for
-    /// scheduler-specific counters).
-    pub fn dom0_elevator(&self) -> &dyn Elevator {
-        self.dom0.as_ref()
     }
 
     /// Close meter windows at end of run.

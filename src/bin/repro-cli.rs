@@ -3,7 +3,7 @@
 //! ```text
 //! repro-cli run   [--workload sort] [--pair cc] [--nodes 4] [--vms 4] [--data-mb 512]
 //!                 [--telemetry off|counters|full] [--metrics-out FILE] [--trace-out FILE]
-//!                 [--profile-out FILE] [--flight-out FILE]
+//!                 [--profile-out FILE]
 //!                 [--mode plan|reactive] [--policy queue|phase] [--tick-ms 500]
 //!                 [--busy-pair dd] [--idle-pair cc] [--map-pair ac] [--reduce-pair dd]
 //! repro-cli sweep [--workload sort] [--nodes 4,8,...] [--vms 4] [--data-mb 512,...]
@@ -16,7 +16,7 @@
 //!                 [--seed 42] [--tenants sort:2,wordcount:1] [--data-mb 64]
 //!                 [--policy adaptive|PAIR] [--margin 0.05] [--switch-cost-ms 500]
 //!                 [--retune-s 5] [--max-concurrent 8] [--arrivals-file FILE]
-//!                 [--metrics-out FILE] [--flight-out FILE]
+//!                 [--metrics-out FILE]
 //! ```
 //!
 //! Pairs use the paper's two-letter codes (`c`=CFQ, `d`=deadline,
@@ -49,27 +49,18 @@
 //! installed pair from the live phase mix; any pair code pins a static
 //! baseline. With `ADIOS_STRICT=1` the service trace is replayed
 //! through the oracle (slot capacities, job lifecycle, byte
-//! conservation) and violations fail the run — writing an
-//! `adios.flight/1` post-mortem to `--flight-out` (or a temp path)
-//! first, so the failure is replayable offline with `adios-report
-//! replay`. `ADIOS_INJECT_VIOLATION=1` appends a bogus job-completion
-//! record before the strict replay — the CI hook that proves the
-//! whole dump/replay path end to end.
+//! conservation); each violation is printed and the run exits 1.
 //!
 //! `run --profile-out FILE` exports the span profiler's accumulated
 //! tree as an `adios.profile/1` document after the run (`--telemetry`
 //! sets the profiling level: `off` disables it, `counters` times
 //! batch-granularity spans, `full` also times per-event hot spans).
-//! `run --flight-out FILE` arms the crash flight recorder: on a panic
-//! mid-run the ring of periodic state snapshots plus the retained
-//! trace tails are written there (or to a temp path when the flag is
-//! absent) before the panic resumes — a clean run writes nothing,
-//! like any black box.
 //!
 //! Every output flag is validated *before* the simulation runs: a
 //! path pointing into a missing directory fails immediately with a
 //! clear error instead of losing the results after a long run. A flag
-//! value that does not parse exits 2 with `--flag: "value": error`.
+//! the subcommand does not read exits 2 with `unknown flag --key`; a
+//! flag value that does not parse exits 2 with `--flag: "value": error`.
 
 use adaptive_disk_sched::iosched::SchedPair;
 use adaptive_disk_sched::metasched::{
@@ -95,7 +86,11 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// A subcommand's parsed `--key value` pairs.
+type Flags = HashMap<String, String>;
+
+/// Parse `--key value` pairs, accepting only the keys in `accepted`.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Flags {
     let mut m = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -103,6 +98,10 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument {a:?}");
             usage();
         };
+        if !accepted.contains(&key) {
+            eprintln!("unknown flag --{key}");
+            exit(2);
+        }
         let Some(v) = it.next() else {
             eprintln!("flag --{key} needs a value");
             usage();
@@ -125,7 +124,7 @@ where
 }
 
 /// The parsed value of `--key`, if given.
-fn flag<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T>
+fn flag<T: FromStr>(flags: &Flags, key: &str) -> Option<T>
 where
     T::Err: Display,
 {
@@ -133,7 +132,7 @@ where
 }
 
 /// The parsed entries of a comma-separated `--key` list, if given.
-fn flag_list<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<Vec<T>>
+fn flag_list<T: FromStr>(flags: &Flags, key: &str) -> Option<Vec<T>>
 where
     T::Err: Display,
 {
@@ -142,7 +141,7 @@ where
         .map(|v| v.split(',').map(|x| parse_value(key, x.trim())).collect())
 }
 
-fn workload(flags: &HashMap<String, String>) -> WorkloadSpec {
+fn workload(flags: &Flags) -> WorkloadSpec {
     match flags.get("workload").map(String::as_str).unwrap_or("sort") {
         "sort" => WorkloadSpec::sort(),
         "wordcount" | "wc" => WorkloadSpec::wordcount(),
@@ -154,7 +153,7 @@ fn workload(flags: &HashMap<String, String>) -> WorkloadSpec {
     }
 }
 
-fn cluster(flags: &HashMap<String, String>) -> ClusterParams {
+fn cluster(flags: &Flags) -> ClusterParams {
     let mut p = ClusterParams::default();
     if let Some(n) = flag(flags, "nodes") {
         p.shape.nodes = n;
@@ -200,7 +199,7 @@ fn validate_out_path(path: &str) -> Result<(), String> {
 
 /// Validate every output-path flag in `keys` up front; exit 1 with a
 /// clear message naming the flag on the first failure.
-fn validate_out_flags(flags: &HashMap<String, String>, keys: &[&str]) {
+fn validate_out_flags(flags: &Flags, keys: &[&str]) {
     for key in keys {
         if let Some(path) = flags.get(*key) {
             if let Err(e) = validate_out_path(path) {
@@ -211,7 +210,7 @@ fn validate_out_flags(flags: &HashMap<String, String>, keys: &[&str]) {
     }
 }
 
-fn job(flags: &HashMap<String, String>) -> JobSpec {
+fn job(flags: &Flags) -> JobSpec {
     let mut j = JobSpec::new(workload(flags));
     if let Some(mb) = flag::<u64>(flags, "data-mb") {
         j.data_per_vm_bytes = mb * 1024 * 1024;
@@ -234,25 +233,15 @@ fn check_job(shape: &ClusterShape, job: &JobSpec) {
     }
 }
 
-fn pair(flags: &HashMap<String, String>, key: &str, default: &str) -> SchedPair {
+fn pair(flags: &Flags, key: &str, default: &str) -> SchedPair {
     parse_value(key, flags.get(key).map(String::as_str).unwrap_or(default))
 }
 
 /// Every output-path flag `run` accepts — validated up front, so a
 /// typo'd directory fails before the simulation, not after it.
-const RUN_OUT_FLAGS: &[&str] = &["metrics-out", "trace-out", "profile-out", "flight-out"];
+const RUN_OUT_FLAGS: &[&str] = &["metrics-out", "trace-out", "profile-out"];
 
-/// Where a fault dump lands when `--flight-out` wasn't given: a
-/// pid-keyed file in the temp directory (printed on the fault path, so
-/// it is never silently lost).
-fn default_flight_path() -> String {
-    std::env::temp_dir()
-        .join(format!("adios-flight-{}.json", std::process::id()))
-        .to_string_lossy()
-        .into_owned()
-}
-
-fn cmd_run(flags: HashMap<String, String>) {
+fn cmd_run(flags: Flags) {
     validate_out_flags(&flags, RUN_OUT_FLAGS);
     let params = cluster(&flags);
     simcore::prof::set_level(params.node.telemetry);
@@ -264,12 +253,6 @@ fn cmd_run(flags: HashMap<String, String>) {
         // A timeline export needs retained records; keep the most
         // recent 64k events per ring unless the user sized it.
         params.node.trace_capacity = 1 << 16;
-    }
-    if flags.contains_key("flight-out") {
-        // An armed flight recorder needs a trace tail worth replaying.
-        // Only the CLI widens the rings: library defaults stay put so
-        // the byte-pinned metrics goldens (`trace.dropped`) hold.
-        params.node.trace_capacity = params.node.trace_capacity.max(4096);
     }
     let mut sim = ClusterSim::new(params.clone(), j.clone(), SwitchPlan::single(p));
     let mode = flags.get("mode").map(String::as_str).unwrap_or("plan");
@@ -315,23 +298,7 @@ fn cmd_run(flags: HashMap<String, String>) {
             exit(2);
         }
     }
-    // A panic mid-simulation dumps the flight recorder (ring of state
-    // snapshots + trace tails) before resuming the unwind, so the
-    // post-mortem survives even when the process dies.
-    let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run())) {
-        Ok(out) => out,
-        Err(payload) => {
-            let path = flags
-                .get("flight-out")
-                .cloned()
-                .unwrap_or_else(default_flight_path);
-            match std::fs::write(&path, sim.flight_dump("panic").to_string() + "\n") {
-                Ok(()) => eprintln!("panic during run: flight recording written to {path}"),
-                Err(e) => eprintln!("panic during run: cannot write flight recording {path}: {e}"),
-            }
-            std::panic::resume_unwind(payload);
-        }
-    };
+    let out = sim.run();
     if let Some(path) = flags.get("metrics-out") {
         write_out(path, &out.metrics.to_string());
     }
@@ -374,7 +341,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     }
 }
 
-fn cmd_sweep(mut flags: HashMap<String, String>) {
+fn cmd_sweep(mut flags: Flags) {
     validate_out_flags(&flags, &["json-out"]);
     let metrics_dir = flags.get("metrics-dir").cloned();
     if let Some(dir) = &metrics_dir {
@@ -461,7 +428,7 @@ fn cmd_sweep(mut flags: HashMap<String, String>) {
             .expect("non-empty plan group");
         let default = chunk
             .iter()
-            .find(|r| r.cell.plan_label == SchedPair::DEFAULT.code());
+            .find(|r| r.cell.plan == SwitchPlan::single(SchedPair::DEFAULT));
         println!(
             "{}x{} VMs, {} MB/VM: best {} ({:.1}s){}",
             best.cell.shape.nodes,
@@ -470,7 +437,13 @@ fn cmd_sweep(mut flags: HashMap<String, String>) {
             best.cell.plan_label,
             best.makespan.as_secs_f64(),
             default
-                .map(|d| format!("; default cc {:.1}s", d.makespan.as_secs_f64()))
+                .map(|d| {
+                    format!(
+                        "; default {} {:.1}s",
+                        d.cell.plan_label,
+                        d.makespan.as_secs_f64()
+                    )
+                })
                 .unwrap_or_default()
         );
     }
@@ -488,11 +461,12 @@ fn cmd_sweep(mut flags: HashMap<String, String>) {
     }
 }
 
-fn cmd_tune(flags: HashMap<String, String>) {
+fn cmd_tune(flags: Flags) {
+    let json: bool = flag(&flags, "json").unwrap_or(false);
     let exp = Experiment::new(cluster(&flags), job(&flags));
     check_job(&exp.params.shape, &exp.job);
     let report = MetaScheduler::new(exp).tune();
-    if flags.contains_key("json") {
+    if json {
         // Machine-readable one-liner for scripting (simcore::Json —
         // the in-tree writer used for all experiment dumps).
         let plan: Vec<String> = report.final_assignment().iter().map(|p| p.code()).collect();
@@ -534,7 +508,7 @@ fn rounded(x: f64, digits: u32) -> f64 {
     (x * scale).round() / scale
 }
 
-fn cmd_switch_cost(flags: HashMap<String, String>) {
+fn cmd_switch_cost(flags: Flags) {
     let mut cfg = DdConfig::default();
     if let Some(v) = flag(&flags, "vms") {
         cfg.vms = v;
@@ -556,7 +530,7 @@ fn cmd_switch_cost(flags: HashMap<String, String>) {
     );
 }
 
-fn cmd_waves(flags: HashMap<String, String>) {
+fn cmd_waves(flags: Flags) {
     let params = cluster(&flags);
     let list: Vec<u64> = flag_list(&flags, "data-mb")
         .unwrap_or_else(|| vec![128, 192, 256, 320, 384, 448, 512]);
@@ -577,8 +551,8 @@ fn cmd_waves(flags: HashMap<String, String>) {
     }
 }
 
-fn cmd_serve_jobs(flags: HashMap<String, String>) {
-    validate_out_flags(&flags, &["metrics-out", "flight-out"]);
+fn cmd_serve_jobs(flags: Flags) {
+    validate_out_flags(&flags, &["metrics-out"]);
     let params = cluster(&flags);
     simcore::prof::set_level(params.node.telemetry);
     let data_mb: u64 = flag(&flags, "data-mb").unwrap_or(64);
@@ -669,58 +643,18 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
         out.switches
     );
     if std::env::var("ADIOS_STRICT").map(|v| v == "1").unwrap_or(false) {
-        let mut records: Vec<simcore::trace::TraceRecord> =
-            out.trace.records().copied().collect();
-        // The CI end-to-end hook: a deliberately impossible record
-        // (completion of a job that never arrived) proves the whole
-        // violation -> flight dump -> offline replay path.
-        if std::env::var("ADIOS_INJECT_VIOLATION").map(|v| v == "1").unwrap_or(false) {
-            records.push(simcore::trace::TraceRecord {
-                t: simcore::SimTime::ZERO + sp.duration,
-                ev: simcore::trace::TraceEvent::JobComplete { job: 999_999 },
-            });
-        }
         let mut oracle = TraceOracle::new(OracleConfig {
             map_slots_per_vm: Some(sp.shape.map_slots_per_vm),
             reduce_slots_per_vm: Some(sp.shape.reduce_slots_per_vm),
             ..OracleConfig::default()
         });
-        oracle.replay_records(&records);
+        oracle.replay(&out.trace);
         let violations = oracle.violations();
         if violations.is_empty() {
             println!("  oracle: clean ({} records)", out.trace.total());
         } else {
             for v in violations {
                 eprintln!("  oracle violation: {v}");
-            }
-            // Dump the replayed trace as an adios.flight/1 post-mortem
-            // before failing, so the violation is reproducible offline
-            // with `adios-report replay`.
-            let dump = Json::obj()
-                .field("schema", "adios.flight/1")
-                .field("reason", "oracle violation")
-                .field("nodes", sp.shape.nodes as u64)
-                .field("vms", sp.shape.total_vms() as u64)
-                .field("events", out.trace.total())
-                .field("t_s", out.makespan.as_secs_f64())
-                .field("snapshots", Json::Arr(Vec::new()))
-                .field(
-                    "cluster_trace",
-                    Json::obj()
-                        .field("total", out.trace.total())
-                        .field("dropped", out.trace.dropped())
-                        .field(
-                            "records",
-                            Json::Arr(records.iter().map(|r| r.to_json()).collect()),
-                        ),
-                );
-            let path = flags
-                .get("flight-out")
-                .cloned()
-                .unwrap_or_else(default_flight_path);
-            match std::fs::write(&path, dump.to_string() + "\n") {
-                Ok(()) => eprintln!("  flight recording written to {path}"),
-                Err(e) => eprintln!("  cannot write flight recording {path}: {e}"),
             }
             exit(1);
         }
@@ -734,16 +668,39 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let flags = parse_flags(&args[1..]);
-    match cmd.as_str() {
-        "run" => cmd_run(flags),
-        "sweep" => cmd_sweep(flags),
-        "tune" => cmd_tune(flags),
-        "switch-cost" => cmd_switch_cost(flags),
-        "waves" => cmd_waves(flags),
-        "serve-jobs" => cmd_serve_jobs(flags),
+    // Each subcommand with the flags it reads (`cluster()` reads
+    // nodes/vms/telemetry, `job()` workload/data-mb).
+    #[rustfmt::skip]
+    let (run, accepted): (fn(Flags), &[&str]) = match cmd.as_str() {
+        "run" => (
+            cmd_run,
+            &[
+                "workload", "pair", "nodes", "vms", "data-mb", "telemetry", "metrics-out",
+                "trace-out", "profile-out", "mode", "policy", "tick-ms", "busy-pair",
+                "idle-pair", "map-pair", "reduce-pair",
+            ],
+        ),
+        "sweep" => (
+            cmd_sweep,
+            &[
+                "workload", "nodes", "vms", "data-mb", "telemetry", "pairs", "parallel-copies",
+                "json-out", "metrics-dir",
+            ],
+        ),
+        "tune" => (cmd_tune, &["workload", "nodes", "vms", "data-mb", "telemetry", "json"]),
+        "switch-cost" => (cmd_switch_cost, &["from", "to", "vms", "mb"]),
+        "waves" => (cmd_waves, &["nodes", "vms", "telemetry", "data-mb"]),
+        "serve-jobs" => (
+            cmd_serve_jobs,
+            &[
+                "nodes", "vms", "telemetry", "duration-s", "rate", "seed", "tenants", "data-mb",
+                "policy", "margin", "switch-cost-ms", "retune-s", "max-concurrent",
+                "arrivals-file", "metrics-out",
+            ],
+        ),
         _ => usage(),
-    }
+    };
+    run(parse_flags(&args[1..], accepted));
 }
 
 #[cfg(test)]
@@ -755,19 +712,9 @@ mod tests {
         // The new observability exports ride the same up-front
         // validation as the original two; forgetting one here means a
         // long run can end with a "No such file or directory".
-        for flag in ["metrics-out", "trace-out", "profile-out", "flight-out"] {
+        for flag in ["metrics-out", "trace-out", "profile-out"] {
             assert!(RUN_OUT_FLAGS.contains(&flag), "missing {flag}");
         }
-    }
-
-    #[test]
-    fn out_path_check_applies_to_profile_and_flight_targets() {
-        let missing = std::env::temp_dir().join("adios-no-such-dir-prof");
-        for name in ["p.profile.json", "f.flight.json"] {
-            let path = missing.join(name);
-            assert!(validate_out_path(path.to_str().unwrap()).is_err());
-        }
-        assert_eq!(validate_out_path("profile.json"), Ok(()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `repro-cli` flag handling end to end: list flags parse as lists,
-//! and bad values exit 2 with a message naming the flag — never a
-//! panic.
+//! and unknown flags and bad values exit 2 with a message naming the
+//! flag — never a panic.
 
 use std::process::{Command, Output};
 
@@ -42,6 +42,17 @@ fn bad_flag_values_exit_2_without_panicking() {
         (&["run", "--nodes", "x"][..], "--nodes"),
         (&["sweep", "--nodes", "2,x"][..], "--nodes"),
         (&["serve-jobs", "--rate", "fast"][..], "--rate"),
+        // A typo'd or retired flag is rejected, not silently ignored.
+        (
+            &["run", "--nodse", "2", "--vms", "2", "--data-mb", "16"][..],
+            "unknown flag --nodse",
+        ),
+        (
+            &["run", "--flight-out", "f.json"][..],
+            "unknown flag --flight-out",
+        ),
+        // `--json` is a bool, parsed before the tune runs.
+        (&["tune", "--json", "x"][..], "--json"),
         // Valid numbers, impossible job: one VM cannot hold two
         // replicas.
         (
@@ -67,5 +78,56 @@ fn bad_flag_values_exit_2_without_panicking() {
             "{args:?} must name {needle}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+}
+
+#[test]
+fn tune_json_false_prints_the_text_report() {
+    let out = repro_cli(&[
+        "tune",
+        "--nodes",
+        "2",
+        "--vms",
+        "2",
+        "--data-mb",
+        "16",
+        "--json",
+        "false",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.starts_with("default (CFQ, CFQ): "), "{stdout}");
+    assert!(!stdout.contains('{'), "--json false printed JSON: {stdout}");
+}
+
+#[test]
+fn sweep_names_the_default_cell_per_parallel_copies_group() {
+    let out = repro_cli(&[
+        "sweep",
+        "--nodes",
+        "2",
+        "--vms",
+        "2",
+        "--data-mb",
+        "16",
+        "--pairs",
+        "cc,dd",
+        "--parallel-copies",
+        "1,5",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for default in ["; default cc@pc1 ", "; default cc@pc5 "] {
+        assert!(stdout.contains(default), "missing {default:?} in\n{stdout}");
     }
 }

@@ -1,18 +1,10 @@
-//! Profiler and flight-recorder goldens.
+//! Profiler goldens.
 //!
-//! Two deterministic-structure contracts pinned here:
-//!
-//! 1. The structural skeleton of an exported `adios.profile/1`
-//!    document — names, hierarchy, call counts, event counters — is
-//!    byte-identical whatever the worker fan-out. Wall-clock fields
-//!    (`total_ns`/`self_ns`) are host-dependent and excluded from the
-//!    skeleton, which is exactly why only the skeleton is compared.
-//! 2. A `ClusterSim::flight_dump` post-mortem round-trips: its
-//!    embedded trace records decode, replay cleanly through the
-//!    oracle when the run was healthy, and an injected impossible
-//!    record is flagged — the offline half of the crash-flight-
-//!    recorder loop (`repro-cli ... --flight-out` + `adios-report
-//!    replay`).
+//! The structural skeleton of an exported `adios.profile/1` document —
+//! names, hierarchy, call counts, event counters — is byte-identical
+//! whatever the worker fan-out. Wall-clock fields (`total_ns`/`self_ns`)
+//! are host-dependent and excluded from the skeleton, which is exactly
+//! why only the skeleton is compared.
 
 use adaptive_disk_sched::iosched::SchedPair;
 use adaptive_disk_sched::mrsim::JobSpec;
@@ -20,8 +12,6 @@ use adaptive_disk_sched::mrsim::WorkloadSpec;
 use adaptive_disk_sched::vcluster::{ClusterParams, ClusterSim, SwitchPlan};
 use simcore::par::par_map_threads;
 use simcore::prof;
-use simcore::trace::{TraceEvent, TraceRecord};
-use simcore::{SimTime, TraceOracle};
 
 fn small_cell() -> (ClusterParams, JobSpec) {
     let mut params = ClusterParams::default();
@@ -66,53 +56,4 @@ fn profile_skeleton_is_byte_identical_across_worker_counts() {
     // And the skeleton really is wall-free.
     assert!(!one.contains("total_ns"), "{one}");
     assert!(!one.contains("self_ns"), "{one}");
-}
-
-#[test]
-fn flight_dump_round_trips_and_replays_clean() {
-    let (mut params, job) = small_cell();
-    // Retain the full history (the CLI's `--flight-out` widens rings
-    // the same way) so the replay sees every record.
-    params.node.trace_capacity = 1 << 16;
-    let mut sim = ClusterSim::new(params, job, SwitchPlan::single(SchedPair::DEFAULT));
-    let _out = sim.run();
-    let dump = sim.flight_dump("test");
-    // Round-trip through bytes, like the real file would.
-    let doc = simcore::Json::parse(&dump.to_string()).expect("flight dump parses");
-    let replay = report::replay_flight(&doc).expect("flight dump replays");
-    assert_eq!(replay.violations, 0, "{}", replay.text);
-    assert!(replay.text.contains("flight replay clean"), "{}", replay.text);
-    // The dump always carries at least the state-at-dump snapshot.
-    let snaps = doc.get("snapshots").and_then(simcore::Json::as_arr).unwrap();
-    assert!(!snaps.is_empty());
-}
-
-#[test]
-fn flight_replay_flags_injected_violation() {
-    let (mut params, job) = small_cell();
-    params.node.trace_capacity = 1 << 16;
-    let mut sim = ClusterSim::new(params, job, SwitchPlan::single(SchedPair::DEFAULT));
-    let _out = sim.run();
-    let dump = sim.flight_dump("test");
-    // Decode the cluster trace out of the document, append an
-    // impossible record, and replay: the oracle must flag exactly it.
-    let recs_json = dump
-        .get("cluster_trace")
-        .and_then(|t| t.get("records"))
-        .and_then(simcore::Json::as_arr)
-        .expect("cluster_trace.records");
-    let mut records: Vec<TraceRecord> = recs_json
-        .iter()
-        .map(TraceRecord::from_json)
-        .collect::<Option<Vec<_>>>()
-        .expect("every dumped record decodes");
-    records.push(TraceRecord {
-        t: SimTime::ZERO,
-        ev: TraceEvent::JobComplete { job: 999_999 },
-    });
-    let mut oracle = TraceOracle::default();
-    oracle.replay_records(&records);
-    let violations = oracle.violations();
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    assert!(violations[0].contains("999999"), "{}", violations[0]);
 }
