@@ -327,6 +327,8 @@ pub struct ProfileRow {
     pub total_ns: u64,
     /// Wall time excluding children, ns.
     pub self_ns: u64,
+    /// Event counters attributed to the span, in document order.
+    pub counters: Vec<(String, u64)>,
 }
 
 fn walk_profile_spans(spans: &[Json], depth: usize, out: &mut Vec<ProfileRow>) {
@@ -337,6 +339,13 @@ fn walk_profile_spans(spans: &[Json], depth: usize, out: &mut Vec<ProfileRow>) {
             calls: s.get("calls").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
             total_ns: s.get("total_ns").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
             self_ns: s.get("self_ns").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
+            counters: s
+                .get("counters")
+                .and_then(Json::entries)
+                .unwrap_or(&[])
+                .iter()
+                .map(|(k, v)| (k.clone(), v.as_i64().unwrap_or(0).max(0) as u64))
+                .collect(),
         });
         if let Some(kids) = s.get("children").and_then(Json::as_arr) {
             walk_profile_spans(kids, depth + 1, out);
@@ -390,7 +399,8 @@ pub fn profile_subsystem_shares(doc: &Json) -> Result<Vec<(String, f64)>, String
 
 /// Render an `adios.profile/1` document: a subsystem share summary
 /// followed by the flame-style span table (indent = nesting, share =
-/// self-time over all measured self-time).
+/// self-time over all measured self-time). A span's counters follow
+/// its row on one indented `name=value` line.
 fn render_profile(doc: &Json) -> Result<String, String> {
     let rows = profile_rows(doc)?;
     let shares = profile_subsystem_shares(doc)?;
@@ -431,6 +441,10 @@ fn render_profile(doc: &Json) -> Result<String, String> {
             fmt_duration_ns(r.self_ns as f64),
             share,
         );
+        if !r.counters.is_empty() {
+            let ctrs: Vec<String> = r.counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let _ = writeln!(out, "  {}  {}", "  ".repeat(r.depth), ctrs.join(" "));
+        }
     }
     Ok(out)
 }
@@ -843,6 +857,61 @@ mod tests {
         let (text, deltas) = diff_shape(&a, &c);
         assert_eq!(deltas.len(), 1);
         assert!(text.contains("type or length mismatch"), "{text}");
+    }
+
+    /// A profile whose `net.bfs` nests under `net.solve`. Self-times
+    /// are given; a skeleton (`wall == false`) carries none.
+    fn profile_doc(solve_ns: u64, bfs_ns: u64, dispatch_ns: u64, wall: bool) -> Json {
+        let span = |name: &str, ns: u64| {
+            let s = Json::obj().field("name", name).field("calls", 1u64);
+            if wall {
+                s.field("total_ns", ns).field("self_ns", ns)
+            } else {
+                s
+            }
+        };
+        let solve = span("net.solve", solve_ns)
+            .field("counters", Json::obj().field("components", 2u64).field("rounds", 3u64))
+            .field("children", Json::Arr(vec![span("net.bfs", bfs_ns)]));
+        Json::obj().field("schema", "adios.profile/1").field(
+            "spans",
+            Json::Arr(vec![solve, span("iosched.dispatch", dispatch_ns)]),
+        )
+    }
+
+    #[test]
+    fn subsystem_shares_group_spans_by_prefix() {
+        let shares = profile_subsystem_shares(&profile_doc(300, 300, 400, true)).unwrap();
+        assert_eq!(shares, vec![("net".to_string(), 60.0), ("iosched".to_string(), 40.0)]);
+        // A skeleton has no wall time to share out.
+        let skeleton = profile_doc(300, 300, 400, false);
+        assert_eq!(profile_subsystem_shares(&skeleton).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn share_gate_trips_only_past_its_threshold() {
+        let a = profile_doc(300, 300, 400, true); // net 60 %, iosched 40 %
+        let b = profile_doc(150, 150, 700, true); // net 30 %, iosched 70 %
+        let (text, tripped) = diff_profile_shares(&a, &a, 5.0).unwrap();
+        assert!(!tripped, "{text}");
+        assert!(text.contains("all subsystem shares within gate"), "{text}");
+        let (text, tripped) = diff_profile_shares(&a, &b, 5.0).unwrap();
+        assert!(tripped, "{text}");
+        assert!(text.contains("net           60.0% ->  30.0%  (-30.0)  << exceeds gate"), "{text}");
+        let (text, tripped) = diff_profile_shares(&a, &b, 35.0).unwrap();
+        assert!(!tripped, "{text}");
+    }
+
+    #[test]
+    fn render_profile_prints_counters_under_their_span() {
+        let text = render(&profile_doc(300, 300, 400, true)).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let row = lines.iter().position(|l| l.starts_with("  net.solve ")).unwrap();
+        assert_eq!(lines[row + 1], "    components=2 rounds=3", "{text}");
+        assert!(lines[row + 2].starts_with("    net.bfs "), "{text}");
+        // Spans without counters get no extra line.
+        let io = lines.iter().position(|l| l.starts_with("  iosched.dispatch ")).unwrap();
+        assert_eq!(io, lines.len() - 1, "{text}");
     }
 
     #[test]

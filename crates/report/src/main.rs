@@ -6,7 +6,6 @@
 //! adios-report rank --metrics-dir <dir> [--require-crossover]
 //! adios-report correlate --metrics-dir <dir>
 //! adios-report overlap --metrics-dir <dir>
-//! adios-report history --ledger <file> <doc.json>...
 //! ```
 //!
 //! A path of `-` reads from stdin. `render` exits non-zero on parse or
@@ -23,10 +22,7 @@
 //! phase-local ranking crossover exists anywhere (the D6 gate);
 //! `correlate` prints gain-vs-queue-depth/disk-busy tables (the D3
 //! diagnosis); `overlap` prints the mean non-concurrent shuffle share
-//! per `parallel_copies` setting against Table II (the D4 probe);
-//! `history` appends `adios.bench/1` and `adios.profile/1` documents
-//! to an append-only JSONL ledger with regression deltas,
-//! deterministically and idempotently.
+//! per `parallel_copies` setting against Table II (the D4 probe).
 
 use simcore::Json;
 use std::io::Read as _;
@@ -52,7 +48,6 @@ fn usage() -> ExitCode {
     eprintln!("       adios-report rank --metrics-dir <dir> [--require-crossover]");
     eprintln!("       adios-report correlate --metrics-dir <dir>");
     eprintln!("       adios-report overlap --metrics-dir <dir>");
-    eprintln!("       adios-report history --ledger <file> <doc.json>...");
     ExitCode::FAILURE
 }
 
@@ -109,29 +104,6 @@ fn run_store_command(args: &[String]) -> Result<ExitCode, String> {
             let dir = flag_value(args, "--metrics-dir").ok_or("overlap needs --metrics-dir")?;
             let runs = report::store::load_runs(&load_metrics_dir(dir)?)?;
             print!("{}", report::store::overlap(&runs)?.text);
-            Ok(ExitCode::SUCCESS)
-        }
-        "history" => {
-            let path = flag_value(args, "--ledger").ok_or("history needs --ledger <file>")?;
-            let docs: Vec<&String> = args[1..]
-                .iter()
-                .filter(|a| !a.starts_with("--") && a.as_str() != path)
-                .collect();
-            if docs.is_empty() {
-                return Err("history needs at least one bench document".into());
-            }
-            let mut ledger = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => return Err(format!("{path}: {e}")),
-            };
-            for d in docs {
-                let doc = load(d)?;
-                let out = report::store::history_append(&ledger, &doc, d)?;
-                println!("{}", out.line);
-                ledger = out.ledger;
-            }
-            std::fs::write(path, &ledger).map_err(|e| format!("{path}: {e}"))?;
             Ok(ExitCode::SUCCESS)
         }
         _ => unreachable!(),
@@ -219,7 +191,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("rank" | "correlate" | "overlap" | "history") => match run_store_command(&args) {
+        Some("rank" | "correlate" | "overlap") => match run_store_command(&args) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("adios-report: {e}");

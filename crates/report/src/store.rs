@@ -1,8 +1,6 @@
 //! Cross-run analytics: batch tables over manifest-stamped
-//! `adios.metrics/2|3` documents (see `vcluster::sweep::stamp_manifest`)
-//! and an append-only ledger of `adios.bench/1` / `adios.profile/1`
-//! documents. They answer the questions the discrepancy log keeps
-//! asking:
+//! `adios.metrics/2|3` documents (see `vcluster::sweep::stamp_manifest`).
+//! They answer the questions the discrepancy log keeps asking:
 //!
 //! * [`rank`] — per-phase ranking tables of switch plans within each
 //!   (shape, data size) group, flagging *phase-local ranking
@@ -16,11 +14,6 @@
 //! * [`overlap`] — mean non-concurrent-shuffle share per shuffle fetch
 //!   concurrency (`parallel_copies`) setting against the paper's
 //!   Table II figure, the D4 probe.
-//! * [`history_append`] — an append-only JSONL ledger with regression
-//!   deltas against the previous entry of the same kind. Entries are a
-//!   pure function of document content (no timestamps, host-time
-//!   fields excluded from the identity digest), so re-running the
-//!   command over the same documents is byte-identical and idempotent.
 //!
 //! Every table is a pure function of the run *set*, never of the order
 //! the runs arrive in (DESIGN.md, "Cross-run analytics"): runs group
@@ -30,7 +23,7 @@
 //!
 //! Like the rest of this crate the module is pure: callers hand in
 //! parsed documents (plus their file names for error messages) and get
-//! rendered text or ledger lines back; `main.rs` owns all I/O.
+//! rendered text back; `main.rs` owns all I/O.
 
 use simcore::Json;
 use std::cmp::Ordering;
@@ -406,207 +399,6 @@ pub fn overlap(runs: &[Run]) -> Result<OverlapReport, String> {
     Ok(OverlapReport { text: out, rows })
 }
 
-// --- history ledger ---------------------------------------------------
-
-fn fnv1a_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The headline metrics of a ledger-bound document: name → value, in
-/// document order. `mean_ns` per benchmark for micro docs,
-/// `makespan_s` per cell for sweep docs, and `profile_<sub>_share_pct`
-/// per subsystem for `adios.profile/1` docs (kind `profile` — the
-/// wall-time attribution regression signal).
-fn bench_metrics(doc: &Json, file: &str) -> Result<(String, Json), String> {
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema == "adios.profile/1" {
-        let mut shares =
-            crate::profile_subsystem_shares(doc).map_err(|e| format!("{file}: {e}"))?;
-        if shares.is_empty() {
-            return Err(format!(
-                "{file}: profile has no measured wall time to ingest"
-            ));
-        }
-        // Name order, so the ledger field order is independent of
-        // which subsystem happened to dominate this run.
-        shares.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut metrics = Json::obj();
-        for (name, pct) in &shares {
-            metrics = metrics.field(
-                &format!("profile_{name}_share_pct"),
-                (pct * 100.0).round() / 100.0,
-            );
-        }
-        return Ok(("profile".into(), metrics));
-    }
-    if schema != "adios.bench/1" {
-        return Err(format!(
-            "{file}: history ingests adios.bench/1 or adios.profile/1 documents (schema '{schema}')"
-        ));
-    }
-    let mut metrics = Json::obj();
-    if let Some(Json::Arr(cells)) = doc.get("cells") {
-        for c in cells {
-            let (n, v, d) = (
-                num(c, &["nodes"]).unwrap_or(0.0),
-                num(c, &["vms_per_node"]).unwrap_or(0.0),
-                num(c, &["data_mb_per_vm"]).unwrap_or(0.0),
-            );
-            let plan = c.get("plan").and_then(Json::as_str).unwrap_or("?");
-            let mk = num(c, &["makespan_s"])
-                .ok_or_else(|| format!("{file}: sweep cell missing makespan_s"))?;
-            metrics = metrics.field(&format!("n{n}x{v}_d{d}mb_{plan}"), mk);
-        }
-        // Multi-job service columns ride along in the sweep document:
-        // one mean-latency cell per service policy (simulated time, so
-        // deterministic and ledger-safe).
-        if let Some(Json::Arr(mj)) = doc.get("multijob_cells") {
-            for c in mj {
-                let plan = c.get("plan").and_then(Json::as_str).unwrap_or("?");
-                let lat = num(c, &["mean_latency_s"])
-                    .ok_or_else(|| format!("{file}: multijob cell missing mean_latency_s"))?;
-                metrics = metrics.field(&format!("mj_{plan}_latency_s"), lat);
-            }
-        }
-        Ok(("sweep".into(), metrics))
-    } else if let Some(Json::Arr(results)) = doc.get("results") {
-        for r in results {
-            let name = r
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{file}: bench result missing name"))?;
-            let mean = num(r, &["mean_ns"])
-                .ok_or_else(|| format!("{file}: bench result missing mean_ns"))?;
-            metrics = metrics.field(name, mean);
-        }
-        Ok(("micro".into(), metrics))
-    } else {
-        Err(format!(
-            "{file}: bench document has neither cells nor results"
-        ))
-    }
-}
-
-/// Outcome of [`history_append`].
-#[derive(Debug)]
-pub struct HistoryOutcome {
-    /// The full new ledger text (caller writes it back).
-    pub ledger: String,
-    /// One-line human summary of what happened.
-    pub line: String,
-    /// False when the document's digest was already in the ledger
-    /// (idempotent re-run) and nothing was appended.
-    pub appended: bool,
-    /// Worst regression percentage vs the previous entry, if any
-    /// comparison was possible. Positive = slower.
-    pub worst_pct: Option<f64>,
-}
-
-/// Append an `adios.bench/1` or `adios.profile/1` document to the
-/// JSONL `ledger`, computing regression deltas against the previous
-/// entry of the same kind. The identity digest covers only the
-/// deterministic metrics map — host-time fields like `wall_s` never
-/// enter the ledger — and a digest seen *anywhere* in the ledger (not
-/// just the latest entry) is a no-op, so re-ingesting an old document
-/// leaves the ledger untouched.
-pub fn history_append(ledger: &str, doc: &Json, file: &str) -> Result<HistoryOutcome, String> {
-    // One pass over the ledger: validate every entry, keep (kind, entry).
-    let mut entries: Vec<(String, Json)> = Vec::new();
-    for (i, line) in ledger.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let e = Json::parse(line).map_err(|err| format!("ledger line {}: {err}", i + 1))?;
-        let kind = e
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("ledger line {}: entry has no kind", i + 1))?
-            .to_string();
-        entries.push((kind, e));
-    }
-
-    let (kind, metrics) = bench_metrics(doc, file)?;
-    let digest = format!("{:016x}", fnv1a_str(&metrics.to_string()));
-    let same_kind = || entries.iter().filter(|(k, _)| *k == kind).map(|(_, e)| e);
-    if same_kind().any(|e| e.get("digest").and_then(Json::as_str) == Some(digest.as_str())) {
-        return Ok(HistoryOutcome {
-            ledger: ledger.to_string(),
-            line: format!("history: {kind} unchanged (digest {digest}), not appended"),
-            appended: false,
-            worst_pct: None,
-        });
-    }
-    let previous = same_kind().filter_map(|e| e.get("metrics")).next_back();
-
-    let Json::Obj(fields) = &metrics else {
-        unreachable!()
-    };
-    let metric_count = fields.len();
-    let seq = entries.len() + 1;
-    let mut entry = Json::obj()
-        .field("seq", seq as u64)
-        .field("kind", kind.as_str())
-        .field("digest", digest.as_str())
-        .field("entries", metric_count as u64);
-    let mut worst: Option<(f64, String)> = None;
-    if let Some(p) = previous {
-        let mut compared = 0u64;
-        let mut best: Option<(f64, String)> = None;
-        for (name, v) in fields {
-            let (Some(new), Some(old)) = (v.as_f64(), num(p, &[name])) else {
-                continue;
-            };
-            if old == 0.0 {
-                continue;
-            }
-            let pct = (new - old) / old * 100.0;
-            compared += 1;
-            if worst.as_ref().is_none_or(|(w, _)| pct > *w) {
-                worst = Some((pct, name.clone()));
-            }
-            if best.as_ref().is_none_or(|(b, _)| pct < *b) {
-                best = Some((pct, name.clone()));
-            }
-        }
-        entry = entry.field("compared", compared);
-        if let (Some((w, wn)), Some((b, bn))) = (&worst, &best) {
-            entry = entry
-                .field("worst_pct", *w)
-                .field("worst", wn.as_str())
-                .field("best_pct", *b)
-                .field("best", bn.as_str());
-        }
-    }
-    entry = entry.field("metrics", metrics.clone());
-
-    let mut out = ledger.to_string();
-    if !out.is_empty() && !out.ends_with('\n') {
-        out.push('\n');
-    }
-    out.push_str(&entry.to_string());
-    out.push('\n');
-
-    let line = match &worst {
-        Some((w, wn)) => format!(
-            "history: {kind} seq {seq} appended, {metric_count} metrics, worst delta {w:+.2}% ({wn})"
-        ),
-        None => format!(
-            "history: {kind} seq {seq} appended, {metric_count} metrics (first of its kind)"
-        ),
-    };
-    Ok(HistoryOutcome {
-        ledger: out,
-        line,
-        appended: true,
-        worst_pct: worst.map(|(w, _)| w),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -818,217 +610,6 @@ mod tests {
         );
         // Nothing stamped: an error, not an empty table.
         assert!(overlap(&runs[4..]).is_err());
-    }
-
-    fn micro(names_means: &[(&str, f64)]) -> Json {
-        let mut arr = Vec::new();
-        for (n, m) in names_means {
-            arr.push(Json::obj().field("name", *n).field("mean_ns", *m));
-        }
-        Json::obj()
-            .field("schema", "adios.bench/1")
-            .field("quick", true)
-            .field("results", Json::Arr(arr))
-    }
-
-    #[test]
-    fn history_appends_deltas_and_dedupes() {
-        let a = micro(&[("push", 100.0), ("pop", 200.0)]);
-        let o1 = history_append("", &a, "a.json").unwrap();
-        assert!(o1.appended);
-        assert!(o1.ledger.contains("\"seq\":1"));
-        assert!(o1.line.contains("first of its kind"), "{}", o1.line);
-
-        // Same doc again: idempotent, ledger unchanged.
-        let o2 = history_append(&o1.ledger, &a, "a.json").unwrap();
-        assert!(!o2.appended);
-        assert_eq!(o2.ledger, o1.ledger);
-
-        // A 10% regression on `push` is the worst delta.
-        let b = micro(&[("push", 110.0), ("pop", 190.0)]);
-        let o3 = history_append(&o1.ledger, &b, "b.json").unwrap();
-        assert!(o3.appended);
-        assert_eq!(o3.worst_pct.map(|w| w.round()), Some(10.0));
-        assert!(o3.ledger.contains("\"worst\":\"push\""), "{}", o3.ledger);
-        assert!(o3.ledger.contains("\"compared\":2"), "{}", o3.ledger);
-        assert!(
-            o3.line.contains("worst delta +10.00% (push)"),
-            "{}",
-            o3.line
-        );
-    }
-
-    fn profile(net_ns: u64, iosched_ns: u64) -> Json {
-        let span = |name: &str, ns: u64| {
-            Json::obj()
-                .field("name", name)
-                .field("calls", 1u64)
-                .field("total_ns", ns)
-                .field("self_ns", ns)
-        };
-        Json::obj().field("schema", "adios.profile/1").field(
-            "spans",
-            Json::Arr(vec![
-                span("net.solve", net_ns),
-                span("iosched.dispatch", iosched_ns),
-            ]),
-        )
-    }
-
-    #[test]
-    fn history_ingests_profile_shares_as_their_own_kind() {
-        let o1 = history_append("", &profile(600, 400), "p1.json").unwrap();
-        assert!(o1.appended);
-        assert!(o1.ledger.contains("\"kind\":\"profile\""), "{}", o1.ledger);
-        // Field order is by subsystem name, not by dominance.
-        let net = o1.ledger.find("profile_net_share_pct").unwrap();
-        let io = o1.ledger.find("profile_iosched_share_pct").unwrap();
-        assert!(io < net, "{}", o1.ledger);
-
-        // A share shift appends a delta'd entry; re-ingest is a no-op.
-        let o2 = history_append(&o1.ledger, &profile(900, 100), "p2.json").unwrap();
-        assert!(o2.appended);
-        assert!(o2.worst_pct.is_some(), "{}", o2.line);
-        let o3 = history_append(&o2.ledger, &profile(900, 100), "p2.json").unwrap();
-        assert!(!o3.appended, "{}", o3.line);
-    }
-
-    #[test]
-    fn history_rejects_skeleton_profiles() {
-        let doc = Json::obj().field("schema", "adios.profile/1").field(
-            "spans",
-            Json::Arr(vec![Json::obj()
-                .field("name", "net.solve")
-                .field("calls", 1u64)]),
-        );
-        let err = history_append("", &doc, "p.json").unwrap_err();
-        assert!(err.contains("no measured wall time"), "{err}");
-    }
-
-    #[test]
-    fn history_dedupes_against_any_prior_digest() {
-        // a, then b, then a again: the third ingest must be a no-op
-        // even though a is no longer the latest entry of its kind.
-        let a = micro(&[("push", 100.0)]);
-        let b = micro(&[("push", 120.0)]);
-        let l1 = history_append("", &a, "a.json").unwrap().ledger;
-        let l2 = history_append(&l1, &b, "b.json").unwrap().ledger;
-        let o3 = history_append(&l2, &a, "a.json").unwrap();
-        assert!(!o3.appended, "{}", o3.line);
-        assert_eq!(o3.ledger, l2);
-    }
-
-    #[test]
-    fn history_entries_are_byte_deterministic() {
-        let a = micro(&[("push", 100.0)]);
-        let x = history_append("", &a, "a.json").unwrap().ledger;
-        let y = history_append("", &a, "a.json").unwrap().ledger;
-        assert_eq!(x, y);
-        // No host-time leakage: a doc differing only in a wall_s field
-        // hashes identically (metrics map is the identity).
-        let noisy = a.clone().field("wall_s", 1.23);
-        let z = history_append("", &noisy, "a.json").unwrap().ledger;
-        assert_eq!(x, z);
-    }
-
-    #[test]
-    fn history_tracks_sweep_cells_by_shape_key() {
-        let sweep = Json::obj()
-            .field("schema", "adios.bench/1")
-            .field("kind", "sweep")
-            .field(
-                "cells",
-                Json::Arr(vec![Json::obj()
-                    .field("nodes", 8u64)
-                    .field("vms_per_node", 4u64)
-                    .field("data_mb_per_vm", 64u64)
-                    .field("plan", "cc")
-                    .field("makespan_s", 10.5)
-                    .field("wall_s", 0.07)]),
-            );
-        let o = history_append("", &sweep, "s.json").unwrap();
-        assert!(o.ledger.contains("\"kind\":\"sweep\""), "{}", o.ledger);
-        assert!(o.ledger.contains("\"n8x4_d64mb_cc\":10.5"), "{}", o.ledger);
-        // Micro and sweep ledgers interleave without cross-talk.
-        let m = micro(&[("push", 100.0)]);
-        let o2 = history_append(&o.ledger, &m, "m.json").unwrap();
-        assert!(o2.ledger.contains("\"seq\":2"));
-        assert!(!o2.ledger.contains("compared"), "{}", o2.ledger);
-    }
-
-    #[test]
-    fn history_folds_multijob_service_cells() {
-        let sweep = Json::obj()
-            .field("schema", "adios.bench/1")
-            .field(
-                "cells",
-                Json::Arr(vec![Json::obj()
-                    .field("nodes", 4u64)
-                    .field("vms_per_node", 4u64)
-                    .field("data_mb_per_vm", 64u64)
-                    .field("plan", "cc")
-                    .field("makespan_s", 12.0)]),
-            )
-            .field(
-                "multijob_cells",
-                Json::Arr(vec![
-                    Json::obj()
-                        .field("plan", "best-single")
-                        .field("mean_latency_s", 30.5)
-                        .field("wall_s", 0.4),
-                    Json::obj()
-                        .field("plan", "adaptive")
-                        .field("mean_latency_s", 28.25)
-                        .field("wall_s", 0.5),
-                ]),
-            );
-        let o = history_append("", &sweep, "s.json").unwrap();
-        assert!(
-            o.ledger.contains("\"mj_best-single_latency_s\":30.5"),
-            "{}",
-            o.ledger
-        );
-        assert!(
-            o.ledger.contains("\"mj_adaptive_latency_s\":28.25"),
-            "{}",
-            o.ledger
-        );
-        // The service cells are part of the identity: a latency change
-        // is a new ledger entry, not a dedupe.
-        let mut changed = sweep.clone();
-        if let Json::Obj(fields) = &mut changed {
-            let mj = fields
-                .iter_mut()
-                .find(|(k, _)| k == "multijob_cells")
-                .unwrap();
-            if let Json::Arr(cells) = &mut mj.1 {
-                if let Json::Obj(c0) = &mut cells[0] {
-                    c0.iter_mut()
-                        .find(|(k, _)| k == "mean_latency_s")
-                        .unwrap()
-                        .1 = Json::Num(31.0);
-                }
-            }
-        }
-        let o2 = history_append(&o.ledger, &changed, "s.json").unwrap();
-        assert!(o2.appended, "changed service cell must append");
-        // A multijob cell without its metric is a hard error.
-        let bad = Json::obj()
-            .field("schema", "adios.bench/1")
-            .field("cells", Json::Arr(vec![]))
-            .field(
-                "multijob_cells",
-                Json::Arr(vec![Json::obj().field("plan", "adaptive")]),
-            );
-        let err = history_append("", &bad, "x.json").unwrap_err();
-        assert!(err.contains("mean_latency_s"), "{err}");
-    }
-
-    #[test]
-    fn history_rejects_foreign_schemas() {
-        let bad = Json::obj().field("schema", "adios.metrics/2");
-        let err = history_append("", &bad, "x.json").unwrap_err();
-        assert!(err.contains("adios.bench/1"), "{err}");
     }
 
     #[test]

@@ -386,47 +386,6 @@ impl<T> EventQueue<T> {
     pub fn now(&self) -> SimTime {
         self.watermark
     }
-
-    /// Drop every pending event. The watermark is preserved, and the
-    /// FIFO sequence counter restarts from zero — safe because the
-    /// tie-break only orders *coexisting* entries, and none survive a
-    /// clear. (This also means `clear` fully resets the overflow-free
-    /// contract: a queue cleared every job can never exhaust the `u64`
-    /// sequence space, where the previous implementation let `next_seq`
-    /// grow monotonically forever.)
-    pub fn clear(&mut self) {
-        self.active.clear();
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-        self.epoch_start = self.watermark.as_nanos();
-        self.active_hi = self.epoch_start;
-        self.len = 0;
-        self.next_seq = 0;
-        // The bucket width is re-fitted to the observed event spacing on
-        // every epoch roll. A width tuned to the *previous* workload's
-        // tail (possibly down to 1 ns, a 512 ns horizon) must not leak
-        // into the next job: it would push essentially everything through
-        // the overflow heap and change nothing about ordering but a lot
-        // about cost. A cleared queue has no events left to fit, so the
-        // only defensible width is the initial one.
-        self.width = INITIAL_WIDTH_NS;
-    }
-
-    /// Reset the queue to its just-constructed state: everything
-    /// [`clear`](Self::clear) drops, plus the watermark returns to
-    /// `SimTime::ZERO`. This is the entry point for *deliberate* reuse
-    /// across back-to-back jobs (e.g. a driver recycling one queue for a
-    /// sequence of runs): after `reset` the queue accepts pushes at any
-    /// time again, and the `(time, seq)` order is indistinguishable from
-    /// a freshly built queue.
-    pub fn reset(&mut self) {
-        self.watermark = SimTime::ZERO;
-        self.clear();
-        debug_assert_eq!(self.epoch_start, 0);
-    }
 }
 
 /// Epoch-based cancellable timer handle.
@@ -629,65 +588,6 @@ mod tests {
         assert_eq!(q.drain_instant(t1, &mut buf), 2);
         assert_eq!(buf, vec![1, 2]);
         assert_eq!(q.drain_instant(t1, &mut buf), 0, "instant exhausted");
-    }
-
-    #[test]
-    fn clear_resets_seq_but_keeps_watermark() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1), 1);
-        q.push(SimTime::from_secs(2), 2);
-        q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_secs(1), "watermark survives clear");
-        // FIFO order restarts cleanly after the seq reset.
-        let t = SimTime::from_secs(3);
-        q.push(t, 10);
-        q.push(t, 11);
-        assert_eq!(q.pop(), Some((t, 10)));
-        assert_eq!(q.pop(), Some((t, 11)));
-    }
-
-    /// A re-fitted bucket width must not survive `clear`: the width was
-    /// fitted to the *previous* job's event spacing, and a pathological
-    /// fit (dense far-future cluster → 1 ns buckets → 512 ns horizon)
-    /// would silently route the next job through the overflow heap.
-    #[test]
-    fn clear_restores_initial_bucket_width() {
-        let mut q = EventQueue::new();
-        // A dense cluster far beyond the initial horizon: draining up to
-        // it forces an epoch roll and a width re-fit to ns spacing.
-        let base = 60_000_000_000u64;
-        for i in 0..256u64 {
-            q.push(SimTime::ZERO + SimDuration::from_nanos(base + i), i);
-        }
-        while q.pop().is_some() {}
-        assert_ne!(q.width, INITIAL_WIDTH_NS, "reprime should have re-fitted width");
-        q.clear();
-        assert_eq!(q.width, INITIAL_WIDTH_NS, "clear must restore the initial width");
-    }
-
-    /// `reset` is the deliberate-reuse entry point: watermark back to
-    /// zero, and a recycled queue is observationally identical to a
-    /// fresh one over an arbitrary (time, seq) workload.
-    #[test]
-    fn reset_matches_fresh_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), 1);
-        q.push(SimTime::from_secs(70), 2); // beyond horizon: exercises overflow
-        while q.pop().is_some() {}
-        assert_eq!(q.now(), SimTime::from_secs(70));
-        q.reset();
-        assert_eq!(q.now(), SimTime::ZERO, "reset rewinds the watermark");
-
-        let mut fresh = EventQueue::new();
-        for (t, p) in [(3u64, 0u64), (1, 1), (1, 2), (2, 3)] {
-            q.push(SimTime::from_secs(t), p);
-            fresh.push(SimTime::from_secs(t), p);
-        }
-        let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| fresh.pop()).collect();
-        assert_eq!(a, b, "recycled queue diverged from a fresh one");
     }
 
     /// Epoch re-priming: events far beyond the initial horizon, with

@@ -159,39 +159,3 @@ fn drain_instant_matches_model() {
         assert_eq!(m.heap.len(), 0);
     });
 }
-
-/// `clear` mid-stream: the queue restarts cleanly (fresh FIFO order,
-/// watermark preserved) and keeps matching the model afterwards.
-#[test]
-fn clear_then_reuse_matches_model() {
-    check(64, |g| {
-        let mut q = EventQueue::new();
-        let mut payload = 0u64;
-        for _ in 0..g.usize_in(1, 200) {
-            q.push(SimTime::from_nanos(g.u64_in(0, 1_000_000_000)), payload);
-            payload += 1;
-        }
-        for _ in 0..g.usize_in(0, 50) {
-            q.pop();
-        }
-        let watermark = q.now();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), watermark);
-        // Second life: behaves exactly like a fresh reference model.
-        let mut m = ModelQueue::default();
-        for _ in 0..g.usize_in(1, 200) {
-            let t = watermark + SimDuration::from_nanos(g.u64_in(0, 2_000_000));
-            q.push(t, payload);
-            m.push(t, payload);
-            payload += 1;
-        }
-        loop {
-            let got = q.pop();
-            assert_eq!(got, m.pop(), "post-clear stream diverged");
-            if got.is_none() {
-                break;
-            }
-        }
-    });
-}

@@ -1581,27 +1581,3 @@ impl ClusterSim {
 pub fn run_job(params: &ClusterParams, job: &JobSpec, plan: SwitchPlan) -> JobOutcome {
     ClusterSim::new(params.clone(), job.clone(), plan).run()
 }
-
-/// Run several jobs back-to-back, recycling one calendar event queue
-/// across them via [`simcore::EventQueue::reset`] — the allocation
-/// pattern of a long-lived multi-job service. Each job still gets a
-/// fresh cluster state; only the queue's bucket storage is reused, so
-/// every outcome must be bit-identical to a fresh-driver run (see
-/// `tests/determinism.rs`).
-pub fn run_jobs_sequential(
-    params: &ClusterParams,
-    jobs: &[(JobSpec, SwitchPlan)],
-) -> Vec<JobOutcome> {
-    let mut recycled: Option<EventQueue<Ev>> = None;
-    let mut out = Vec::with_capacity(jobs.len());
-    for (job, plan) in jobs {
-        let mut sim = ClusterSim::new(params.clone(), job.clone(), *plan);
-        if let Some(mut q) = recycled.take() {
-            q.reset();
-            sim.queue = q;
-        }
-        out.push(sim.run());
-        recycled = Some(std::mem::replace(&mut sim.queue, EventQueue::with_capacity(0)));
-    }
-    out
-}

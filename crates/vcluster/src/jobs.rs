@@ -410,9 +410,6 @@ pub struct ServiceParams {
     /// Fractional slowdown added to a task for every *other* active job
     /// at its start (cross-job disk interference).
     pub contention_penalty: f64,
-    /// Service trace capacity (records); the oracle needs the full
-    /// history.
-    pub trace_capacity: usize,
 }
 
 impl Default for ServiceParams {
@@ -425,7 +422,6 @@ impl Default for ServiceParams {
             switch_cost: SimDuration::from_millis(500),
             max_concurrent: 8,
             contention_penalty: 0.08,
-            trace_capacity: usize::MAX,
         }
     }
 }
@@ -521,7 +517,8 @@ pub fn run_service(
         queue.push(SimTime::ZERO + params.retune_period, SEv::Retune);
     }
 
-    let mut trace = Trace::bounded(params.trace_capacity);
+    // Unbounded: the oracle replays the whole history after the run.
+    let mut trace = Trace::unbounded();
     let mut ledger = SlotLedger::new(&shape);
     let mut active: BTreeMap<u64, ActiveJob> = BTreeMap::new();
     let mut admit_queue: VecDeque<u64> = VecDeque::new();

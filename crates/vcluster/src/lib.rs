@@ -37,8 +37,8 @@ pub use jobs::{
 };
 
 pub use driver::{
-    run_job, run_jobs_sequential, ClusterParams, ClusterSim, ClusterSnapshot, JobOutcome,
-    OnlinePolicy, PolicyAudit, SwitchPlan,
+    run_job, ClusterParams, ClusterSim, ClusterSnapshot, JobOutcome, OnlinePolicy, PolicyAudit,
+    SwitchPlan,
 };
 pub use network::{FlowId, NetParams, Network};
 pub use sweep::{

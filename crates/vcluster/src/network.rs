@@ -369,12 +369,6 @@ pub struct Network {
     /// Earliest heap entry time per flow slot (`MAX` = none); the
     /// entry with `t == heap_t[id]` is the canonical one.
     heap_t: Vec<SimTime>,
-    stats_resolves: u64,
-    stats_comp_flows: u64,
-    stats_comp_edges: u64,
-    stats_changed: u64,
-    stats_rounds: u64,
-    stats_solve_ns: u64,
 }
 
 impl Network {
@@ -407,12 +401,6 @@ impl Network {
             pending_at: SimTime::ZERO,
             heap: BinaryHeap::new(),
             heap_t: Vec::new(),
-            stats_resolves: 0,
-            stats_comp_flows: 0,
-            stats_comp_edges: 0,
-            stats_changed: 0,
-            stats_rounds: 0,
-            stats_solve_ns: 0,
         }
     }
 
@@ -548,7 +536,6 @@ impl Network {
         if self.dirty.is_empty() {
             return;
         }
-        let t0 = std::time::Instant::now();
         {
             let _prof = simcore::prof::span("net.solve");
             self.begin_pass();
@@ -563,11 +550,13 @@ impl Network {
                 if self.scratch.comp_edges.is_empty() {
                     continue;
                 }
-                self.stats_resolves += 1;
-                self.stats_comp_edges += self.scratch.comp_edges.len() as u64;
-                self.stats_comp_flows +=
-                    self.scratch.comp_e.iter().map(|&p| self.live_e[p as usize] as u64).sum::<u64>();
-                self.stats_rounds += self.solve_component();
+                let comp_flows: u64 =
+                    self.scratch.comp_e.iter().map(|&p| self.live_e[p as usize] as u64).sum();
+                simcore::prof::count("components", 1);
+                simcore::prof::count("comp_edges", self.scratch.comp_edges.len() as u64);
+                simcore::prof::count("comp_flows", comp_flows);
+                let rounds = self.solve_component();
+                simcore::prof::count("rounds", rounds);
                 self.collect_changed();
             }
             let Network { flows, edges, link, scratch, .. } = self;
@@ -576,9 +565,7 @@ impl Network {
             scratch.changed.sort_unstable();
             let rates = scratch.changed.iter().map(|&f| (f, edges[link[f as usize].0 as usize].rate));
             flows.apply_rates(self.pending_at, rates);
-            self.stats_changed += scratch.changed.len() as u64;
         }
-        self.stats_solve_ns += t0.elapsed().as_nanos() as u64;
         self.dirty.clear();
         let changed = std::mem::take(&mut self.scratch.changed);
         for &f in &changed {
@@ -876,30 +863,6 @@ impl Network {
     #[doc(hidden)]
     pub fn debug_state(&self) -> Vec<(FlowId, u32, u32, u64, u64, u64, u64)> {
         self.flows.debug_state()
-    }
-}
-
-impl Drop for Network {
-    fn drop(&mut self) {
-        if std::env::var_os("ADIOS_NET_STATS").is_some_and(|v| v != "0") && self.stats_resolves > 0 {
-            let per = |x: u64| x as f64 / self.stats_resolves as f64;
-            eprintln!(
-                "[net] resolves={} comp_flows={} (avg {:.1}) comp_edges={} (avg {:.1}) changed={} (avg {:.1}) rounds={} (avg {:.2}) heap={} slab={} edge_slots={} solve_s={:.3}",
-                self.stats_resolves,
-                self.stats_comp_flows,
-                per(self.stats_comp_flows),
-                self.stats_comp_edges,
-                per(self.stats_comp_edges),
-                self.stats_changed,
-                per(self.stats_changed),
-                self.stats_rounds,
-                per(self.stats_rounds),
-                self.heap.len(),
-                self.flows.len(),
-                self.edges.len(),
-                self.stats_solve_ns as f64 / 1e9,
-            );
-        }
     }
 }
 

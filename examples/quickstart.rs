@@ -21,7 +21,7 @@ fn main() {
     };
 
     // One plain run first: every JobOutcome carries the per-layer
-    // observability document (schema `adios.metrics/1`).
+    // observability document (schema `adios.metrics/2`).
     let out = run_job(&params, &job, SwitchPlan::single(SchedPair::DEFAULT));
     println!(
         "default-pair sort: {} (trace digest {:#018x})",

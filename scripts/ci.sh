@@ -115,38 +115,26 @@ grep -q '"schema":"adios.profile/1"' "${profile_json}" \
 cargo run -q --release --offline -p adios-report -- render "${profile_json}" > /dev/null
 cargo run -q --release --offline -p adios-report -- diff \
   "${profile_json}" "${profile_json}" --fail-on-share-delta > /dev/null
-# Subsystem shares must also fold into the regression ledger.
-profile_ledger="$(mktemp)"; rm -f "${profile_ledger}"
-cargo run -q --release --offline -p adios-report -- history \
-  --ledger "${profile_ledger}" "${profile_json}" > /dev/null
-grep -q '"kind":"profile"' "${profile_ledger}" \
-  || { echo "error: profile shares missing from history ledger" >&2; exit 1; }
-rm -f "${profile_json}" "${profile_ledger}"
+rm -f "${profile_json}"
 
-# Decision-observability smoke: the cross-run ledger must ingest the
-# committed bench documents into a fresh ledger (exit 0, two entries,
-# schema-gated inside `history`), and a mini-sweep over two node
-# counts (a comma list), two pairs and two parallel-copies settings
-# must round-trip through `rank`, `correlate` and `overlap`. `rank`
-# without --require-crossover must exit 0 even when the tiny grid has
-# none; the Fig. 6 crossover itself is covered by unit tests and the
+# Committed bench documents: both must render as adios.bench/1, and the
+# sweep document must carry its multi-job service cells.
+for doc in BENCH_micro.json BENCH_sweep.json; do
+  rendered="$(cargo run -q --release --offline -p adios-report -- render "${doc}")"
+  [[ "$(head -n 1 <<< "${rendered}")" == "== adios.bench/1 ==" ]] \
+    || { echo "error: ${doc} must render as an adios.bench/1 document" >&2; exit 1; }
+  if [[ "${doc}" == BENCH_sweep.json ]]; then
+    grep -qxF '[multijob_cells]' <<< "${rendered}" \
+      || { echo "error: ${doc} has no [multijob_cells] section" >&2; exit 1; }
+  fi
+done
+
+# Cross-run analytics smoke: a mini-sweep over two node counts (a comma
+# list), two pairs and two parallel-copies settings must round-trip
+# through `rank`, `correlate` and `overlap`. `rank` without
+# --require-crossover must exit 0 even when the tiny grid has none; the
+# Fig. 6 crossover itself is covered by unit tests and the
 # EXPERIMENTS.md 4x4/512MB recipe.
-ledger="$(mktemp)"; rm -f "${ledger}"
-cargo run -q --release --offline -p adios-report -- history \
-  --ledger "${ledger}" BENCH_micro.json BENCH_sweep.json > /dev/null
-[[ "$(wc -l < "${ledger}")" -eq 2 ]] \
-  || { echo "error: history ledger must hold exactly 2 entries" >&2; exit 1; }
-# Idempotence: re-ingesting the same documents must not grow the ledger.
-cargo run -q --release --offline -p adios-report -- history \
-  --ledger "${ledger}" BENCH_micro.json BENCH_sweep.json > /dev/null
-[[ "$(wc -l < "${ledger}")" -eq 2 ]] \
-  || { echo "error: history re-ingest must be idempotent" >&2; exit 1; }
-grep -q '"kind":"sweep"' "${ledger}" \
-  || { echo "error: sweep entry missing from ledger" >&2; exit 1; }
-# The regenerated sweep document carries the multi-job service column
-# set; its cells must fold into the ledger's sweep metrics.
-grep -q '"mj_adaptive_latency_s"' "${ledger}" \
-  || { echo "error: multi-job bench cells missing from ledger" >&2; exit 1; }
 sweep_dir="$(mktemp -d)"
 cargo run -q --release --offline --bin repro-cli -- sweep \
   --nodes 2,3 --vms 2 --data-mb 64 --pairs cc,dd --parallel-copies 1,5 \
@@ -160,7 +148,7 @@ overlap_out="$(cargo run -q --release --offline -p adios-report -- overlap \
 [[ "$(grep -cE '^ +[15] +4 ' <<< "${overlap_out}")" -eq 2 ]] \
   || { echo "error: overlap must report both parallel-copies settings" >&2; \
        echo "${overlap_out}" >&2; exit 1; }
-rm -rf "${ledger}" "${sweep_dir}"
+rm -rf "${sweep_dir}"
 
 # Dependency guard: every node reachable over normal, build, and dev
 # edges must be a path crate inside this repo. A registry dependency
@@ -174,4 +162,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler smoke + history/rank/correlate/overlap smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + rank/correlate/overlap smoke green; dependency graph is workspace-only"

@@ -47,8 +47,9 @@
 //! map/reduce slots. `--policy adaptive` calibrates every tenant under
 //! all 16 pairs (through the shared eval cache) and retunes the
 //! installed pair from the live phase mix; any pair code pins a static
-//! baseline. With `ADIOS_STRICT=1` the service trace is replayed
-//! through the oracle (slot capacities, job lifecycle, byte
+//! baseline. With `ADIOS_STRICT` set (any non-empty value but `0`, as
+//! `simcore::events::strict_checks` reads it) the service trace is
+//! replayed through the oracle (slot capacities, job lifecycle, byte
 //! conservation); each violation is printed and the run exits 1.
 //!
 //! `run --profile-out FILE` exports the span profiler's accumulated
@@ -642,7 +643,7 @@ fn cmd_serve_jobs(flags: Flags) {
         out.retunes,
         out.switches
     );
-    if std::env::var("ADIOS_STRICT").map(|v| v == "1").unwrap_or(false) {
+    if simcore::events::strict_checks() {
         let mut oracle = TraceOracle::new(OracleConfig {
             map_slots_per_vm: Some(sp.shape.map_slots_per_vm),
             reduce_slots_per_vm: Some(sp.shape.reduce_slots_per_vm),

@@ -131,3 +131,42 @@ fn sweep_names_the_default_cell_per_parallel_copies_group() {
         assert!(stdout.contains(default), "missing {default:?} in\n{stdout}");
     }
 }
+
+/// `serve-jobs` reads `ADIOS_STRICT` the way the event queue does: any
+/// non-empty value but `0` replays the service trace through the
+/// oracle and prints its verdict.
+#[test]
+fn strict_serve_jobs_prints_the_oracle_verdict_for_any_truthy_value() {
+    for (value, verdict) in [("1", true), ("yes", true), ("0", false)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro-cli"))
+            .args([
+                "serve-jobs",
+                "--nodes",
+                "2",
+                "--vms",
+                "2",
+                "--data-mb",
+                "16",
+                "--duration-s",
+                "60",
+                "--rate",
+                "6",
+                "--seed",
+                "42",
+                "--tenants",
+                "sort:1",
+                "--policy",
+                "cc",
+            ])
+            .env("ADIOS_STRICT", value)
+            .output()
+            .expect("repro-cli runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "ADIOS_STRICT={value}\n{stdout}");
+        assert_eq!(
+            stdout.contains("  oracle: clean ("),
+            verdict,
+            "ADIOS_STRICT={value}\n{stdout}"
+        );
+    }
+}

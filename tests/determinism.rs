@@ -237,31 +237,3 @@ fn sim_threads_env_override_is_result_invariant() {
     assert_eq!(services[0], services[1], "SIM_THREADS=2 changed service metrics docs");
     assert_eq!(services[0], services[2], "SIM_THREADS=8 changed service metrics docs");
 }
-
-/// Back-to-back jobs on one driver recycle the calendar event queue
-/// (`EventQueue::reset` — the epoch/watermark reuse path). The
-/// recycling must be invisible: the same two jobs run on fresh drivers
-/// produce bit-identical outcomes, metrics bytes and trace digests.
-#[test]
-fn sequential_jobs_match_fresh_drivers() {
-    use adaptive_disk_sched::vcluster::run_jobs_sequential;
-    let params = small_cluster();
-    let pairs = SchedPair::all();
-    let jobs = vec![
-        (sort_job(96), SwitchPlan::single(SchedPair::DEFAULT)),
-        (sort_job(128), SwitchPlan::single(pairs[5])),
-    ];
-    let seq = run_jobs_sequential(&params, &jobs);
-    assert_eq!(seq.len(), jobs.len());
-    for ((job, plan), got) in jobs.iter().zip(&seq) {
-        let fresh = run_job(&params, job, *plan);
-        assert_eq!(got.phases, fresh.phases, "phase times drifted");
-        assert_eq!(fingerprint(got), fingerprint(&fresh), "outcome drifted");
-        assert_eq!(got.trace_digest, fresh.trace_digest, "trace digest drifted");
-        assert_eq!(
-            got.metrics.to_string(),
-            fresh.metrics.to_string(),
-            "metrics bytes drifted"
-        );
-    }
-}

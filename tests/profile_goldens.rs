@@ -51,6 +51,15 @@ fn profile_skeleton_is_byte_identical_across_worker_counts() {
     for sub in ["vcluster.batch", "net.solve", "iosched.add", "vmstack.handle"] {
         assert!(one.contains(sub), "missing {sub} in {one}");
     }
+    // The net solver's per-component statistics are `net.solve`
+    // counters.
+    let solve = one.split("\"name\":\"net.solve\",").nth(1).unwrap();
+    let (calls, counters) = solve.split_once(",\"counters\":{").unwrap();
+    assert!(!calls.contains(','), "net.solve has no counters in {one}");
+    let counters = counters.split('}').next().unwrap();
+    for c in ["components", "comp_edges", "comp_flows", "rounds"] {
+        assert!(counters.contains(&format!("\"{c}\":")), "missing {c} in {counters}");
+    }
     assert_eq!(one, two, "skeleton differs between 1 and 2 workers");
     assert_eq!(one, eight, "skeleton differs between 1 and 8 workers");
     // And the skeleton really is wall-free.
