@@ -34,7 +34,7 @@ fn main() {
         }
     }
     let exhaustive: Vec<([SchedPair; 2], f64, bool)> = par_map(&plans, |&pl| {
-        let (t, cached) = eval.evaluate_traced(&pl);
+        let (t, cached) = eval.evaluate(&pl);
         (pl, t.as_secs_f64(), cached)
     });
     let (best_plan, best_t, _) = exhaustive

@@ -125,7 +125,7 @@ fn event_queue_push_pop() -> u64 {
 
 /// Same-instant batching: push bursts of events sharing a timestamp
 /// (the common cluster pattern — many I/O completions per tick) and
-/// drain them with `pop_batch` + `drain_instant` instead of pop-per-event.
+/// drain each instant with one `pop_batch` instead of pop-per-event.
 fn event_queue_batch_drain() -> u64 {
     let mut q = EventQueue::with_capacity(4096);
     for burst in 0..64u64 {
@@ -136,9 +136,8 @@ fn event_queue_batch_drain() -> u64 {
     }
     let mut buf = Vec::with_capacity(64);
     let mut drained = 0;
-    while let Some(now) = q.pop_batch(&mut buf) {
+    while q.pop_batch(&mut buf).is_some() {
         drained += buf.len() as u64;
-        drained += q.drain_instant(now, &mut buf) as u64;
         buf.clear();
     }
     drained

@@ -186,11 +186,7 @@ impl<'a> CachedEvaluator<'a> {
 }
 
 impl PlanEvaluator for CachedEvaluator<'_> {
-    fn evaluate(&self, assignment: &[SchedPair]) -> SimDuration {
-        self.evaluate_traced(assignment).0
-    }
-
-    fn evaluate_traced(&self, assignment: &[SchedPair]) -> (SimDuration, bool) {
+    fn evaluate(&self, assignment: &[SchedPair]) -> (SimDuration, bool) {
         if let Some(t) = self.cache.score(self.fingerprint, assignment) {
             return (t, true);
         }
@@ -271,8 +267,8 @@ mod tests {
         cache.insert_score(fp, &[p, q], SimDuration::from_secs(5));
         cache.insert_score(fp, &[q], SimDuration::from_secs(6));
         let ev = CachedEvaluator::new(&exp, &cache);
-        assert_eq!(ev.evaluate(&[p, q]), SimDuration::from_secs(5));
-        assert_eq!(ev.evaluate(&[q, q]), SimDuration::from_secs(6));
+        assert_eq!(ev.evaluate(&[p, q]).0, SimDuration::from_secs(5));
+        assert_eq!(ev.evaluate(&[q, q]).0, SimDuration::from_secs(6));
         let s = cache.stats();
         assert_eq!(s.hits, 2);
     }
@@ -286,6 +282,6 @@ mod tests {
         let p = SchedPair::DEFAULT;
         cache.insert_score(exp.fingerprint(), &[p], SimDuration::from_secs(9));
         let ev = CachedEvaluator::new(&exp, &cache);
-        assert_eq!(ev.evaluate_traced(&[p, p]), (SimDuration::from_secs(9), true));
+        assert_eq!(ev.evaluate(&[p, p]), (SimDuration::from_secs(9), true));
     }
 }

@@ -24,21 +24,15 @@ use vcluster::SwitchPlan;
 /// assignment. The production evaluator is [`Experiment`] (a full
 /// simulated run, switch costs included); tests use synthetic oracles.
 pub trait PlanEvaluator {
-    /// Measured elapsed time of the job under `assignment`.
-    fn evaluate(&self, assignment: &[SchedPair]) -> SimDuration;
-
-    /// Like [`evaluate`](Self::evaluate), but also reports whether the
-    /// measurement was served from a memo cache rather than a fresh
-    /// simulation — the provenance bit the audit records carry. The
-    /// default (an uncached evaluator) always measures fresh.
-    fn evaluate_traced(&self, assignment: &[SchedPair]) -> (SimDuration, bool) {
-        (self.evaluate(assignment), false)
-    }
+    /// Measured elapsed time of the job under `assignment`, and whether
+    /// the measurement was served from a memo cache rather than a fresh
+    /// simulation — the provenance bit the audit records carry.
+    fn evaluate(&self, assignment: &[SchedPair]) -> (SimDuration, bool);
 }
 
 impl PlanEvaluator for Experiment {
-    fn evaluate(&self, assignment: &[SchedPair]) -> SimDuration {
-        self.run(assignment_plan(assignment)).makespan
+    fn evaluate(&self, assignment: &[SchedPair]) -> (SimDuration, bool) {
+        (self.run(assignment_plan(assignment)).makespan, false)
     }
 }
 
@@ -74,7 +68,7 @@ pub struct Evaluation {
 /// One candidate considered during a phase's ranking walk: where it
 /// ranked, the profile score that put it there, the measured
 /// composed-plan time, and whether that measurement came out of a memo
-/// cache ([`PlanEvaluator::evaluate_traced`]).
+/// cache ([`PlanEvaluator::evaluate`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CandidateScore {
     /// The candidate pair.
@@ -190,7 +184,7 @@ pub fn algorithm1<E: PlanEvaluator + ?Sized>(
         if let Some(&t) = cache.get(assignment) {
             return (t, true);
         }
-        let (t, hit) = exp.evaluate_traced(assignment);
+        let (t, hit) = exp.evaluate(assignment);
         cache.insert(assignment.to_vec(), t);
         evaluations.push(Evaluation {
             assignment: assignment.to_vec(),
@@ -366,7 +360,7 @@ mod tests {
     }
 
     impl PlanEvaluator for Oracle {
-        fn evaluate(&self, assignment: &[SchedPair]) -> SimDuration {
+        fn evaluate(&self, assignment: &[SchedPair]) -> (SimDuration, bool) {
             // Expand 2-phase assignments over (Ph1 | Ph2+Ph3).
             let spans: Vec<Vec<usize>> = match assignment.len() {
                 2 => vec![vec![0], vec![1, 2]],
@@ -382,7 +376,7 @@ mod tests {
                     total += self.switch_cost_s;
                 }
             }
-            SimDuration::from_secs(total)
+            (SimDuration::from_secs(total), false)
         }
     }
 

@@ -56,4 +56,4 @@ pub use online::{PhaseReactivePolicy, QueueDepthPolicy};
 pub use profiler::{
     best_for_tail, best_single, profile_pairs, profile_pairs_cached, rank_for_phase,
 };
-pub use switch_cost::{measure_switch_cost, switch_cost_matrix, DdConfig, SwitchCost};
+pub use switch_cost::{measure_switch_cost, DdConfig, SwitchCost};

@@ -27,11 +27,7 @@ pub struct PhaseReactivePolicy {
 }
 
 impl OnlinePolicy for PhaseReactivePolicy {
-    fn decide(&mut self, snap: &ClusterSnapshot) -> Option<SchedPair> {
-        self.decide_explained(snap).0
-    }
-
-    fn decide_explained(&mut self, snap: &ClusterSnapshot) -> (Option<SchedPair>, PolicyAudit) {
+    fn decide(&mut self, snap: &ClusterSnapshot) -> (Option<SchedPair>, PolicyAudit) {
         let in_reduce = snap.maps_done_fraction >= 1.0;
         let audit = PolicyAudit {
             signal: "maps_done_fraction",
@@ -98,11 +94,7 @@ impl QueueDepthPolicy {
 }
 
 impl OnlinePolicy for QueueDepthPolicy {
-    fn decide(&mut self, snap: &ClusterSnapshot) -> Option<SchedPair> {
-        self.decide_explained(snap).0
-    }
-
-    fn decide_explained(&mut self, snap: &ClusterSnapshot) -> (Option<SchedPair>, PolicyAudit) {
+    fn decide(&mut self, snap: &ClusterSnapshot) -> (Option<SchedPair>, PolicyAudit) {
         let depth = Self::avg_depth(snap);
         // The active watermark depends on which side of the hysteresis
         // band we are on — exactly what the audit must expose.
@@ -167,21 +159,21 @@ mod tests {
             map_pair: asdl(),
             reduce_pair: SchedPair::DEFAULT,
         };
-        assert_eq!(p.decide(&snap(0.5, &[4])), Some(asdl()));
-        assert_eq!(p.decide(&snap(1.0, &[4])), Some(SchedPair::DEFAULT));
+        assert_eq!(p.decide(&snap(0.5, &[4])).0, Some(asdl()));
+        assert_eq!(p.decide(&snap(1.0, &[4])).0, Some(SchedPair::DEFAULT));
     }
 
     #[test]
     fn queue_policy_hysteresis() {
         let mut p = QueueDepthPolicy::new(asdl(), SchedPair::DEFAULT, 8.0, 2.0);
         // Starts idle; needs two confirming ticks above the watermark.
-        assert_eq!(p.decide(&snap(0.0, &[10, 10])), Some(SchedPair::DEFAULT));
-        assert_eq!(p.decide(&snap(0.0, &[12, 12])), Some(asdl()));
+        assert_eq!(p.decide(&snap(0.0, &[10, 10])).0, Some(SchedPair::DEFAULT));
+        assert_eq!(p.decide(&snap(0.0, &[12, 12])).0, Some(asdl()));
         // Stays busy at intermediate depths (no thrashing).
-        assert_eq!(p.decide(&snap(0.0, &[5, 5])), Some(asdl()));
+        assert_eq!(p.decide(&snap(0.0, &[5, 5])).0, Some(asdl()));
         // Falls back only after two confirmed shallow ticks.
-        assert_eq!(p.decide(&snap(0.0, &[1, 1])), Some(asdl()));
-        assert_eq!(p.decide(&snap(0.0, &[0, 1])), Some(SchedPair::DEFAULT));
+        assert_eq!(p.decide(&snap(0.0, &[1, 1])).0, Some(asdl()));
+        assert_eq!(p.decide(&snap(0.0, &[0, 1])).0, Some(SchedPair::DEFAULT));
     }
 
     #[test]
@@ -194,18 +186,18 @@ mod tests {
     fn queue_policy_audit_explains_each_step() {
         let mut p = QueueDepthPolicy::new(asdl(), SchedPair::DEFAULT, 8.0, 2.0);
         // Tick 1: deep queues, first confirming tick — no flip yet.
-        let (d, a) = p.decide_explained(&snap(0.0, &[10, 10]));
+        let (d, a) = p.decide(&snap(0.0, &[10, 10]));
         assert_eq!(d, Some(SchedPair::DEFAULT));
         assert_eq!(a.signal, "dom0_avg_qdepth");
         assert_eq!(a.observed, 10.0);
         assert_eq!(a.threshold, 8.0, "idle side compares against high watermark");
         assert_eq!((a.streak, a.confirm, a.flipped), (1, 2, false));
         // Tick 2: second confirming tick flips to busy, streak resets.
-        let (d, a) = p.decide_explained(&snap(0.0, &[12, 12]));
+        let (d, a) = p.decide(&snap(0.0, &[12, 12]));
         assert_eq!(d, Some(asdl()));
         assert_eq!((a.streak, a.flipped), (0, true));
         // Tick 3: busy side now audits against the low watermark.
-        let (_, a) = p.decide_explained(&snap(0.0, &[5, 5]));
+        let (_, a) = p.decide(&snap(0.0, &[5, 5]));
         assert_eq!(a.threshold, 2.0);
         assert!(!a.flipped);
     }
@@ -216,10 +208,10 @@ mod tests {
             map_pair: asdl(),
             reduce_pair: SchedPair::DEFAULT,
         };
-        let (_, a) = p.decide_explained(&snap(0.4, &[4]));
+        let (_, a) = p.decide(&snap(0.4, &[4]));
         assert_eq!(a.signal, "maps_done_fraction");
         assert_eq!((a.observed, a.threshold, a.flipped), (0.4, 1.0, false));
-        let (_, a) = p.decide_explained(&snap(1.0, &[4]));
+        let (_, a) = p.decide(&snap(1.0, &[4]));
         assert!(a.flipped);
     }
 }

@@ -12,7 +12,6 @@
 //! consolidation.
 
 use iosched::SchedPair;
-use simcore::par::par_map;
 use simcore::{SimDuration, SimTime};
 use vmstack::runner::{NodeRunner, SyntheticProc};
 use vmstack::NodeParams;
@@ -89,17 +88,6 @@ pub fn measure_switch_cost(cfg: &DdConfig, from: SchedPair, to: SchedPair) -> Sw
         combined,
         cost,
     }
-}
-
-/// The full matrix over the given states (the paper's Fig. 5 uses all
-/// 16 pair states on both axes). Rows/columns follow `states` order.
-pub fn switch_cost_matrix(cfg: &DdConfig, states: &[SchedPair]) -> Vec<Vec<SwitchCost>> {
-    par_map(states, |&from| {
-        states
-            .iter()
-            .map(|&to| measure_switch_cost(cfg, from, to))
-            .collect()
-    })
 }
 
 #[cfg(test)]

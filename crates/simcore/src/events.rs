@@ -341,20 +341,6 @@ impl<T> EventQueue<T> {
         Some(t)
     }
 
-    /// Pop every event scheduled exactly at `now` into `buf`, in FIFO
-    /// order, returning how many were claimed. Zero when the earliest
-    /// pending event is not at `now` (events before `now` would be a
-    /// causality violation and are left alone).
-    pub fn drain_instant(&mut self, now: SimTime, buf: &mut Vec<T>) -> usize {
-        match self.peek_time() {
-            Some(t) if t == now => {}
-            _ => return 0,
-        }
-        let before = buf.len();
-        self.pop_batch(buf);
-        buf.len() - before
-    }
-
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         if let Some(e) = self.active.last() {
@@ -574,20 +560,6 @@ mod tests {
         assert_eq!(q.pop_batch(&mut buf), Some(t2));
         assert_eq!(buf, vec!['x']);
         assert_eq!(q.pop_batch(&mut buf), None);
-    }
-
-    #[test]
-    fn drain_instant_only_matches_now() {
-        let mut q = EventQueue::new();
-        let t1 = SimTime::from_secs(1);
-        q.push(t1, 1);
-        q.push(t1, 2);
-        q.push(SimTime::from_secs(2), 3);
-        let mut buf = Vec::new();
-        assert_eq!(q.drain_instant(SimTime::from_secs(2), &mut buf), 0);
-        assert_eq!(q.drain_instant(t1, &mut buf), 2);
-        assert_eq!(buf, vec![1, 2]);
-        assert_eq!(q.drain_instant(t1, &mut buf), 0, "instant exhausted");
     }
 
     /// Epoch re-priming: events far beyond the initial horizon, with

@@ -152,12 +152,17 @@ impl Json {
 
     /// Parse a JSON document (RFC 8259 subset matching what [`write`]
     /// emits, plus arbitrary whitespace). Returns a message with the
-    /// byte offset on malformed input. Numbers without `.`/`e` parse
-    /// as [`Json::Int`] when they fit, otherwise [`Json::Num`].
+    /// byte offset on malformed input, including arrays and objects
+    /// nested more than 512 deep. Numbers without `.`/`e` parse as
+    /// [`Json::Int`] when they fit, otherwise [`Json::Num`].
     ///
     /// [`write`]: Json::write
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { b: input.as_bytes(), i: 0 };
+        let mut p = Parser {
+            b: input.as_bytes(),
+            i: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -168,9 +173,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document this repository writes, an `adios.profile/1` span tree,
+/// nests 10 levels; the bound turns a hostile `[[[…]]]` input into an
+/// error instead of a stack overflow in the recursive-descent parser.
+const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -208,8 +221,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -606,5 +633,28 @@ mod tests {
         for bad in ["{", "[1,", "\"abc", "{\"a\":}", "1 2", "tru", "{'a':1}"] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        // Exactly MAX_DEPTH levels parse, arrays and objects alike.
+        assert!(Json::parse(&nested_arrays(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH - 1) + "{}" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(Json::parse(&objects).is_ok());
+        // One more level is an error naming the byte of the extra '['.
+        assert_eq!(
+            Json::parse(&nested_arrays(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        // Far deeper input errors the same way instead of overflowing
+        // the stack.
+        let err = Json::parse(&nested_arrays(200_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 }

@@ -286,40 +286,6 @@ fn merge_children(tp: &mut ThreadProfile, into: u32, p: &Profile, from: usize) {
     }
 }
 
-/// Current top subsystem by measured self-time, as `(subsystem,
-/// share)` over all measured time — the live readout the
-/// `ADIOS_PROGRESS` heartbeat prints. Reads the open tree in place
-/// (open spans contribute what they have accumulated so far). `None`
-/// when nothing has been measured yet.
-pub fn top_subsystem_share() -> Option<(String, f64)> {
-    TREE.with(|t| {
-        let tp = t.borrow();
-        let mut shares: Vec<(&str, u64)> = Vec::new();
-        let mut total = 0u64;
-        for (i, n) in tp.nodes.iter().enumerate().skip(1) {
-            let child_ns: u64 = n.children.iter().map(|&c| tp.nodes[c as usize].total_ns).sum();
-            let self_ns = n.total_ns.saturating_sub(child_ns);
-            if self_ns == 0 {
-                continue;
-            }
-            let _ = i;
-            let sub = subsystem(n.name);
-            total += self_ns;
-            match shares.iter_mut().find(|(s, _)| *s == sub) {
-                Some(e) => e.1 += self_ns,
-                None => shares.push((sub, self_ns)),
-            }
-        }
-        if total == 0 {
-            return None;
-        }
-        shares
-            .into_iter()
-            .max_by_key(|&(_, ns)| ns)
-            .map(|(s, ns)| (s.to_string(), ns as f64 / total as f64))
-    })
-}
-
 /// The share-rollup key of a span name: everything before the first
 /// `.` (the whole name when it has none).
 pub fn subsystem(name: &str) -> &str {
@@ -539,22 +505,6 @@ mod tests {
             take().skeleton_json().to_string()
         });
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn top_subsystem_share_groups_by_prefix() {
-        with_clean(LEVEL_FULL, || {
-            {
-                let _a = span("net.solve");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            {
-                let _b = span("evq.pop_batch");
-            }
-            let (name, share) = top_subsystem_share().expect("measured");
-            assert_eq!(name, "net");
-            assert!(share > 0.5, "share {share}");
-        });
     }
 
     #[test]

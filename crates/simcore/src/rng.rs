@@ -159,14 +159,6 @@ impl SimRng {
         lo | (hi << 32)
     }
 
-    /// Fill `dest` with keystream bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(4) {
-            let w = self.next_u32().to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
-    }
-
     /// Uniform draw in `[0, 1)` (53 mantissa bits).
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -204,21 +196,6 @@ impl SimRng {
             }
         };
         -mean * u.ln()
-    }
-
-    /// Normal draw via Box–Muller, clamped at zero (service-time noise
-    /// must not go negative).
-    pub fn normal_nonneg(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "std_dev must be non-negative");
-        let u1 = loop {
-            let u = self.unit();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.unit();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (mean + std_dev * z).max(0.0)
     }
 
     /// Multiplicative jitter: a factor in `[1 - amp, 1 + amp]`.
@@ -268,20 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_matches_word_stream() {
-        let mut a = SimRng::from_seed(5);
-        let mut b = SimRng::from_seed(5);
-        let mut bytes = [0u8; 12];
-        a.fill_bytes(&mut bytes);
-        let w0 = b.next_u32().to_le_bytes();
-        let w1 = b.next_u32().to_le_bytes();
-        let w2 = b.next_u32().to_le_bytes();
-        assert_eq!(&bytes[..4], &w0);
-        assert_eq!(&bytes[4..8], &w1);
-        assert_eq!(&bytes[8..], &w2[..]);
-    }
-
-    #[test]
     fn unit_in_range() {
         let mut r = SimRng::from_seed(3);
         for _ in 0..1000 {
@@ -308,14 +271,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.exponential(5.0)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.2, "sample mean {mean}");
-    }
-
-    #[test]
-    fn normal_nonneg_never_negative() {
-        let mut r = SimRng::from_seed(11);
-        for _ in 0..1000 {
-            assert!(r.normal_nonneg(1.0, 10.0) >= 0.0);
-        }
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! bit-for-bit without retaining their full traces.
 
 use crate::json::Json;
-use crate::stats::OnlineStats;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -1267,20 +1266,6 @@ pub fn to_chrome_json(cluster: &Trace, nodes: &[&Trace]) -> Json {
         .field("displayTimeUnit", "ms")
 }
 
-/// Summarize per-layer anticipation idles from a trace (helper for the
-/// metrics document: count and total armed nanoseconds per layer).
-pub fn idle_summary(trace: &Trace) -> HashMap<Layer, (u64, OnlineStats)> {
-    let mut out: HashMap<Layer, (u64, OnlineStats)> = HashMap::new();
-    for rec in trace.records() {
-        if let TraceEvent::IdleArm { layer, until } = rec.ev {
-            let e = out.entry(layer).or_default();
-            e.0 += 1;
-            e.1.record(until.saturating_since(rec.t).as_secs_f64());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1625,17 +1610,5 @@ mod tests {
             !evs.iter().any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("e")),
             "{text}"
         );
-    }
-
-    #[test]
-    fn idle_summary_counts_arms() {
-        let mut tr = Trace::unbounded();
-        let l = Layer::Guest(1);
-        tr.push(SimTime::ZERO, TraceEvent::IdleArm { layer: l, until: SimTime::from_millis(6) });
-        tr.push(SimTime::from_millis(10), TraceEvent::IdleArm { layer: l, until: SimTime::from_millis(16) });
-        let s = idle_summary(&tr);
-        let (n, stats) = &s[&l];
-        assert_eq!(*n, 2);
-        assert!((stats.mean() - 0.006).abs() < 1e-9);
     }
 }

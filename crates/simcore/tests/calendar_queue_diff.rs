@@ -131,31 +131,3 @@ fn calendar_matches_heap_model_batches() {
         assert_eq!(m.heap.len(), 0);
     });
 }
-
-/// `drain_instant` claims exactly the events at `now` and nothing
-/// otherwise, mirroring a filtered reference drain.
-#[test]
-fn drain_instant_matches_model() {
-    check(64, |g| {
-        let mut q = EventQueue::new();
-        let mut m = ModelQueue::default();
-        for payload in 0..g.usize_in(1, 120) as u64 {
-            let t = SimTime::from_nanos(g.u64_in(0, 500));
-            q.push(t, payload);
-            m.push(t, payload);
-        }
-        let mut buf = Vec::new();
-        while let Some(t) = q.peek_time() {
-            // Asking for a non-earliest instant claims nothing.
-            let later = t + SimDuration::from_nanos(1_000_000);
-            assert_eq!(q.drain_instant(later, &mut buf), 0);
-            buf.clear();
-            let n = q.drain_instant(t, &mut buf);
-            assert_eq!(n, buf.len());
-            let mut mbuf = Vec::new();
-            assert_eq!(m.pop_batch(&mut mbuf), Some(t));
-            assert_eq!(buf, mbuf);
-        }
-        assert_eq!(m.heap.len(), 0);
-    });
-}

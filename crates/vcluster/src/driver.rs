@@ -170,35 +170,14 @@ pub struct PolicyAudit {
     pub flipped: bool,
 }
 
-impl PolicyAudit {
-    /// A minimal audit for policies that do not explain themselves.
-    pub fn opaque() -> Self {
-        PolicyAudit {
-            signal: "opaque",
-            observed: 0.0,
-            threshold: 0.0,
-            streak: 0,
-            confirm: 0,
-            flipped: false,
-        }
-    }
-}
-
 /// A reactive switching policy consulted periodically during the run —
 /// the paper's proposed fine-grained extension of the offline
 /// meta-scheduler.
 pub trait OnlinePolicy: Send {
     /// Inspect the snapshot; return a pair to switch the cluster to
-    /// (returning the current pair or `None` keeps it).
-    fn decide(&mut self, snap: &ClusterSnapshot) -> Option<SchedPair>;
-
-    /// Like [`decide`](Self::decide), but also explains the step with a
-    /// [`PolicyAudit`]. The default wraps `decide` with an opaque
-    /// audit; real policies override both in terms of one shared
-    /// implementation so the two paths can never diverge.
-    fn decide_explained(&mut self, snap: &ClusterSnapshot) -> (Option<SchedPair>, PolicyAudit) {
-        (self.decide(snap), PolicyAudit::opaque())
-    }
+    /// (returning the current pair or `None` keeps it) and the
+    /// [`PolicyAudit`] that explains the step.
+    fn decide(&mut self, snap: &ClusterSnapshot) -> (Option<SchedPair>, PolicyAudit);
 }
 
 /// Result of one job execution.
@@ -1309,7 +1288,7 @@ impl ClusterSim {
                     // Mid-switch ticks skip consultation entirely (no
                     // audit step: the policy was never asked).
                     if !snap.switching {
-                        let (decision, audit) = policy.decide_explained(&snap);
+                        let (decision, audit) = policy.decide(&snap);
                         let acted = decision.is_some_and(|p| p != snap.current_pair);
                         self.trace.push(
                             self.now,
@@ -1346,53 +1325,10 @@ impl ClusterSim {
             let p = *period;
             self.queue.push(SimTime::ZERO + p, Ev::PolicyTick);
         }
-        // `ADIOS_PROGRESS=1` prints a heartbeat to stderr every 2^20
-        // events — the tool for telling "slow" from "stuck" on big
-        // configurations (stderr only; no effect on any artifact).
-        let progress = std::env::var_os("ADIOS_PROGRESS").is_some_and(|v| v != "0");
-        let mut last_beat = 0u64;
-        let wall_start = std::time::Instant::now();
         // Claim all same-instant events in one queue touch; dispatch in
         // the exact (time, seq) order single pops would give.
         let mut batch: Vec<Ev> = Vec::with_capacity(64);
         while !self.tracker.finished() {
-            if progress && self.events_processed >> 20 != last_beat {
-                last_beat = self.events_processed >> 20;
-                let elapsed = wall_start.elapsed().as_secs_f64().max(1e-9);
-                let rate = self.events_processed as f64 / elapsed;
-                // Sim-time advance per wall second, read off the
-                // calendar queue's watermark; combined with the
-                // completed-task fraction it yields an ETA.
-                let sim_rate = self.queue.now().as_secs_f64() / elapsed;
-                let frac = self.progress.last().map(|&(_, f)| f).unwrap_or(0.0);
-                let eta = if frac > 0.0 {
-                    format!("{:.0}s", elapsed * (1.0 - frac) / frac)
-                } else {
-                    "?".to_string()
-                };
-                // Live wall-time attribution from the span profiler:
-                // which subsystem owns the run right now (S2 of the
-                // self-profiling issue — long sweeps show where time
-                // goes without waiting for the final profile doc).
-                let top = simcore::prof::top_subsystem_share()
-                    .map(|(name, share)| format!(" top={} {:.0}%", name, share * 100.0))
-                    .unwrap_or_default();
-                eprintln!(
-                    "[adios] t={:.3}s events={} ({:.0}/s, x{:.1} realtime) queue={} \
-                     maps_done={} streams={} flows={} done={:.0}% eta={}{}",
-                    self.now.as_secs_f64(),
-                    self.events_processed,
-                    rate,
-                    sim_rate,
-                    self.queue.len(),
-                    self.tracker.maps_done_count(),
-                    self.streams.len(),
-                    self.net.active_flows(),
-                    frac * 100.0,
-                    eta,
-                    top,
-                );
-            }
             // The coarse per-batch span carries the driver's own share
             // of the profile (rearm + claim + dispatch, minus whatever
             // the nested subsystem spans claim for themselves).

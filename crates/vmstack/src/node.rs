@@ -370,11 +370,6 @@ impl NodeStack {
         &self.dom0_meter
     }
 
-    /// Mutable Dom0 meter (CDF extraction sorts samples).
-    pub fn dom0_meter_mut(&mut self) -> &mut ThroughputMeter {
-        &mut self.dom0_meter
-    }
-
     /// Per-VM throughput meter (guest request completions).
     pub fn vm_meter(&self, vm: VmId) -> &ThroughputMeter {
         &self.guests[vm as usize].meter

@@ -176,11 +176,6 @@ impl NodeRunner {
         &self.stack
     }
 
-    /// Mutable access to the stack (meter CDF extraction).
-    pub fn stack_mut(&mut self) -> &mut NodeStack {
-        &mut self.stack
-    }
-
     /// Register a synthetic process before `run`.
     pub fn add_proc(&mut self, spec: SyntheticProc) {
         let rng = match spec.pattern {

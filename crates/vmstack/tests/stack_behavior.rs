@@ -175,7 +175,7 @@ fn meters_capture_both_levels() {
     assert_eq!(r.stack().vm_meter(0).total_bytes(), 32 * MIB);
     assert_eq!(r.stack().vm_meter(1).total_bytes(), 32 * MIB);
     // Samples exist for CDF extraction.
-    assert!(!r.stack_mut().dom0_meter_mut().samples().is_empty());
+    assert!(!r.stack().dom0_meter().samples().is_empty());
 }
 
 /// Mixed read/write across VMs with different guest schedulers all

@@ -129,6 +129,23 @@ for doc in BENCH_micro.json BENCH_sweep.json; do
   fi
 done
 
+# Malformed-input smoke: a 200,000-deep `[[…]]` document must be
+# rejected with the JSON parser's depth error (exit 1), not abort on a
+# stack overflow (exit 134).
+deep_json="$(mktemp)"
+{ head -c 200000 /dev/zero | tr '\0' '['; head -c 200000 /dev/zero | tr '\0' ']'; } \
+  > "${deep_json}"
+deep_status=0
+deep_err="$(cargo run -q --release --offline -p adios-report -- render "${deep_json}" \
+  2>&1 > /dev/null)" || deep_status=$?
+rm -f "${deep_json}"
+if (( deep_status != 1 )) || ! grep -qF 'nesting deeper than' <<< "${deep_err}"; then
+  echo "error: a 200000-deep JSON array must exit 1 with the depth error" \
+    "(exit ${deep_status})" >&2
+  echo "${deep_err}" >&2
+  exit 1
+fi
+
 # Cross-run analytics smoke: a mini-sweep over two node counts (a comma
 # list), two pairs and two parallel-copies settings must round-trip
 # through `rank`, `correlate` and `overlap`. `rank` without
@@ -162,4 +179,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + rank/correlate/overlap smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + deep-JSON rejection + rank/correlate/overlap smoke green; dependency graph is workspace-only"

@@ -1,32 +1,25 @@
 //! Command-line driver for the reproduction.
 //!
-//! ```text
-//! repro-cli run   [--workload sort] [--pair cc] [--nodes 4] [--vms 4] [--data-mb 512]
-//!                 [--telemetry off|counters|full] [--metrics-out FILE] [--trace-out FILE]
-//!                 [--profile-out FILE]
-//!                 [--mode plan|reactive] [--policy queue|phase] [--tick-ms 500]
-//!                 [--busy-pair dd] [--idle-pair cc] [--map-pair ac] [--reduce-pair dd]
-//! repro-cli sweep [--workload sort] [--nodes 4,8,...] [--vms 4] [--data-mb 512,...]
-//!                 [--pairs cc,dd,...] [--parallel-copies 1,5,10,...]
-//!                 [--json-out FILE] [--metrics-dir DIR]
-//! repro-cli tune  [--workload sort] [--nodes 4] [--vms 4] [--data-mb 512] [--json true]
-//! repro-cli switch-cost [--from cc] [--to ad] [--vms 4] [--mb 600]
-//! repro-cli waves [--data-mb 128,192,256,320,384,448,512]
-//! repro-cli serve-jobs [--nodes 4] [--vms 4] [--duration-s 300] [--rate 6]
-//!                 [--seed 42] [--tenants sort:2,wordcount:1] [--data-mb 64]
-//!                 [--policy adaptive|PAIR] [--margin 0.05] [--switch-cost-ms 500]
-//!                 [--retune-s 5] [--max-concurrent 8] [--arrivals-file FILE]
-//!                 [--metrics-out FILE]
-//! ```
+//! `repro-cli` with no arguments prints every subcommand with the
+//! flags it accepts; the `COMMANDS` table below is the one source of
+//! that usage text and of flag validation. Every flag takes a value
+//! (`--key value`).
 //!
 //! Pairs use the paper's two-letter codes (`c`=CFQ, `d`=deadline,
 //! `a`=anticipatory, `n`=noop; first letter = VMM/Dom0, second = VMs).
 //!
-//! `run --mode reactive` replaces the fixed switch plan with the online
-//! switcher the paper sketches as future work: a policy consulted every
-//! `--tick-ms` of simulated time that picks the pair from live cluster
-//! state. Its switch decisions are recorded in the metrics document
-//! (`online` section) and echoed on stdout.
+//! `run --policy queue|phase` replaces the fixed switch plan with the
+//! online switcher the paper sketches as future work: a policy
+//! consulted every `--tick-ms` (default 500) of simulated time that
+//! picks the pair from live cluster state — Dom0 queue depth (`queue`:
+//! `--busy-pair`, `--idle-pair`) or map completion (`phase`:
+//! `--map-pair`, `--reduce-pair`). Its switch decisions are recorded in
+//! the metrics document (`online` section) and echoed on stdout.
+//!
+//! `tune` runs the meta-scheduler (pair profiling, then Algorithm 1)
+//! and prints a summary; `--json true` prints the whole `adios.tune/2`
+//! decision-audit document instead (every evaluation in search order
+//! and each phase's decision with its candidate table).
 //!
 //! `sweep` shards its grid (every `--nodes` entry × every `--data-mb`
 //! entry × all 16 pairs, or the `--pairs` subset) over worker threads
@@ -60,18 +53,19 @@
 //! Every output flag is validated *before* the simulation runs: a
 //! path pointing into a missing directory fails immediately with a
 //! clear error instead of losing the results after a long run. A flag
-//! the subcommand does not read exits 2 with `unknown flag --key`; a
+//! the subcommand does not read exits 2 with `unknown flag --key`, as
+//! does a `run` policy flag given without the policy that reads it; a
 //! flag value that does not parse exits 2 with `--flag: "value": error`.
 
 use adaptive_disk_sched::iosched::SchedPair;
 use adaptive_disk_sched::metasched::{
-    calibrate_tenants, measure_switch_cost, BlendedTuner, DdConfig, EvalCache, Experiment,
-    MetaScheduler, PhaseReactivePolicy, QueueDepthPolicy,
+    calibrate_tenants, BlendedTuner, EvalCache, Experiment, MetaScheduler, PhaseReactivePolicy,
+    QueueDepthPolicy,
 };
 use adaptive_disk_sched::mrsim::{ClusterShape, JobPhase, JobSpec, WorkloadSpec};
 use adaptive_disk_sched::vcluster::{
-    run_job, run_service, run_sweep, stamp_manifest, ArrivalSpec, ClusterParams, ClusterSim,
-    FixedPolicy, RunManifest, ServiceParams, ServicePolicy, SweepGrid, SwitchPlan, TenantMix,
+    run_service, run_sweep, stamp_manifest, ArrivalSpec, ClusterParams, ClusterSim, FixedPolicy,
+    OnlinePolicy, RunManifest, ServiceParams, ServicePolicy, SweepGrid, SwitchPlan, TenantMix,
 };
 use simcore::{Json, OracleConfig, SimDuration, Telemetry, TraceOracle};
 use std::collections::HashMap;
@@ -79,11 +73,36 @@ use std::fmt::Display;
 use std::process::exit;
 use std::str::FromStr;
 
+/// A subcommand: its name, its handler and the flags it reads.
+type Command = (&'static str, fn(Flags), &'static [&'static str]);
+
+/// Every subcommand (`cluster()` reads nodes/vms/telemetry, `job()`
+/// workload/data-mb).
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("run", cmd_run, &[
+        "workload", "pair", "nodes", "vms", "data-mb", "telemetry", "metrics-out", "trace-out",
+        "profile-out", "policy", "tick-ms", "busy-pair", "idle-pair", "map-pair", "reduce-pair",
+    ]),
+    ("sweep", cmd_sweep, &[
+        "workload", "nodes", "vms", "data-mb", "telemetry", "pairs", "parallel-copies",
+        "json-out", "metrics-dir",
+    ]),
+    ("tune", cmd_tune, &["workload", "nodes", "vms", "data-mb", "telemetry", "json"]),
+    ("serve-jobs", cmd_serve_jobs, &[
+        "nodes", "vms", "telemetry", "duration-s", "rate", "seed", "tenants", "data-mb",
+        "policy", "margin", "switch-cost-ms", "retune-s", "max-concurrent", "arrivals-file",
+        "metrics-out",
+    ]),
+];
+
+/// Print every subcommand with the flags it accepts, then exit 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro-cli <run|sweep|tune|switch-cost|waves|serve-jobs> [--key value]...\n\
-         see the module docs (src/bin/repro-cli.rs) for the full flag list"
-    );
+    eprintln!("usage: repro-cli <subcommand> [--key value]...");
+    for (name, _, accepted) in COMMANDS {
+        let flags: Vec<String> = accepted.iter().map(|key| format!("--{key}")).collect();
+        eprintln!("  {name:<10} {}", flags.join(" "));
+    }
     exit(2);
 }
 
@@ -242,62 +261,67 @@ fn pair(flags: &Flags, key: &str, default: &str) -> SchedPair {
 /// typo'd directory fails before the simulation, not after it.
 const RUN_OUT_FLAGS: &[&str] = &["metrics-out", "trace-out", "profile-out"];
 
+/// The `run` flags only an online policy reads, with the policies that
+/// read each one.
+const POLICY_FLAGS: &[(&str, &[&str])] = &[
+    ("tick-ms", &["queue", "phase"]),
+    ("busy-pair", &["queue"]),
+    ("idle-pair", &["queue"]),
+    ("map-pair", &["phase"]),
+    ("reduce-pair", &["phase"]),
+];
+
+/// The online switcher `--policy` asks for and its consultation
+/// period, or `None` for a fixed-plan run. A policy flag given without
+/// a policy that reads it exits 2, as an unknown flag does.
+fn online_policy(flags: &Flags, base: SchedPair) -> Option<(Box<dyn OnlinePolicy>, SimDuration)> {
+    let name = flags.get("policy").map(String::as_str);
+    for (key, readers) in POLICY_FLAGS {
+        if flags.contains_key(*key) && !name.is_some_and(|n| readers.contains(&n)) {
+            eprintln!("--{key} needs --policy {}", readers.join("|"));
+            exit(2);
+        }
+    }
+    let policy: Box<dyn OnlinePolicy> = match name? {
+        // Deep Dom0 queues => the disk is the bottleneck, install the
+        // throughput pair; shallow => return to the baseline (the pair
+        // `--pair` asked for).
+        "queue" => Box::new(QueueDepthPolicy::new(
+            pair(flags, "busy-pair", "dd"),
+            flag(flags, "idle-pair").unwrap_or(base),
+            8.0,
+            2.0,
+        )),
+        "phase" => Box::new(PhaseReactivePolicy {
+            map_pair: pair(flags, "map-pair", "ac"),
+            reduce_pair: pair(flags, "reduce-pair", "dd"),
+        }),
+        other => {
+            eprintln!("--policy must be queue|phase, got {other:?}");
+            exit(2);
+        }
+    };
+    let tick_ms: u64 = flag(flags, "tick-ms").unwrap_or(500);
+    Some((policy, SimDuration::from_millis(tick_ms)))
+}
+
 fn cmd_run(flags: Flags) {
     validate_out_flags(&flags, RUN_OUT_FLAGS);
-    let params = cluster(&flags);
+    let mut params = cluster(&flags);
     simcore::prof::set_level(params.node.telemetry);
     let j = job(&flags);
     check_job(&params.shape, &j);
     let p = pair(&flags, "pair", "cc");
-    let mut params = params;
+    let online = online_policy(&flags, p);
+    let reactive = online.is_some();
     if flags.contains_key("trace-out") && params.node.trace_capacity == 0 {
         // A timeline export needs retained records; keep the most
         // recent 64k events per ring unless the user sized it.
         params.node.trace_capacity = 1 << 16;
     }
     let mut sim = ClusterSim::new(params.clone(), j.clone(), SwitchPlan::single(p));
-    let mode = flags.get("mode").map(String::as_str).unwrap_or("plan");
-    match mode {
-        "plan" => {}
-        "reactive" => {
-            let tick_ms: u64 = flag(&flags, "tick-ms").unwrap_or(500);
-            let period = SimDuration::from_millis(tick_ms);
-            match flags.get("policy").map(String::as_str).unwrap_or("queue") {
-                "queue" => {
-                    // Deep Dom0 queues => the disk is the bottleneck,
-                    // install the throughput pair; shallow => return to
-                    // the baseline (the pair `--pair` asked for).
-                    let busy = pair(&flags, "busy-pair", "dd");
-                    let idle = flags
-                        .get("idle-pair")
-                        .map(|_| pair(&flags, "idle-pair", "cc"))
-                        .unwrap_or(p);
-                    sim.set_online_policy(
-                        Box::new(QueueDepthPolicy::new(busy, idle, 8.0, 2.0)),
-                        period,
-                    );
-                }
-                "phase" => {
-                    let map_pair = pair(&flags, "map-pair", "ac");
-                    let reduce_pair = pair(&flags, "reduce-pair", "dd");
-                    sim.set_online_policy(
-                        Box::new(PhaseReactivePolicy {
-                            map_pair,
-                            reduce_pair,
-                        }),
-                        period,
-                    );
-                }
-                other => {
-                    eprintln!("--policy must be queue|phase, got {other:?}");
-                    exit(2);
-                }
-            }
-        }
-        other => {
-            eprintln!("--mode must be plan|reactive, got {other:?}");
-            exit(2);
-        }
+    if let Some((policy, period)) = online {
+        sim.set_online_policy(policy, period);
     }
     let out = sim.run();
     if let Some(path) = flags.get("metrics-out") {
@@ -330,7 +354,7 @@ fn cmd_run(flags: Flags) {
         out.phases.non_concurrent_shuffle_pct(),
         out.network_bytes >> 20
     );
-    if mode == "reactive" {
+    if reactive {
         // The full decision log also lands in the metrics document's
         // `online` section (`--metrics-out`).
         if out.switch_log.is_empty() {
@@ -468,19 +492,7 @@ fn cmd_tune(flags: Flags) {
     check_job(&exp.params.shape, &exp.job);
     let report = MetaScheduler::new(exp).tune();
     if json {
-        // Machine-readable one-liner for scripting (simcore::Json —
-        // the in-tree writer used for all experiment dumps).
-        let plan: Vec<String> = report.final_assignment().iter().map(|p| p.code()).collect();
-        let line = Json::obj()
-            .field("default_s", rounded(report.default_time.as_secs_f64(), 3))
-            .field("best_single_s", rounded(report.best_single.total.as_secs_f64(), 3))
-            .field("best_single_pair", report.best_single.pair.code())
-            .field("adaptive_s", rounded(report.final_time().as_secs_f64(), 3))
-            .field("plan", plan.join("+"))
-            .field("gain_vs_default_pct", rounded(report.gain_vs_default_pct(), 2))
-            .field("gain_vs_best_single_pct", rounded(report.gain_vs_best_single_pct(), 2))
-            .field("evaluations", report.heuristic.runs() as u64);
-        println!("{}", line.to_string());
+        println!("{}", report.to_json().to_string());
         return;
     }
     println!("default (CFQ, CFQ): {:.1}s", report.default_time.as_secs_f64());
@@ -501,55 +513,6 @@ fn cmd_tune(flags: Flags) {
         report.gain_vs_best_single_pct(),
         report.heuristic.runs(),
     );
-}
-
-/// Round to `digits` decimal places for stable JSON output.
-fn rounded(x: f64, digits: u32) -> f64 {
-    let scale = 10f64.powi(digits as i32);
-    (x * scale).round() / scale
-}
-
-fn cmd_switch_cost(flags: Flags) {
-    let mut cfg = DdConfig::default();
-    if let Some(v) = flag(&flags, "vms") {
-        cfg.vms = v;
-    }
-    if let Some(mb) = flag::<u64>(&flags, "mb") {
-        cfg.bytes_per_vm = mb * 1_000_000;
-    }
-    let from = pair(&flags, "from", "cc");
-    let to = pair(&flags, "to", "ad");
-    let c = measure_switch_cost(&cfg, from, to);
-    println!(
-        "switch {} -> {} under {} VMs x {} MB dd: cost {:.2}s (combined run {:.1}s)",
-        from,
-        to,
-        cfg.vms,
-        cfg.bytes_per_vm / 1_000_000,
-        c.cost.as_secs_f64(),
-        c.combined.as_secs_f64()
-    );
-}
-
-fn cmd_waves(flags: Flags) {
-    let params = cluster(&flags);
-    let list: Vec<u64> = flag_list(&flags, "data-mb")
-        .unwrap_or_else(|| vec![128, 192, 256, 320, 384, 448, 512]);
-    println!("{:>8} {:>7} {:>24} {:>10}", "data/VM", "waves", "non-concurrent shuffle", "time");
-    for mb in list {
-        let mut j = JobSpec::new(WorkloadSpec::sort());
-        j.data_per_vm_bytes = mb * 1024 * 1024;
-        check_job(&params.shape, &j);
-        let waves = j.waves(&params.shape);
-        let out = run_job(&params, &j, SwitchPlan::single(SchedPair::DEFAULT));
-        println!(
-            "{:>6}MB {:>7.2} {:>23.1}% {:>9.1}s",
-            mb,
-            waves,
-            out.phases.non_concurrent_shuffle_pct(),
-            out.makespan.as_secs_f64()
-        );
-    }
 }
 
 fn cmd_serve_jobs(flags: Flags) {
@@ -669,37 +632,9 @@ fn cmd_serve_jobs(flags: Flags) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    // Each subcommand with the flags it reads (`cluster()` reads
-    // nodes/vms/telemetry, `job()` workload/data-mb).
-    #[rustfmt::skip]
-    let (run, accepted): (fn(Flags), &[&str]) = match cmd.as_str() {
-        "run" => (
-            cmd_run,
-            &[
-                "workload", "pair", "nodes", "vms", "data-mb", "telemetry", "metrics-out",
-                "trace-out", "profile-out", "mode", "policy", "tick-ms", "busy-pair",
-                "idle-pair", "map-pair", "reduce-pair",
-            ],
-        ),
-        "sweep" => (
-            cmd_sweep,
-            &[
-                "workload", "nodes", "vms", "data-mb", "telemetry", "pairs", "parallel-copies",
-                "json-out", "metrics-dir",
-            ],
-        ),
-        "tune" => (cmd_tune, &["workload", "nodes", "vms", "data-mb", "telemetry", "json"]),
-        "switch-cost" => (cmd_switch_cost, &["from", "to", "vms", "mb"]),
-        "waves" => (cmd_waves, &["nodes", "vms", "telemetry", "data-mb"]),
-        "serve-jobs" => (
-            cmd_serve_jobs,
-            &[
-                "nodes", "vms", "telemetry", "duration-s", "rate", "seed", "tenants", "data-mb",
-                "policy", "margin", "switch-cost-ms", "retune-s", "max-concurrent",
-                "arrivals-file", "metrics-out",
-            ],
-        ),
-        _ => usage(),
+    let Some((_, run, accepted)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("unknown subcommand {cmd:?}");
+        usage()
     };
     run(parse_flags(&args[1..], accepted));
 }

@@ -2,6 +2,9 @@
 //! and unknown flags and bad values exit 2 with a message naming the
 //! flag — never a panic.
 
+use adaptive_disk_sched::metasched::{Experiment, MetaScheduler};
+use adaptive_disk_sched::mrsim::{JobSpec, WorkloadSpec};
+use adaptive_disk_sched::vcluster::ClusterParams;
 use std::process::{Command, Output};
 
 fn repro_cli(args: &[&str]) -> Output {
@@ -51,6 +54,42 @@ fn bad_flag_values_exit_2_without_panicking() {
             &["run", "--flight-out", "f.json"][..],
             "unknown flag --flight-out",
         ),
+        // `--policy` alone turns the online switcher on; `--mode` is
+        // retired.
+        (
+            &["run", "--mode", "reactive", "--policy", "phase"][..],
+            "unknown flag --mode",
+        ),
+        // A policy-only flag without the policy that reads it is
+        // rejected before the simulation starts.
+        (
+            &[
+                "run",
+                "--nodes",
+                "2",
+                "--vms",
+                "2",
+                "--data-mb",
+                "16",
+                "--busy-pair",
+                "dd",
+            ][..],
+            "--busy-pair",
+        ),
+        (
+            &["run", "--policy", "phase", "--busy-pair", "dd"][..],
+            "--busy-pair",
+        ),
+        (
+            &["run", "--policy", "queue", "--map-pair", "ad"][..],
+            "--map-pair",
+        ),
+        (&["run", "--tick-ms", "100"][..], "--tick-ms"),
+        (&["run", "--policy", "plan"][..], "--policy"),
+        // Retired subcommands: the benches `table2_waves` and
+        // `fig5_switch_cost` answer their questions.
+        (&["waves"][..], "unknown subcommand \"waves\""),
+        (&["switch-cost"][..], "unknown subcommand \"switch-cost\""),
         // `--json` is a bool, parsed before the tune runs.
         (&["tune", "--json", "x"][..], "--json"),
         // Valid numbers, impossible job: one VM cannot hold two
@@ -79,6 +118,109 @@ fn bad_flag_values_exit_2_without_panicking() {
         );
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
+}
+
+/// Bare invocation prints the usage text built from the flag table:
+/// every subcommand and every flag it accepts.
+#[test]
+fn bare_invocation_lists_every_subcommand_and_flag() {
+    let out = repro_cli(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    #[rustfmt::skip]
+    let table: [(&str, &[&str]); 4] = [
+        ("run", &[
+            "workload", "pair", "nodes", "vms", "data-mb", "telemetry", "metrics-out",
+            "trace-out", "profile-out", "policy", "tick-ms", "busy-pair", "idle-pair",
+            "map-pair", "reduce-pair",
+        ]),
+        ("sweep", &[
+            "workload", "nodes", "vms", "data-mb", "telemetry", "pairs", "parallel-copies",
+            "json-out", "metrics-dir",
+        ]),
+        ("tune", &["workload", "nodes", "vms", "data-mb", "telemetry", "json"]),
+        ("serve-jobs", &[
+            "nodes", "vms", "telemetry", "duration-s", "rate", "seed", "tenants", "data-mb",
+            "policy", "margin", "switch-cost-ms", "retune-s", "max-concurrent",
+            "arrivals-file", "metrics-out",
+        ]),
+    ];
+    for (cmd, flags) in table {
+        let line = stderr
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(cmd))
+            .unwrap_or_else(|| panic!("no usage line for {cmd}:\n{stderr}"));
+        let listed: Vec<&str> = line.split_whitespace().skip(1).collect();
+        let want: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
+        assert_eq!(listed, want, "{cmd}");
+    }
+    let subcommands = stderr.lines().filter(|l| l.starts_with("  ")).count();
+    assert_eq!(subcommands, 4, "{stderr}");
+}
+
+/// `tune --json true` prints the `adios.tune/2` decision-audit document
+/// itself, byte for byte what the library serializes.
+#[test]
+fn tune_json_prints_the_tune_document() {
+    let out = repro_cli(&[
+        "tune",
+        "--nodes",
+        "2",
+        "--vms",
+        "2",
+        "--data-mb",
+        "16",
+        "--json",
+        "true",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut params = ClusterParams::default();
+    params.shape.nodes = 2;
+    params.shape.vms_per_node = 2;
+    let mut job = JobSpec::new(WorkloadSpec::sort());
+    job.data_per_vm_bytes = 16 << 20;
+    let doc = MetaScheduler::new(Experiment::new(params, job))
+        .tune()
+        .to_json()
+        .to_string();
+    assert_eq!(stdout, doc + "\n");
+    assert!(
+        stdout.starts_with("{\"schema\":\"adios.tune/2\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"decisions\":["), "{stdout}");
+}
+
+/// `run --policy phase` with no other switch flag consults the online
+/// policy and logs its switches.
+#[test]
+fn run_policy_turns_the_online_switcher_on() {
+    let out = repro_cli(&[
+        "run",
+        "--nodes",
+        "2",
+        "--vms",
+        "2",
+        "--data-mb",
+        "16",
+        "--policy",
+        "phase",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("  online switch at "), "{stdout}");
 }
 
 #[test]
