@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the simulator itself: elevator add/dispatch
-//! throughput, calendar event-queue push/pop and same-instant batch
-//! drain, the memo-cache hit path, mechanical disk service computation,
-//! and a complete small MapReduce job — the costs that bound every
+//! throughput, one node's whole virtualized block path at fixed VM
+//! counts, calendar event-queue push/pop and same-instant batch drain,
+//! the memo-cache hit path, mechanical disk service computation, and a
+//! complete small MapReduce job — the costs that bound every
 //! reproduction experiment above.
 //!
 //! Runs on the in-tree `repro_bench::micro` timer harness (warmup +
@@ -19,6 +20,8 @@ use repro_bench::quick;
 use simcore::{EventQueue, Json, SimDuration, SimTime};
 use std::hint::black_box;
 use vcluster::{run_job, ClusterParams, NetParams, Network, SwitchPlan};
+use vmstack::runner::{NodeRunner, SyntheticProc};
+use vmstack::NodeParams;
 
 fn elevator_round(kind: SchedKind) -> u64 {
     let mut e = build_elevator(kind, &Tunables::default());
@@ -199,6 +202,18 @@ fn net_churn(active: usize, rounds: u64, sources: u64) -> u64 {
 }
 
 /// Serialize one benchmark's timing for `BENCH_micro.json`.
+/// One `dd` pass through a single node's block path: each of `vms`
+/// VMs writes 32 MiB sequentially under the default pair, so every
+/// request goes submit → guest elevator → ring → Dom0 elevator → disk
+/// → completion fan-out.
+fn vmstack_dd(vms: u32) -> SimDuration {
+    let mut r = NodeRunner::new(NodeParams::default(), vms, SchedPair::DEFAULT);
+    for vm in 0..vms {
+        r.add_proc(SyntheticProc::dd_writer(vm, 0, 0, 32 * 1024 * 1024));
+    }
+    r.run().makespan
+}
+
 fn timing_json(name: &str, t: Timing) -> Json {
     Json::obj()
         .field("name", name)
@@ -237,6 +252,12 @@ fn main() {
             });
             results.push(timing_json(&name, t));
         }
+    }
+
+    for vms in [1u32, 4, 16] {
+        let name = format!("vmstack_dd/{vms}");
+        let t = bench(&name, warmup, iters, || black_box(vmstack_dd(vms)));
+        results.push(timing_json(&name, t));
     }
 
     let t = bench("event_queue_push_pop_4k", warmup, iters, || {

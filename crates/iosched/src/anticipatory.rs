@@ -13,8 +13,8 @@
 //! paying one seek per run rather than one per request.
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
-use crate::pool::{add_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
-use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, Sector, StreamId};
+use crate::pool::{add_run_with_merge, add_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
+use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId};
 use simcore::{FxHashMap, SimDuration, SimTime};
 
 /// Anticipatory tunables (Linux defaults).
@@ -195,6 +195,20 @@ impl<P: PoolKernel> Anticipatory<P> {
         }
     }
 
+    /// Feed the per-stream think-time / seek estimators with a sync
+    /// arrival.
+    fn observe_arrival(&mut self, r: &IoRequest, now: SimTime) {
+        if r.sync {
+            let st = self.stats.entry(r.stream).or_insert_with(StreamStats::new);
+            if st.thinking {
+                st.thinking = false;
+                let think = now.saturating_since(st.last_completion).as_nanos() as f64;
+                let seek = r.sector.abs_diff(st.last_end) as f64;
+                st.observe(think, seek);
+            }
+        }
+    }
+
     fn any_fifo_expired(&mut self, now: SimTime) -> bool {
         let r = self.fifo[Dir::Read.idx()]
             .head_expired(self.pools.pool(Dir::Read), now)
@@ -276,16 +290,8 @@ impl<P: PoolKernel> Elevator for Anticipatory<P> {
     }
 
     fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome {
-        // Feed the per-stream think-time / seek estimators.
-        if r.sync {
-            let st = self.stats.entry(r.stream).or_insert_with(StreamStats::new);
-            if st.thinking {
-                st.thinking = false;
-                let think = now.saturating_since(st.last_completion).as_nanos() as f64;
-                let seek = r.sector.abs_diff(st.last_end) as f64;
-                st.observe(think, seek);
-            }
-        }
+        let _prof = simcore::prof::span_hot("iosched.add");
+        self.observe_arrival(&r, now);
         let dir = r.dir;
         let deadline = now + self.expire_for(dir);
         let (outcome, qid) = add_with_merge(self.pools.pool_mut(dir), r, self.max_merge_sectors);
@@ -293,6 +299,28 @@ impl<P: PoolKernel> Elevator for Anticipatory<P> {
             self.fifo[dir.idx()].push(qid, deadline);
         }
         outcome
+    }
+
+    fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {
+        let _prof = simcore::prof::span_hot("iosched.add");
+        // Only the first piece can observe: it clears `thinking`, which
+        // makes the estimator update a no-op for every later piece.
+        if run.next_len().is_none() {
+            return;
+        }
+        self.observe_arrival(run.rest(), now);
+        let dir = run.rest().dir;
+        let deadline = now + self.expire_for(dir);
+        let others = self.pools.len() - self.pools.pool(dir).len();
+        let fifo = &mut self.fifo[dir.idx()];
+        add_run_with_merge(
+            self.pools.pool_mut(dir),
+            run,
+            self.max_merge_sectors,
+            others,
+            steps,
+            |qid| fifo.push(qid, deadline),
+        );
     }
 
     fn dispatch(&mut self, now: SimTime) -> Dispatch {

@@ -16,8 +16,8 @@
 //! (`slice_async`) and no idling, reproducing CFQ's trickled writeback.
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
-use crate::pool::{add_with_merge, PoolKernel, RqPool};
-use crate::request::{AddOutcome, IoRequest, QueuedRq, Sector, StreamId};
+use crate::pool::{add_run_with_merge, add_with_merge, PoolKernel, RqPool};
+use crate::request::{AddOutcome, IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId};
 use simcore::{FxHashMap, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -117,6 +117,16 @@ impl<P: PoolKernel> Cfq<P> {
         }
     }
 
+    /// Queue an arrival belongs to: its stream's sync queue (interned
+    /// on first sight) or the shared async queue.
+    fn key_for(&mut self, r: &IoRequest) -> QueueKey {
+        if r.sync {
+            QueueKey::Sync(self.intern(r.stream))
+        } else {
+            QueueKey::Async
+        }
+    }
+
     fn queue_mut(&mut self, key: QueueKey) -> &mut CfqQueue<P> {
         match key {
             QueueKey::Sync(i) => &mut self.queues[i as usize],
@@ -205,11 +215,8 @@ impl<P: PoolKernel> Elevator for Cfq<P> {
     }
 
     fn add(&mut self, r: IoRequest, _now: SimTime) -> AddOutcome {
-        let key = if r.sync {
-            QueueKey::Sync(self.intern(r.stream))
-        } else {
-            QueueKey::Async
-        };
+        let _prof = simcore::prof::span_hot("iosched.add");
+        let key = self.key_for(&r);
         let max = self.max_merge_sectors;
         let q = self.queue_mut(key);
         let (outcome, _qid) = add_with_merge(&mut q.pool, r, max);
@@ -218,6 +225,23 @@ impl<P: PoolKernel> Elevator for Cfq<P> {
         }
         self.link_rr(key);
         outcome
+    }
+
+    fn add_run(&mut self, run: &mut SegRun, _now: SimTime, steps: &mut Vec<RunStep>) {
+        let _prof = simcore::prof::span_hot("iosched.add");
+        if run.next_len().is_none() {
+            return;
+        }
+        // Every piece maps to the same queue, and `link_rr` is
+        // idempotent after the first arrival: intern and link once.
+        let key = self.key_for(run.rest());
+        let max = self.max_merge_sectors;
+        let queued = self.queued;
+        let q = self.queue_mut(key);
+        let others = queued - q.pool.len();
+        add_run_with_merge(&mut q.pool, run, max, others, steps, |_| {});
+        self.queued = others + q.pool.len();
+        self.link_rr(key);
     }
 
     fn dispatch(&mut self, now: SimTime) -> Dispatch {

@@ -9,8 +9,8 @@
 //! for `writes_starved` consecutive read batches.
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
-use crate::pool::{add_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
-use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, Sector};
+use crate::pool::{add_run_with_merge, add_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
+use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, RunStep, Sector, SegRun};
 use simcore::{SimDuration, SimTime};
 
 /// Deadline tunables (`/sys/block/<dev>/queue/iosched/*` defaults).
@@ -126,6 +126,7 @@ impl<P: PoolKernel> Elevator for DeadlineSched<P> {
     }
 
     fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome {
+        let _prof = simcore::prof::span_hot("iosched.add");
         let dir = r.dir;
         let deadline = now + self.expire_for(dir);
         let (outcome, qid) = add_with_merge(self.pools.pool_mut(dir), r, self.max_merge_sectors);
@@ -133,6 +134,22 @@ impl<P: PoolKernel> Elevator for DeadlineSched<P> {
             self.fifo[dir.idx()].push(qid, deadline);
         }
         outcome
+    }
+
+    fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {
+        let _prof = simcore::prof::span_hot("iosched.add");
+        let dir = run.rest().dir;
+        let deadline = now + self.expire_for(dir);
+        let others = self.pools.len() - self.pools.pool(dir).len();
+        let fifo = &mut self.fifo[dir.idx()];
+        add_run_with_merge(
+            self.pools.pool_mut(dir),
+            run,
+            self.max_merge_sectors,
+            others,
+            steps,
+            |qid| fifo.push(qid, deadline),
+        );
     }
 
     fn dispatch(&mut self, now: SimTime) -> Dispatch {

@@ -1,6 +1,6 @@
 //! The elevator interface, scheduler identities, tunables and factory.
 
-use crate::request::{AddOutcome, IoRequest, QueuedRq};
+use crate::request::{AddOutcome, IoRequest, QueuedRq, RunStep, SegRun};
 use simcore::SimTime;
 use std::fmt;
 use std::str::FromStr;
@@ -162,7 +162,7 @@ pub enum Dispatch {
 /// The elevator interface every scheduler implements.
 ///
 /// Driver contract (see `vmstack`):
-/// * after `add`, if the device is idle, call `dispatch`;
+/// * after `add` (or `add_run`), if the device is idle, call `dispatch`;
 /// * on `Dispatch::Idle { until }`, arm a timer for `until` and call
 ///   `dispatch` again when it fires *or* when a new request arrives —
 ///   whichever comes first;
@@ -174,6 +174,19 @@ pub trait Elevator: Send {
 
     /// Submit a request (may merge into an already queued one).
     fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome;
+
+    /// Submit every piece of `run` at `now`, in order, appending one
+    /// [`RunStep`] per group of arrivals with the same outcome and
+    /// resulting queue depth. Equivalent to one [`Elevator::add`] then
+    /// [`Elevator::queued`] per piece — which is exactly this default
+    /// body, the reference the elevators' one-call fast paths are
+    /// tested against.
+    fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {
+        for r in run {
+            let outcome = self.add(r, now);
+            RunStep::push(steps, outcome, self.queued(), 1);
+        }
+    }
 
     /// Ask for the next request to service.
     fn dispatch(&mut self, now: SimTime) -> Dispatch;

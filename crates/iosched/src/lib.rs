@@ -40,4 +40,6 @@ pub use elevator::{
     build_elevator, Dispatch, Elevator, ParseSchedError, SchedKind, SchedPair, Tunables,
 };
 pub use pool::{PoolKernel, Qid, RqPool};
-pub use request::{AddOutcome, Dir, IoRequest, QueuedRq, RequestId, Sector, StreamId};
+pub use request::{
+    AddOutcome, Dir, IoRequest, QueuedRq, RequestId, RunStep, Sector, SegRun, StreamId,
+};

@@ -8,7 +8,7 @@
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
 use crate::pool::BoundaryMap;
-use crate::request::{AddOutcome, IoRequest, QueuedRq};
+use crate::request::{AddOutcome, IoRequest, QueuedRq, RunStep, SegRun};
 use simcore::SimTime;
 use std::collections::VecDeque;
 
@@ -38,14 +38,9 @@ impl Noop {
             max_merge_sectors,
         }
     }
-}
 
-impl Elevator for Noop {
-    fn kind(&self) -> SchedKind {
-        SchedKind::Noop
-    }
-
-    fn add(&mut self, r: IoRequest, _now: SimTime) -> AddOutcome {
+    /// Add one request; returns the outcome and the slot holding it.
+    fn add_one(&mut self, r: IoRequest) -> (AddOutcome, u32) {
         // Back merge: some queued request ends exactly where r starts.
         // The slab is append-only between full drains, so the smallest
         // eligible slot is the oldest candidate.
@@ -67,14 +62,42 @@ impl Elevator for Noop {
             let new_end = rq.end();
             let id = rq.id();
             self.by_end.insert(new_end, slot);
-            return AddOutcome::MergedBack(id);
+            return (AddOutcome::MergedBack(id), slot);
         }
         let slot = self.slab.len();
         self.by_end.insert(r.end(), slot as u32);
         self.slab.push(Some(QueuedRq::from_request(r)));
         self.fifo.push_back(slot);
         self.queued += 1;
-        AddOutcome::Queued
+        (AddOutcome::Queued, slot as u32)
+    }
+}
+
+impl Elevator for Noop {
+    fn kind(&self) -> SchedKind {
+        SchedKind::Noop
+    }
+
+    fn add(&mut self, r: IoRequest, _now: SimTime) -> AddOutcome {
+        self.add_one(r).0
+    }
+
+    fn add_run(&mut self, run: &mut SegRun, _now: SimTime, steps: &mut Vec<RunStep>) {
+        while let Some(r) = run.next() {
+            let id = r.id;
+            let (outcome, slot) = self.add_one(r);
+            RunStep::push(steps, outcome, self.queued, 1);
+            let absorber = match outcome {
+                AddOutcome::Queued => id,
+                AddOutcome::MergedBack(absorber) => absorber,
+                AddOutcome::MergedFront(_) => unreachable!("noop never front-merges"),
+            };
+            let rq = self.slab[slot as usize].as_mut().expect("absorber is live");
+            let absorbed = self.by_end.extend_back(slot, rq, run, self.max_merge_sectors);
+            if absorbed > 0 {
+                RunStep::push(steps, AddOutcome::MergedBack(absorber), self.queued, absorbed);
+            }
+        }
     }
 
     fn dispatch(&mut self, _now: SimTime) -> Dispatch {

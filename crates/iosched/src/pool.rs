@@ -15,8 +15,9 @@
 //!   with binary-search insert and a scan-cursor hint that makes the
 //!   sequential-continuation `next_at_or_after` amortized O(1); merge
 //!   lookups go through [`BoundaryMap`] indexes that tolerate several
-//!   queued extents sharing one boundary sector. Steady-state add /
-//!   merge / dispatch performs no heap allocation.
+//!   queued extents sharing one boundary sector. Once they reach their
+//!   high-water marks the slab and indexes stop allocating; each queued
+//!   request still owns its `parts` Vec, which merges grow.
 //! * `NaiveRqPool` — the retained differential oracle: a `BTreeMap`
 //!   sort list with *linear-scan* merge lookups, trivially correct by
 //!   inspection. It is built only for tests (the `oracle` feature,
@@ -30,7 +31,7 @@
 //! eligible one (same direction, merged size within `max_sectors`)
 //! absorbs the arrival.
 
-use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, Sector, StreamId};
+use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId};
 #[cfg(test)]
 use crate::request::RequestId;
 use simcore::FxHashMap;
@@ -66,6 +67,17 @@ pub trait PoolKernel: Default + Send + std::fmt::Debug + 'static {
     /// `max_sectors` cap on merged extents. Returns the outcome and the
     /// qid of the absorber on success.
     fn try_merge(&mut self, r: &IoRequest, max_sectors: u64) -> Option<(AddOutcome, Qid)>;
+
+    /// Back-merge the next pieces of `run` into the queued request
+    /// `qid`, which must end where the run's next piece starts, for as
+    /// long as the per-piece rule would pick it: the merged size stays
+    /// within `max_sectors` and no other queued extent ends at the next
+    /// boundary (an older one would be the oldest eligible candidate).
+    /// Returns the number of pieces absorbed. The default absorbs none,
+    /// leaving every piece to [`PoolKernel::try_merge`].
+    fn extend_back(&mut self, _qid: Qid, _run: &mut SegRun, _max_sectors: u64) -> u32 {
+        0
+    }
 
     /// Insert a fresh request, returning its qid.
     fn insert(&mut self, rq: QueuedRq) -> Qid;
@@ -177,6 +189,43 @@ impl BoundaryMap {
     /// Drop every entry, keeping allocated capacity.
     pub(crate) fn clear(&mut self) {
         self.map.clear();
+    }
+
+    /// [`PoolKernel::extend_back`] over an end-sector index: grow `rq`,
+    /// indexed here under its end as `slot`, by the next pieces of `run`
+    /// while the merged size stays within `max_sectors` and no other
+    /// slot ends at the next boundary. Returns the pieces absorbed.
+    pub(crate) fn extend_back(
+        &mut self,
+        slot: u32,
+        rq: &mut QueuedRq,
+        run: &mut SegRun,
+        max_sectors: u64,
+    ) -> u32 {
+        if run.next_len().is_none() {
+            return 0;
+        }
+        debug_assert_eq!(rq.end(), run.rest().sector, "run must continue the absorber");
+        debug_assert_eq!(rq.dir, run.rest().dir, "merge must not mix directions");
+        let mut end = rq.end();
+        // Unindexed while it grows, so any entry found under the next
+        // boundary is a rival candidate: leave that piece to the
+        // per-piece oldest-eligible rule.
+        self.remove(end, slot);
+        let mut absorbed = 0;
+        while let Some(len) = run.next_len() {
+            if rq.sectors + len > max_sectors || !self.get(end).is_empty() {
+                break;
+            }
+            if absorbed == 0 {
+                rq.parts.reserve(run.pieces_left());
+            }
+            rq.merge_back(run.next().expect("next_len saw a piece"));
+            end += len;
+            absorbed += 1;
+        }
+        self.insert(end, slot);
+        absorbed
     }
 }
 
@@ -404,6 +453,12 @@ impl PoolKernel for RqPool {
         None
     }
 
+    fn extend_back(&mut self, qid: Qid, run: &mut SegRun, max_sectors: u64) -> u32 {
+        let slot = self.live_slot(qid).expect("absorber is live");
+        let rq = self.slots[slot as usize].rq.as_mut().expect("live");
+        self.by_end.extend_back(slot, rq, run, max_sectors)
+    }
+
     fn insert(&mut self, rq: QueuedRq) -> Qid {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -503,19 +558,54 @@ impl PoolKernel for RqPool {
 // ---------------------------------------------------------------------------
 
 /// Convenience wrapper: add `r` to the pool, merging when possible.
-/// Returns the outcome and the qid holding the request's data.
+/// Returns the outcome and the qid holding the request's data. Merges
+/// count as `merged` under the caller's open `iosched.add` span.
 pub fn add_with_merge<P: PoolKernel>(
     pool: &mut P,
     r: IoRequest,
     max_sectors: u64,
 ) -> (AddOutcome, Qid) {
-    let _prof = simcore::prof::span_hot("iosched.add");
     if let Some((outcome, qid)) = pool.try_merge(&r, max_sectors) {
         simcore::prof::count_hot("merged", 1);
         (outcome, qid)
     } else {
         let qid = pool.insert(QueuedRq::from_request(r));
         (AddOutcome::Queued, qid)
+    }
+}
+
+/// Add every piece of `run` to `pool`: each piece that [`add_with_merge`]
+/// queues or back-merges then absorbs as many following pieces as
+/// [`PoolKernel::extend_back`] allows. `on_queued` sees the qid of every
+/// freshly queued request; `others` is the elevator's queued count
+/// outside `pool`, so `others + pool.len()` is the depth after each
+/// arrival.
+pub fn add_run_with_merge<P: PoolKernel>(
+    pool: &mut P,
+    run: &mut SegRun,
+    max_sectors: u64,
+    others: usize,
+    steps: &mut Vec<RunStep>,
+    mut on_queued: impl FnMut(Qid),
+) {
+    while let Some(r) = run.next() {
+        let id = r.id;
+        let (outcome, qid) = add_with_merge(pool, r, max_sectors);
+        let depth = others + pool.len();
+        RunStep::push(steps, outcome, depth, 1);
+        let absorber = match outcome {
+            AddOutcome::Queued => {
+                on_queued(qid);
+                id
+            }
+            AddOutcome::MergedBack(absorber) => absorber,
+            AddOutcome::MergedFront(_) => continue,
+        };
+        let absorbed = pool.extend_back(qid, run, max_sectors);
+        if absorbed > 0 {
+            simcore::prof::count_hot("merged", absorbed as u64);
+            RunStep::push(steps, AddOutcome::MergedBack(absorber), depth, absorbed);
+        }
     }
 }
 

@@ -174,6 +174,82 @@ pub enum AddOutcome {
     MergedFront(RequestId),
 }
 
+/// One extent cut into consecutive pieces of at most `seg_sectors`
+/// sectors with consecutive ids — a guest dispatch split across ring
+/// slots. Iterating yields the pieces in extent order; the first piece
+/// carries the id of the request the run was built from.
+#[derive(Debug, Clone)]
+pub struct SegRun {
+    /// The part of the extent not yet yielded; its `id` is the next
+    /// piece's.
+    rest: IoRequest,
+    seg_sectors: u64,
+}
+
+impl SegRun {
+    /// Cut `extent` into pieces of at most `seg_sectors` (≥ 1) sectors.
+    pub fn new(extent: IoRequest, seg_sectors: u64) -> Self {
+        SegRun { rest: extent, seg_sectors: seg_sectors.max(1) }
+    }
+
+    /// The extent not yet yielded (stream, direction, sync and submit
+    /// time are those of every piece).
+    #[inline]
+    pub fn rest(&self) -> &IoRequest {
+        &self.rest
+    }
+
+    /// Length of the next piece, if any.
+    #[inline]
+    pub fn next_len(&self) -> Option<u64> {
+        (self.rest.sectors > 0).then(|| self.seg_sectors.min(self.rest.sectors))
+    }
+
+    /// Pieces not yet yielded.
+    #[inline]
+    pub fn pieces_left(&self) -> usize {
+        self.rest.sectors.div_ceil(self.seg_sectors) as usize
+    }
+}
+
+impl Iterator for SegRun {
+    type Item = IoRequest;
+
+    #[inline]
+    fn next(&mut self) -> Option<IoRequest> {
+        let len = self.next_len()?;
+        let piece = IoRequest { sectors: len, ..self.rest.clone() };
+        self.rest.id += 1;
+        self.rest.sector += len;
+        self.rest.sectors -= len;
+        Some(piece)
+    }
+}
+
+/// Consecutive arrivals of one [`SegRun`] that got the same outcome and
+/// left the same queue depth (`queued()` after each of them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunStep {
+    /// Outcome of each of the `count` arrivals.
+    pub outcome: AddOutcome,
+    /// Queue depth after each of them.
+    pub depth: usize,
+    /// Number of arrivals folded into this step.
+    pub count: u32,
+}
+
+impl RunStep {
+    /// Append `count` arrivals to `steps`, folding them into the last
+    /// step when outcome and depth match.
+    #[inline]
+    pub fn push(steps: &mut Vec<RunStep>, outcome: AddOutcome, depth: usize, count: u32) {
+        match steps.last_mut() {
+            Some(s) if s.outcome == outcome && s.depth == depth => s.count += count,
+            _ => steps.push(RunStep { outcome, depth, count }),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +295,27 @@ mod tests {
         assert!(!q.sync);
         q.merge_back(req(2, 8, 8)); // sync=true
         assert!(q.sync);
+    }
+
+    #[test]
+    fn seg_run_cuts_consecutive_pieces() {
+        let mut run = SegRun::new(req(10, 100, 200), 88);
+        assert_eq!(run.pieces_left(), 3);
+        let pieces: Vec<(RequestId, Sector, u64)> =
+            run.by_ref().map(|p| (p.id, p.sector, p.sectors)).collect();
+        assert_eq!(pieces, vec![(10, 100, 88), (11, 188, 88), (12, 276, 24)]);
+        assert_eq!((run.next_len(), run.pieces_left()), (None, 0));
+    }
+
+    #[test]
+    fn run_steps_fold_equal_neighbours() {
+        let mut steps = Vec::new();
+        RunStep::push(&mut steps, AddOutcome::Queued, 1, 1);
+        RunStep::push(&mut steps, AddOutcome::MergedBack(1), 1, 1);
+        RunStep::push(&mut steps, AddOutcome::MergedBack(1), 1, 4);
+        RunStep::push(&mut steps, AddOutcome::MergedBack(1), 2, 1);
+        let counts: Vec<u32> = steps.iter().map(|s| s.count).collect();
+        assert_eq!(counts, vec![1, 5, 1]);
     }
 
     #[test]

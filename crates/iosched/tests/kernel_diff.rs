@@ -12,14 +12,18 @@
 //! the issue's acceptance bar; a pool-level suite exercises the raw
 //! kernel API (including `prev_before`, `has_stream`,
 //! `closest_from_stream`) beyond what the elevators reach.
+//!
+//! A second suite pins each elevator's one-call [`Elevator::add_run`]
+//! fast path against a twin that takes the same ring segments one
+//! `add` at a time (the trait's default body), arrival by arrival.
 
 use iosched::anticipatory::{Anticipatory, AsConfig};
 use iosched::cfq::{Cfq, CfqConfig};
 use iosched::deadline::{DeadlineConfig, DeadlineSched};
 use iosched::noop::Noop;
 use iosched::pool::{add_with_merge, NaiveRqPool, PoolKernel, Qid, RqPool};
-use iosched::request::{AddOutcome, Dir, IoRequest, QueuedRq};
-use iosched::{Dispatch, Elevator};
+use iosched::request::{AddOutcome, Dir, IoRequest, QueuedRq, RunStep, SegRun};
+use iosched::{Dispatch, Elevator, SchedKind};
 use simcore::check::Gen;
 use simcore::{SimDuration, SimTime};
 
@@ -292,4 +296,184 @@ fn pool_kernels_agree_on_full_api() {
             assert_eq!(fast.len(), naive.len());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// add_run fast paths vs. one add per segment
+// ---------------------------------------------------------------------------
+
+/// The per-segment twin: forwards everything but `add_run`, which keeps
+/// the trait's default body (one `add`, then `queued()`, per piece).
+struct PerPiece<E: Elevator>(E);
+
+impl<E: Elevator> Elevator for PerPiece<E> {
+    fn kind(&self) -> SchedKind {
+        self.0.kind()
+    }
+    fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome {
+        self.0.add(r, now)
+    }
+    fn dispatch(&mut self, now: SimTime) -> Dispatch {
+        self.0.dispatch(now)
+    }
+    fn completed(&mut self, rq: &QueuedRq, now: SimTime) {
+        self.0.completed(rq, now)
+    }
+    fn queued(&self) -> usize {
+        self.0.queued()
+    }
+    fn drain(&mut self) -> Vec<QueuedRq> {
+        self.0.drain()
+    }
+}
+
+/// One `(outcome, depth)` pair per arrival.
+fn per_arrival(steps: &[RunStep]) -> Vec<(AddOutcome, usize)> {
+    steps
+        .iter()
+        .flat_map(|s| std::iter::repeat_n((s.outcome, s.depth), s.count as usize))
+        .collect()
+}
+
+/// A guest dispatch to split into ring segments. Besides uniformly
+/// placed runs it aims at the cases the fast path must stop or start
+/// differently on, relative to `recent` (earlier arrivals): a run that
+/// continues a queued extent (and splits where `MAX_MERGE` is reached),
+/// a run whose first piece front-merges, and a run with an older
+/// same-direction extent ending at one of its inner piece boundaries.
+fn gen_run(g: &mut Gen, id: u64, now: SimTime, recent: &[IoRequest]) -> SegRun {
+    let seg = *g.pick(&[8u64, 24, 88]);
+    let pieces = g.u64_in(1, 14);
+    let sectors = pieces * seg - g.u64_in(0, seg);
+    let mut r = IoRequest { id, sectors, ..gen_request(g, id, now) };
+    if !recent.is_empty() && g.u32_in(0, 4) > 0 {
+        let old = &recent[g.usize_in(0, recent.len())];
+        match g.u32_in(0, 3) {
+            // Continue it: the first piece back-merges.
+            0 => r.sector = old.end(),
+            // Precede it: the first piece ends where it starts.
+            1 => r.sector = old.sector.saturating_sub(seg.min(sectors)),
+            // Straddle its end: it ends at an inner piece boundary.
+            _ => r.sector = old.end().saturating_sub(seg * g.u64_in(1, pieces.max(2))),
+        }
+        if g.u32_in(0, 4) > 0 {
+            (r.dir, r.sync) = (old.dir, old.sync);
+        }
+    }
+    SegRun::new(r, seg)
+}
+
+/// Drive `fast` through `add_run` and `twin` through one `add` per
+/// segment over one randomized op trace, asserting the same
+/// `(outcome, depth)` for every arrival and the same dispatch,
+/// completion and drain behaviour after every op. Returns the ops
+/// performed and the back-merged arrivals seen.
+fn drive_runs(fast: &mut dyn Elevator, twin: &mut dyn Elevator, seed: u64, ops: usize) -> (usize, usize) {
+    let mut g = Gen::from_seed(seed);
+    let mut now = SimTime::ZERO;
+    let mut next_id = 1u64;
+    let mut in_flight: Vec<QueuedRq> = Vec::new();
+    let mut recent: Vec<IoRequest> = Vec::new();
+    let (mut sa, mut sb) = (Vec::new(), Vec::new());
+    let mut merged = 0;
+    for op in 0..ops {
+        now += SimDuration::from_micros(g.u64_in(0, 2_000));
+        match g.u32_in(0, 100) {
+            0..=49 => {
+                let mut run = gen_run(&mut g, next_id, now, &recent);
+                next_id += run.pieces_left() as u64;
+                recent.push(run.rest().clone());
+                if recent.len() > 16 {
+                    recent.remove(0);
+                }
+                let mut twin_run = run.clone();
+                sa.clear();
+                sb.clear();
+                fast.add_run(&mut run, now, &mut sa);
+                twin.add_run(&mut twin_run, now, &mut sb);
+                assert!(run.next().is_none(), "add_run left pieces behind");
+                let (a, b) = (per_arrival(&sa), per_arrival(&sb));
+                assert_eq!(a, b, "add_run arrivals diverged at op {op} (seed {seed})");
+                merged += a.iter().filter(|(o, _)| matches!(o, AddOutcome::MergedBack(_))).count();
+                assert_eq!(fast.queued(), twin.queued());
+            }
+            50..=84 => {
+                let da = fast.dispatch(now);
+                assert_eq!(da, twin.dispatch(now), "dispatch diverged at op {op} (seed {seed})");
+                match da {
+                    Dispatch::Request(rq) => in_flight.push(rq),
+                    Dispatch::Idle { until } if g.bool() => now = now.max(until),
+                    _ => {}
+                }
+            }
+            85..=97 => {
+                if !in_flight.is_empty() {
+                    let rq = in_flight.swap_remove(g.usize_in(0, in_flight.len()));
+                    fast.completed(&rq, now);
+                    twin.completed(&rq, now);
+                    let da = fast.dispatch(now);
+                    assert_eq!(da, twin.dispatch(now), "post-completion dispatch diverged at op {op}");
+                    if let Dispatch::Request(rq) = da {
+                        in_flight.push(rq);
+                    }
+                }
+            }
+            _ => {
+                assert_eq!(fast.drain(), twin.drain(), "drain diverged at op {op} (seed {seed})");
+                in_flight.clear();
+            }
+        }
+    }
+    assert_eq!(fast.drain(), twin.drain(), "final drain diverged (seed {seed})");
+    (ops, merged)
+}
+
+/// Run `make()` and its per-segment twin over four seeds.
+fn check_add_run<E: Elevator>(make: impl Fn() -> E, seed: u64) {
+    let (mut total, mut merged) = (0, 0);
+    for s in 0..4u64 {
+        let mut fast = make();
+        let mut twin = PerPiece(make());
+        let (ops, m) = drive_runs(&mut fast, &mut twin, seed + s, 6_000);
+        total += ops;
+        merged += m;
+    }
+    assert!(total >= 20_000);
+    assert!(merged > 10_000, "only {merged} back merges: the fast path is barely exercised");
+}
+
+#[test]
+fn deadline_add_run_matches_per_segment_adds() {
+    check_add_run(|| DeadlineSched::<RqPool>::new(DeadlineConfig::default(), MAX_MERGE), 0x5E6D);
+}
+
+#[test]
+fn anticipatory_add_run_matches_per_segment_adds() {
+    check_add_run(|| Anticipatory::<RqPool>::new(AsConfig::default(), MAX_MERGE), 0x5E6A);
+}
+
+#[test]
+fn cfq_add_run_matches_per_segment_adds() {
+    check_add_run(|| Cfq::<RqPool>::new(CfqConfig::default(), MAX_MERGE), 0x5E6C);
+}
+
+#[test]
+fn noop_add_run_matches_per_segment_adds() {
+    check_add_run(|| Noop::new(MAX_MERGE), 0x5E60);
+}
+
+/// The naive pool keeps the default `extend_back` (absorbs nothing), so
+/// an elevator over it stays a per-segment oracle even through its own
+/// `add_run`.
+#[test]
+fn naive_pool_add_run_matches_slab_add_run() {
+    let (mut total, mut merged) = (0, 0);
+    for s in 0..4u64 {
+        let mut fast = DeadlineSched::<RqPool>::new(DeadlineConfig::default(), MAX_MERGE);
+        let mut naive = DeadlineSched::<NaiveRqPool>::new(DeadlineConfig::default(), MAX_MERGE);
+        let (ops, m) = drive_runs(&mut fast, &mut naive, 0x5E6E + s, 6_000);
+        total += ops;
+        merged += m;
+    }
+    assert!(total >= 20_000 && merged > 10_000);
 }

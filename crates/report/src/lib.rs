@@ -331,30 +331,56 @@ pub struct ProfileRow {
     pub counters: Vec<(String, u64)>,
 }
 
-fn walk_profile_spans(spans: &[Json], depth: usize, out: &mut Vec<ProfileRow>) {
-    for s in spans {
-        out.push(ProfileRow {
-            name: s.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
-            depth,
-            calls: s.get("calls").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
-            total_ns: s.get("total_ns").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
-            self_ns: s.get("self_ns").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
-            counters: s
-                .get("counters")
-                .and_then(Json::entries)
-                .unwrap_or(&[])
+fn walk_profile_spans(
+    spans: &[Json],
+    path: &str,
+    depth: usize,
+    out: &mut Vec<ProfileRow>,
+) -> Result<(), String> {
+    for (i, s) in spans.iter().enumerate() {
+        let at = format!("{path}[{i}]");
+        if s.entries().is_none() {
+            return Err(format!("{at}: expected an object"));
+        }
+        let count = |field: &str, v: Option<&Json>| {
+            v.and_then(Json::as_i64)
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| format!("{at}.{field}: expected a non-negative integer"))
+        };
+        let name = s
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{at}.name: expected a string"))?;
+        let calls = count("calls", s.get("calls"))?;
+        // Skeleton documents omit the wall-clock fields.
+        let wall = |field: &str| s.get(field).map_or(Ok(0), |v| count(field, Some(v)));
+        let (total_ns, self_ns) = (wall("total_ns")?, wall("self_ns")?);
+        let counters = match s.get("counters") {
+            None => Vec::new(),
+            Some(c) => c
+                .entries()
+                .ok_or_else(|| format!("{at}.counters: expected an object"))?
                 .iter()
-                .map(|(k, v)| (k.clone(), v.as_i64().unwrap_or(0).max(0) as u64))
-                .collect(),
-        });
-        if let Some(kids) = s.get("children").and_then(Json::as_arr) {
-            walk_profile_spans(kids, depth + 1, out);
+                .map(|(k, v)| Ok((k.clone(), count(&format!("counters.{k}"), Some(v))?)))
+                .collect::<Result<_, String>>()?,
+        };
+        out.push(ProfileRow { name: name.to_string(), depth, calls, total_ns, self_ns, counters });
+        if let Some(kids) = s.get("children") {
+            let kids = kids
+                .as_arr()
+                .ok_or_else(|| format!("{at}.children: expected an array"))?;
+            walk_profile_spans(kids, &format!("{at}.children"), depth + 1, out)?;
         }
     }
+    Ok(())
 }
 
 /// Flatten an `adios.profile/1` document to depth-annotated rows
-/// (pre-order, children after their parent).
+/// (pre-order, children after their parent). A malformed span is an
+/// error naming its path, e.g. `spans[0].name: expected a string`:
+/// every span needs a string `name` and a non-negative integer
+/// `calls`; `total_ns`, `self_ns` and `counters` values, when present,
+/// must be non-negative integers, and `children` an array.
 pub fn profile_rows(doc: &Json) -> Result<Vec<ProfileRow>, String> {
     if doc.get("schema").and_then(Json::as_str) != Some("adios.profile/1") {
         return Err("not an adios.profile document".into());
@@ -364,7 +390,7 @@ pub fn profile_rows(doc: &Json) -> Result<Vec<ProfileRow>, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| "profile document has no spans array".to_string())?;
     let mut rows = Vec::new();
-    walk_profile_spans(spans, 0, &mut rows);
+    walk_profile_spans(spans, "spans", 0, &mut rows)?;
     Ok(rows)
 }
 
@@ -900,6 +926,77 @@ mod tests {
         assert!(text.contains("net           60.0% ->  30.0%  (-30.0)  << exceeds gate"), "{text}");
         let (text, tripped) = diff_profile_shares(&a, &b, 35.0).unwrap();
         assert!(!tripped, "{text}");
+    }
+
+    /// `profile_rows` error for a one-span profile whose span is `span`.
+    fn span_error(span: &str) -> String {
+        let doc = Json::parse(&format!(r#"{{"schema":"adios.profile/1","spans":[{span}]}}"#))
+            .unwrap();
+        let err = profile_rows(&doc).unwrap_err();
+        assert_eq!(render(&doc).unwrap_err(), err, "render must fail the same way");
+        err
+    }
+
+    #[test]
+    fn profile_span_name_must_be_a_string() {
+        assert_eq!(span_error(r#"{"name":1,"calls":1}"#), "spans[0].name: expected a string");
+        assert_eq!(span_error(r#"{"calls":1}"#), "spans[0].name: expected a string");
+    }
+
+    #[test]
+    fn profile_span_calls_must_be_a_non_negative_integer() {
+        let want = "spans[0].calls: expected a non-negative integer";
+        assert_eq!(span_error(r#"{"name":"a.b","calls":"many"}"#), want);
+        assert_eq!(span_error(r#"{"name":"a.b","calls":-1}"#), want);
+        assert_eq!(span_error(r#"{"name":"a.b","calls":1.5}"#), want);
+        assert_eq!(span_error(r#"{"name":"a.b"}"#), want);
+    }
+
+    #[test]
+    fn profile_span_wall_times_must_be_non_negative_integers_when_present() {
+        assert_eq!(
+            span_error(r#"{"name":"a.b","calls":1,"total_ns":-5}"#),
+            "spans[0].total_ns: expected a non-negative integer"
+        );
+        assert_eq!(
+            span_error(r#"{"name":"a.b","calls":1,"total_ns":5,"self_ns":"x"}"#),
+            "spans[0].self_ns: expected a non-negative integer"
+        );
+    }
+
+    #[test]
+    fn profile_span_counters_must_be_non_negative_integers() {
+        assert_eq!(
+            span_error(r#"{"name":"a.b","calls":1,"counters":{"merged":-2}}"#),
+            "spans[0].counters.merged: expected a non-negative integer"
+        );
+        assert_eq!(
+            span_error(r#"{"name":"a.b","calls":1,"counters":[1]}"#),
+            "spans[0].counters: expected an object"
+        );
+    }
+
+    #[test]
+    fn profile_span_children_must_be_an_array_of_valid_spans() {
+        assert_eq!(
+            span_error(r#"{"name":"a.b","calls":1,"children":{}}"#),
+            "spans[0].children: expected an array"
+        );
+        assert_eq!(
+            span_error(r#"{"name":"a.b","calls":1,"children":[{"name":"c.d","calls":1},{"name":2}]}"#),
+            "spans[0].children[1].name: expected a string"
+        );
+        assert_eq!(span_error("7"), "spans[0]: expected an object");
+    }
+
+    #[test]
+    fn share_gate_reports_malformed_spans() {
+        let good = profile_doc(300, 300, 400, true);
+        let bad = Json::parse(r#"{"schema":"adios.profile/1","spans":[{"name":1}]}"#).unwrap();
+        assert_eq!(
+            diff_profile_shares(&good, &bad, 5.0).unwrap_err(),
+            "spans[0].name: expected a string"
+        );
     }
 
     #[test]

@@ -33,15 +33,16 @@ pub enum SwitchScope {
 }
 use blkdev::{Disk, DiskParams};
 use iosched::{
-    build_elevator, AddOutcome, Dispatch, Dir, Elevator, IoRequest, QueuedRq, RequestId, SchedPair,
-    Tunables,
+    build_elevator, AddOutcome, Dispatch, Dir, Elevator, IoRequest, QueuedRq, RequestId, RunStep,
+    SchedPair, SegRun, Tunables,
 };
 use crate::telemetry::NodeTelemetry;
 use simcore::trace::{Layer, Trace, TraceEvent};
 use simcore::{
-    FxHashMap, MetricsRegistry, OnlineStats, SampleSet, SimDuration, SimTime, Telemetry,
-    ThroughputMeter, Timer, TimerTicket,
+    MetricsRegistry, OnlineStats, SampleSet, SimDuration, SimTime, Telemetry, ThroughputMeter,
+    Timer, TimerTicket,
 };
+use std::collections::VecDeque;
 
 /// Identifier of a VM on this node.
 pub type VmId = u32;
@@ -203,19 +204,17 @@ struct Guest {
     drain_began: Option<SimTime>,
 }
 
-/// One ring slot: a segment of a guest request in flight to Dom0.
-struct RingSegment {
-    vm: VmId,
-    /// Key into `parents`.
-    parent: u64,
-}
-
-/// A guest request split across ring slots.
+/// A guest request split across ring slots (a slot of
+/// `NodeStack::parents`; `grq` is `None` while the slot is free).
 struct RingParent {
-    grq: QueuedRq,
+    vm: VmId,
     /// Segments still in flight.
     remaining: u32,
+    grq: Option<QueuedRq>,
 }
+
+/// Marks a completed id in `NodeStack::ring`.
+const SEG_DONE: u32 = u32::MAX;
 
 /// The two-level block stack of one node.
 pub struct NodeStack {
@@ -225,13 +224,20 @@ pub struct NodeStack {
     dom0_timer: Timer,
     dom0_switch: SwitchState,
     guests: Vec<Guest>,
-    /// Dom0-level request id → ring segment (id-keyed, never iterated,
-    /// so a fast hash map is safe).
-    ring: FxHashMap<RequestId, RingSegment>,
-    /// Guest requests with segments in flight.
-    parents: FxHashMap<u64, RingParent>,
-    next_parent: u64,
+    /// Dom0 ids are handed out consecutively, one per ring segment:
+    /// `ring[id - ring_base]` is the `parents` slot of segment `id`, or
+    /// [`SEG_DONE`] once it completed. Completed ids are popped off the
+    /// front, so the window spans the oldest segment in flight to the
+    /// newest id.
+    ring: VecDeque<u32>,
+    ring_base: RequestId,
+    /// Guest requests with segments in flight (slab; `free_parents`
+    /// lists the vacant slots).
+    parents: Vec<RingParent>,
+    free_parents: Vec<u32>,
     next_dom0_id: RequestId,
+    /// Reused by `enter_dom0` for the Dom0 elevator's run steps.
+    run_steps: Vec<RunStep>,
     /// Reused by `on_disk_done` for VMs whose ring occupancy changed.
     occ_scratch: Vec<VmId>,
     in_service: Option<QueuedRq>,
@@ -297,10 +303,9 @@ impl NodeStack {
                 },
             );
         }
-        // Steady-state dispatch must not allocate: size the ring-path
-        // maps for the worst case up front (every VM's ring full of
-        // single-segment requests) and keep the occupancy scratch at
-        // its vm_count bound.
+        // Size the ring-path buffers for every VM's ring full of
+        // single-segment requests up front, and keep the occupancy
+        // scratch at its vm_count bound.
         let ring_cap = vm_count as usize * ring_bound as usize;
         NodeStack {
             disk: Disk::new(params.disk.clone()),
@@ -308,10 +313,12 @@ impl NodeStack {
             dom0_timer: Timer::new(),
             dom0_switch: SwitchState::new(),
             guests,
-            ring: FxHashMap::with_capacity_and_hasher(ring_cap, Default::default()),
-            parents: FxHashMap::with_capacity_and_hasher(ring_cap, Default::default()),
+            ring: VecDeque::with_capacity(ring_cap),
+            ring_base: 1,
+            parents: Vec::with_capacity(ring_cap),
+            free_parents: Vec::with_capacity(ring_cap),
+            run_steps: Vec::new(),
             occ_scratch: Vec::with_capacity(vm_count as usize),
-            next_parent: 1,
             next_dom0_id: 1,
             in_service: None,
             outstanding: 0,
@@ -498,29 +505,53 @@ impl NodeStack {
         );
     }
 
-    /// Route a ring segment into the Dom0 elevator (same staging and
-    /// recording discipline as [`NodeStack::enter_guest`]).
-    fn enter_dom0(&mut self, now: SimTime, r: IoRequest) {
+    /// Route the ring segments of one guest dispatch into the Dom0
+    /// elevator as one run, then record each segment's arrival in id
+    /// order. While Dom0 is quiesced for a switch the segments are
+    /// staged one by one, and each re-enters later as a run of one.
+    fn enter_dom0(&mut self, now: SimTime, mut run: SegRun) {
         if !self.dom0_switch.is_settled() {
-            self.dom0_switch.stage(r);
+            for r in run {
+                self.dom0_switch.stage(r);
+            }
             return;
         }
-        let (id, sector, sectors, write) = (r.id, r.sector, r.sectors, r.dir == Dir::Write);
-        let outcome = self.dom0.add(r, now);
-        let depth = self.dom0.queued();
-        record_add(
-            &mut self.trace,
-            &mut self.dom0_counters,
-            &mut self.tel,
-            Layer::Host,
-            now,
-            id,
-            sector,
-            sectors,
-            write,
-            outcome,
-            depth,
-        );
+        let mut pieces = run.clone();
+        let mut steps = std::mem::take(&mut self.run_steps);
+        steps.clear();
+        self.dom0.add_run(&mut run, now, &mut steps);
+        for step in &steps {
+            for r in pieces.by_ref().take(step.count as usize) {
+                record_add(
+                    &mut self.trace,
+                    &mut self.dom0_counters,
+                    &mut self.tel,
+                    Layer::Host,
+                    now,
+                    r.id,
+                    r.sector,
+                    r.sectors,
+                    r.dir == Dir::Write,
+                    step.outcome,
+                    step.depth,
+                );
+            }
+        }
+        debug_assert!(pieces.next().is_none(), "one step entry per segment");
+        self.run_steps = steps;
+    }
+
+    /// Retire Dom0 segment `id` from the ring window, returning its
+    /// parent slot.
+    fn retire_segment(&mut self, id: RequestId) -> u32 {
+        let at = (id - self.ring_base) as usize;
+        let slot = std::mem::replace(&mut self.ring[at], SEG_DONE);
+        debug_assert_ne!(slot, SEG_DONE, "segment {id} completed twice");
+        while self.ring.front() == Some(&SEG_DONE) {
+            self.ring.pop_front();
+            self.ring_base += 1;
+        }
+        slot
     }
 
     // ------------------------------------------------------------------
@@ -528,15 +559,9 @@ impl NodeStack {
     // ------------------------------------------------------------------
 
     /// Submit a guest request. `req.sector` is relative to the VM's
-    /// virtual disk; `req.stream` identifies the submitting task.
-    pub fn submit(&mut self, now: SimTime, vm: VmId, req: IoRequest) -> Vec<StackAction> {
-        let mut out = Vec::new();
-        self.submit_into(now, vm, req, &mut out);
-        out
-    }
-
-    /// Allocation-free [`NodeStack::submit`]: actions are appended to
-    /// `out` (which the driver recycles across calls).
+    /// virtual disk; `req.stream` identifies the submitting task. The
+    /// resulting actions are appended to `out` (which the driver
+    /// recycles across calls).
     pub fn submit_into(
         &mut self,
         now: SimTime,
@@ -559,15 +584,9 @@ impl NodeStack {
     // Event handling
     // ------------------------------------------------------------------
 
-    /// Handle a previously scheduled stack event.
-    pub fn handle(&mut self, now: SimTime, ev: StackEvent) -> Vec<StackAction> {
-        let mut out = Vec::new();
-        self.handle_into(now, ev, &mut out);
-        out
-    }
-
-    /// Allocation-free [`NodeStack::handle`]: actions are appended to
-    /// `out` (which the driver recycles across calls).
+    /// Handle a previously scheduled stack event, appending the
+    /// resulting actions to `out` (which the driver recycles across
+    /// calls).
     pub fn handle_into(&mut self, now: SimTime, ev: StackEvent, out: &mut Vec<StackAction>) {
         let _prof = simcore::prof::span_hot("vmstack.handle");
         match ev {
@@ -659,37 +678,32 @@ impl NodeStack {
                         now,
                         TraceEvent::RingOcc { vm, occupied: occ, bound: self.ring_bound },
                     );
-                    let parent = self.next_parent;
-                    self.next_parent += 1;
-                    let start = base + grq.sector;
-                    let total = grq.sectors;
-                    let dir = grq.dir;
-                    let sync = grq.sync;
-                    self.parents.insert(
-                        parent,
-                        RingParent {
-                            grq,
-                            remaining: nsegs,
-                        },
-                    );
-                    let mut off = 0;
-                    while off < total {
-                        let len = seg_max.min(total - off);
-                        let id = self.next_dom0_id;
-                        self.next_dom0_id += 1;
-                        let dom0_req = IoRequest {
-                            id,
+                    let run = SegRun::new(
+                        IoRequest {
+                            id: self.next_dom0_id,
                             stream: vm,
-                            sector: start + off,
-                            sectors: len,
-                            dir,
-                            sync,
+                            sector: base + grq.sector,
+                            sectors: grq.sectors,
+                            dir: grq.dir,
+                            sync: grq.sync,
                             submitted: now,
-                        };
-                        self.ring.insert(id, RingSegment { vm, parent });
-                        self.enter_dom0(now, dom0_req);
-                        off += len;
-                    }
+                        },
+                        seg_max,
+                    );
+                    self.next_dom0_id += nsegs as u64;
+                    let parent = RingParent { vm, remaining: nsegs, grq: Some(grq) };
+                    let slot = match self.free_parents.pop() {
+                        Some(slot) => {
+                            self.parents[slot as usize] = parent;
+                            slot
+                        }
+                        None => {
+                            self.parents.push(parent);
+                            (self.parents.len() - 1) as u32
+                        }
+                    };
+                    self.ring.extend(std::iter::repeat_n(slot, nsegs as usize));
+                    self.enter_dom0(now, run);
                     // Check drain progress of the guest switch.
                     self.try_finish_guest_drain(now, vm, out);
                 }
@@ -727,8 +741,9 @@ impl NodeStack {
             let code = self.dom0.kind().code() as u8;
             self.trace
                 .push(now, TraceEvent::SwitchEnd { layer: Layer::Host, to: code });
+            let seg = self.params.ring_seg_sectors;
             for r in staged {
-                self.enter_dom0(now, r);
+                self.enter_dom0(now, SegRun::new(r, seg));
             }
             self.finish_switch_if_done(now, out);
         }
@@ -801,34 +816,29 @@ impl NodeStack {
             }
             self.tel
                 .on_dom0_complete(now.saturating_since(part.submitted).as_nanos());
-            let seg = self
-                .ring
-                .remove(&part.id)
-                .expect("completed part not in ring");
-            let vm = seg.vm;
+            let slot = self.retire_segment(part.id);
+            let parent = &mut self.parents[slot as usize];
+            let vm = parent.vm;
             self.guests[vm as usize].in_ring -= 1;
             if !occ_vms.contains(&vm) {
                 occ_vms.push(vm);
             }
-            let parent = self
-                .parents
-                .get_mut(&seg.parent)
-                .expect("segment has a parent");
             parent.remaining -= 1;
             if parent.remaining > 0 {
                 continue;
             }
-            let parent = self.parents.remove(&seg.parent).expect("just seen");
+            let grq = parent.grq.take().expect("parent slot is live");
+            self.free_parents.push(slot);
             {
                 let g = &mut self.guests[vm as usize];
-                g.meter.record(now, parent.grq.bytes());
-                g.elevator.completed(&parent.grq, now);
+                g.meter.record(now, grq.bytes());
+                g.elevator.completed(&grq, now);
                 if counters {
-                    g.counters.completions += parent.grq.parts.len() as u64;
+                    g.counters.completions += grq.parts.len() as u64;
                 }
             }
-            self.tel.on_vm_bytes(now, vm, parent.grq.bytes());
-            for gpart in &parent.grq.parts {
+            self.tel.on_vm_bytes(now, vm, grq.bytes());
+            for gpart in &grq.parts {
                 self.trace.push(
                     now,
                     TraceEvent::Complete { layer: Layer::Guest(vm), id: gpart.id },

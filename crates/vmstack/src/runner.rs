@@ -8,8 +8,7 @@
 
 use crate::node::{NodeParams, NodeStack, StackAction, StackEvent, SwitchScope, VmId};
 use iosched::{Dir, IoRequest, RequestId, SchedPair, StreamId};
-use simcore::{EventQueue, SimDuration, SimRng, SimTime};
-use std::collections::HashMap;
+use simcore::{EventQueue, FxHashMap, SimDuration, SimRng, SimTime};
 
 /// Access pattern of a synthetic process.
 #[derive(Debug, Clone)]
@@ -149,9 +148,11 @@ pub struct NodeRunner {
     stack: NodeStack,
     queue: EventQueue<RunnerEvent>,
     procs: Vec<ProcState>,
-    /// request id -> proc index.
-    pending: HashMap<RequestId, usize>,
+    /// request id -> proc index (looked up by key, never iterated).
+    pending: FxHashMap<RequestId, usize>,
     next_req_id: RequestId,
+    /// Stack actions, recycled across `submit_into`/`handle_into` calls.
+    actions: Vec<StackAction>,
     now: SimTime,
     /// Scheduled mid-run switches (time-ordered).
     switches: Vec<(SimTime, SchedPair, SwitchScope)>,
@@ -164,8 +165,9 @@ impl NodeRunner {
             stack: NodeStack::new(params, vm_count, pair),
             queue: EventQueue::new(),
             procs: Vec::new(),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_req_id: 1,
+            actions: Vec::new(),
             now: SimTime::ZERO,
             switches: Vec::new(),
         }
@@ -210,8 +212,9 @@ impl NodeRunner {
             .push((at, SchedPair::new(guest, guest), SwitchScope::GuestOnly));
     }
 
-    fn apply(&mut self, actions: Vec<StackAction>) {
-        for a in actions {
+    /// Carry out (and empty) `actions`.
+    fn apply(&mut self, actions: &mut Vec<StackAction>) {
+        for a in actions.drain(..) {
             match a {
                 StackAction::At(t, ev) => self.queue.push(t, RunnerEvent::Stack(ev)),
                 StackAction::IoDone { req, bytes, .. } => {
@@ -274,8 +277,10 @@ impl NodeRunner {
         };
         let vm = p.spec.vm;
         self.pending.insert(id, idx);
-        let actions = self.stack.submit(self.now, vm, req);
-        self.apply(actions);
+        let mut actions = std::mem::take(&mut self.actions);
+        self.stack.submit_into(self.now, vm, req, &mut actions);
+        self.apply(&mut actions);
+        self.actions = actions;
     }
 
     /// Fill a process's window.
@@ -304,18 +309,20 @@ impl NodeRunner {
             self.now = t;
             match ev {
                 RunnerEvent::Stack(s) => {
-                    let actions = self.stack.handle(t, s);
-                    self.apply(actions);
+                    let mut actions = std::mem::take(&mut self.actions);
+                    self.stack.handle_into(t, s, &mut actions);
+                    self.apply(&mut actions);
+                    self.actions = actions;
                 }
                 RunnerEvent::Issue { proc } => self.prime(proc),
                 RunnerEvent::SwitchAt { pair_idx } => {
                     let (_, pair, scope) = switches[pair_idx];
-                    let actions = match scope {
+                    let mut actions = match scope {
                         SwitchScope::Both => self.stack.begin_switch(t, pair),
                         SwitchScope::HostOnly => self.stack.begin_switch_host(t, pair.host),
                         SwitchScope::GuestOnly => self.stack.begin_switch_guests(t, pair.guest),
                     };
-                    self.apply(actions);
+                    self.apply(&mut actions);
                 }
             }
         }

@@ -1,0 +1,77 @@
+//! Switched-run goldens: one `NodeRunner` run per starting pair, each
+//! switched to another pair mid-run, pinned by makespan, trace digest
+//! and the Dom0 arrival counts. The switch quiesces Dom0 while the
+//! guests keep dispatching, so ring segments are staged and re-enter
+//! the Dom0 elevator one by one after the thaw; elsewhere every guest
+//! dispatch enters Dom0 as one run whose per-segment records are
+//! replayed in id order. Both paths feed the trace digest, which the
+//! cluster goldens cover only without a switch.
+//!
+//! If a deliberate behaviour change invalidates these values,
+//! re-capture them with
+//! `cargo test -q -p vmstack --test switched_runs -- --ignored --nocapture`
+//! and say so in the commit message.
+
+use iosched::SchedPair;
+use simcore::SimTime;
+use vmstack::runner::{NodeRunner, SyntheticProc};
+use vmstack::NodeParams;
+
+const MIB: u64 = 1024 * 1024;
+
+/// `(makespan_ns, trace_digest, dom0 arrivals, dom0 merges_back)`.
+type Fingerprint = (u64, u64, u64, u64);
+
+/// Start under pair `start`, switch to pair `15 - start` at 700 ms.
+fn fingerprint(start: usize) -> Fingerprint {
+    let pairs = SchedPair::all();
+    let params = NodeParams { trace_capacity: usize::MAX, ..NodeParams::default() };
+    let mut r = NodeRunner::new(params, 3, pairs[start]);
+    r.add_proc(SyntheticProc::dd_writer(0, 0, 0, 48 * MIB));
+    r.add_proc(SyntheticProc::seq_reader(1, 0, 0, 32 * MIB));
+    r.add_proc(SyntheticProc::dd_writer(2, 0, 0, 24 * MIB));
+    r.add_proc(SyntheticProc::seq_reader(2, 1, 64 * MIB / 512, 24 * MIB));
+    r.switch_at(SimTime::from_millis(700), pairs[15 - start]);
+    let out = r.run();
+    let stack = r.stack();
+    assert_eq!(stack.pair(), pairs[15 - start], "switch never completed");
+    let dom0 = stack.dom0_counters();
+    (out.makespan.as_nanos(), stack.trace().digest(), dom0.arrivals, dom0.merges_back)
+}
+
+/// Captured from the per-segment Dom0 path, before guest dispatches
+/// entered Dom0 as runs.
+const GOLDENS: [Fingerprint; 16] = [
+    (3278187119, 0x9b02c68ca6a36a05, 3072, 2718),
+    (3208136744, 0x226740e4dc1782f0, 3072, 2717),
+    (3174551503, 0x0f682d694f6a4479, 3072, 2712),
+    (3188086365, 0x94be82816756df4e, 3072, 2716),
+    (3135689353, 0x0fd72815fa53311b, 3072, 2728),
+    (2987747794, 0xd29a63d3b603c728, 3072, 2718),
+    (2987747794, 0x9ddf9294116addd3, 3072, 2718),
+    (2987747794, 0xff7a57735aa2ab7f, 3072, 2718),
+    (2826117410, 0x689a30ab2e2ff927, 3072, 2707),
+    (2794349966, 0xd5787d399d611b7a, 3072, 2705),
+    (2794349966, 0x103436467d51dfc5, 3072, 2705),
+    (2826117411, 0xc61a97f7d6e4c72c, 3072, 2707),
+    (3222985602, 0xaae48407ddfa1539, 3072, 2724),
+    (3210346658, 0xb480cf4dcdbd606d, 3072, 2718),
+    (3189400341, 0x6b21c33c21c18f05, 3072, 2718),
+    (3238086364, 0x540d94bedbae2ec2, 3072, 2725),
+];
+
+#[test]
+fn switched_runs_match_goldens() {
+    for (start, golden) in GOLDENS.iter().enumerate() {
+        assert_eq!(fingerprint(start), *golden, "switched run from pair {start} drifted");
+    }
+}
+
+#[test]
+#[ignore]
+fn capture_goldens() {
+    for start in 0..16 {
+        let (m, d, a, b) = fingerprint(start);
+        println!("    ({m}, 0x{d:016x}, {a}, {b}),");
+    }
+}

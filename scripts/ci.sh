@@ -146,6 +146,21 @@ if (( deep_status != 1 )) || ! grep -qF 'nesting deeper than' <<< "${deep_err}";
   exit 1
 fi
 
+# A profile span with a non-string name must be rejected with an error
+# naming its path (exit 1), not rendered as a `?` row.
+bad_profile="$(mktemp)"
+echo '{"schema":"adios.profile/1","spans":[{"name":1}]}' > "${bad_profile}"
+bad_status=0
+bad_err="$(cargo run -q --release --offline -p adios-report -- render "${bad_profile}" \
+  2>&1 > /dev/null)" || bad_status=$?
+rm -f "${bad_profile}"
+if (( bad_status != 1 )) || ! grep -qF 'spans[0].name: expected a string' <<< "${bad_err}"; then
+  echo "error: a profile span named 1 must exit 1 naming spans[0].name" \
+    "(exit ${bad_status})" >&2
+  echo "${bad_err}" >&2
+  exit 1
+fi
+
 # Cross-run analytics smoke: a mini-sweep over two node counts (a comma
 # list), two pairs and two parallel-copies settings must round-trip
 # through `rank`, `correlate` and `overlap`. `rank` without
