@@ -28,23 +28,27 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut costs = Vec::new();
-    for (label, f) in [
+    for (label, want, f) in [
         (
             "Dom0 only (c->a, guests keep CFQ)",
+            SchedPair::new(to, from.guest),
             Box::new(|r: &mut NodeRunner| r.switch_host_at(half, to)) as Box<dyn Fn(&mut NodeRunner)>,
         ),
         (
             "guests only (c->a, Dom0 keeps CFQ)",
+            SchedPair::new(from.host, to),
             Box::new(|r: &mut NodeRunner| r.switch_guests_at(half, to)),
         ),
         (
             "both levels (cc->aa)",
+            SchedPair::new(to, to),
             Box::new(|r: &mut NodeRunner| r.switch_at(half, SchedPair::new(to, to))),
         ),
     ] {
         let mut r = dd_runner(from, bytes);
         f(&mut r);
         let t = r.run().makespan;
+        assert_eq!(r.stack().pair(), want, "{label}: the switch never completed");
         // Switch targets change mid-run throughput too; report raw
         // makespan delta as the paper's formula would.
         let cost = t.as_secs_f64() - base.as_secs_f64();

@@ -12,7 +12,7 @@
 //! `REPRO_QUICK=1` shrinks warmup and iteration counts to a smoke pass
 //! (CI runs it that way: the numbers are then only a liveness check).
 
-use iosched::{build_elevator, Dispatch, Dir, IoRequest, SchedKind, SchedPair, Tunables};
+use iosched::{build_elevator, Dispatch, Dir, IoRequest, SchedKind, SchedPair, SegRun, Tunables};
 use metasched::EvalCache;
 use mrsim::{JobSpec, WorkloadSpec};
 use repro_bench::micro::{bench, Timing};
@@ -23,22 +23,24 @@ use vcluster::{run_job, ClusterParams, NetParams, Network, SwitchPlan};
 use vmstack::runner::{NodeRunner, SyntheticProc};
 use vmstack::NodeParams;
 
+/// Every add enters as a run of one through `add_run` with one reused
+/// step buffer, as `vmstack` enters guest requests.
 fn elevator_round(kind: SchedKind) -> u64 {
     let mut e = build_elevator(kind, &Tunables::default());
     let now = SimTime::ZERO;
+    let mut steps = Vec::new();
     for i in 0..256u64 {
-        e.add(
-            IoRequest {
-                id: i + 1,
-                stream: (i % 8) as u32,
-                sector: (i * 7919) % 1_000_000,
-                sectors: 64,
-                dir: if i.is_multiple_of(3) { Dir::Write } else { Dir::Read },
-                sync: i % 3 != 0,
-                submitted: now,
-            },
-            now,
-        );
+        let r = IoRequest {
+            id: i + 1,
+            stream: (i % 8) as u32,
+            sector: (i * 7919) % 1_000_000,
+            sectors: 64,
+            dir: if i.is_multiple_of(3) { Dir::Write } else { Dir::Read },
+            sync: i % 3 != 0,
+            submitted: now,
+        };
+        steps.clear();
+        e.add_run(&mut SegRun::one(r), now, &mut steps);
     }
     let mut t = now;
     let mut served = 0;
@@ -60,9 +62,11 @@ fn elevator_round(kind: SchedKind) -> u64 {
 /// the queue depth stays constant. Exercises the slab kernel's hot
 /// paths at depth — binary-search insert, boundary-index merge probes
 /// (the sector band guarantees frequent hits), scan-cursor dispatch —
-/// where the pre-slab pool went quadratic.
+/// where the pre-slab pool went quadratic. Adds go through `add_run`
+/// as in [`elevator_round`].
 fn elevator_churn(kind: SchedKind, population: usize, rounds: u64) -> u64 {
     let mut e = build_elevator(kind, &Tunables::default());
+    let mut steps = Vec::new();
     let mut now = SimTime::ZERO;
     let mut id = 0u64;
     let mut x = 0x2545_F491_4F6C_DD1D_u64; // fixed LCG: identical workload per iter
@@ -87,14 +91,16 @@ fn elevator_churn(kind: SchedKind, population: usize, rounds: u64) -> u64 {
     for _ in 0..population {
         id += 1;
         let r = mk(id, now, &mut lcg);
-        e.add(r, now);
+        steps.clear();
+        e.add_run(&mut SegRun::one(r), now, &mut steps);
     }
     let mut served = 0u64;
     for _ in 0..rounds {
         id += 1;
         now += SimDuration::from_micros(lcg() % 200);
         let r = mk(id, now, &mut lcg);
-        e.add(r, now);
+        steps.clear();
+        e.add_run(&mut SegRun::one(r), now, &mut steps);
         loop {
             match e.dispatch(now) {
                 Dispatch::Request(rq) => {

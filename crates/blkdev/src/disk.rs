@@ -7,7 +7,7 @@
 //! choice of elevator is visible in end-to-end performance.
 
 use crate::geometry::{DiskParams, Sector, SECTOR_BYTES};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// Timing decomposition of one serviced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,34 +61,15 @@ pub struct Disk {
     /// LBA one past the end of the last serviced request — the sector
     /// under the head, for sequential detection.
     head: Sector,
-    /// Optional multiplicative service-time noise.
-    rng: Option<SimRng>,
     stats: DiskStats,
 }
 
 impl Disk {
     /// New disk with the head parked at LBA 0.
     pub fn new(params: DiskParams) -> Self {
-        let rng = if params.jitter_amp > 0.0 {
-            Some(SimRng::from_seed(0x6469736b)) // fixed default; see with_rng
-        } else {
-            None
-        };
         Disk {
             params,
             head: 0,
-            rng,
-            stats: DiskStats::default(),
-        }
-    }
-
-    /// New disk drawing jitter from the supplied stream (pass a
-    /// [`SimRng::split`] child of the run's master seed).
-    pub fn with_rng(params: DiskParams, rng: SimRng) -> Self {
-        Disk {
-            params,
-            head: 0,
-            rng: Some(rng),
             stats: DiskStats::default(),
         }
     }
@@ -151,10 +132,7 @@ impl Disk {
             let rotation = SimDuration::from_nanos((frac * rev.as_nanos() as f64) as u64);
             (seek, rotation)
         };
-        let mut transfer = self.params.transfer_time(start, sectors);
-        if let Some(rng) = self.rng.as_mut() {
-            transfer = transfer.mul_f64(rng.jitter(self.params.jitter_amp));
-        }
+        let transfer = self.params.transfer_time(start, sectors);
 
         let b = ServiceBreakdown {
             overhead,
@@ -279,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_without_jitter() {
+    fn service_is_deterministic() {
         let mut a = disk();
         let mut b = disk();
         for i in 0..50u64 {
@@ -287,24 +265,6 @@ mod tests {
             let x = a.service(SimTime::from_micros(i * 911), lba, 32, false);
             let y = b.service(SimTime::from_micros(i * 911), lba, 32, false);
             assert_eq!(x, y);
-        }
-    }
-
-    #[test]
-    fn jitter_perturbs_transfer_only_slightly() {
-        let p = DiskParams {
-            jitter_amp: 0.05,
-            ..DiskParams::default()
-        };
-        let mut d = Disk::with_rng(p.clone(), SimRng::from_seed(1));
-        let clean = p.transfer_time(0, 2048).as_secs_f64();
-        for _ in 0..100 {
-            // Same-LBA, non-sequential request each time (reset head).
-            let mut fresh = Disk::with_rng(p.clone(), SimRng::from_seed(1));
-            let b = fresh.service(SimTime::ZERO, 4096, 2048, false);
-            let ratio = b.transfer.as_secs_f64() / clean;
-            assert!((0.94..1.06).contains(&ratio));
-            let _ = &mut d;
         }
     }
 }

@@ -42,9 +42,6 @@ pub struct DiskParams {
     pub media_rate_inner: u64,
     /// Fixed controller/command overhead per request.
     pub controller_overhead: SimDuration,
-    /// Multiplicative service-time noise amplitude in `[0, 1)`;
-    /// 0 disables noise entirely.
-    pub jitter_amp: f64,
 }
 
 impl Default for DiskParams {
@@ -64,7 +61,6 @@ impl Default for DiskParams {
             media_rate_outer: 110 * 1024 * 1024,
             media_rate_inner: 55 * 1024 * 1024,
             controller_overhead: SimDuration::from_micros(100),
-            jitter_amp: 0.0,
         }
     }
 }

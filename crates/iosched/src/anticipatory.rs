@@ -13,8 +13,8 @@
 //! paying one seek per run rather than one per request.
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
-use crate::pool::{add_run_with_merge, add_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
-use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId};
+use crate::pool::{add_run_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
+use crate::request::{Dir, IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId};
 use simcore::{FxHashMap, SimDuration, SimTime};
 
 /// Anticipatory tunables (Linux defaults).
@@ -287,18 +287,6 @@ impl<P: PoolKernel> Anticipatory<P> {
 impl<P: PoolKernel> Elevator for Anticipatory<P> {
     fn kind(&self) -> SchedKind {
         SchedKind::Anticipatory
-    }
-
-    fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome {
-        let _prof = simcore::prof::span_hot("iosched.add");
-        self.observe_arrival(&r, now);
-        let dir = r.dir;
-        let deadline = now + self.expire_for(dir);
-        let (outcome, qid) = add_with_merge(self.pools.pool_mut(dir), r, self.max_merge_sectors);
-        if outcome == AddOutcome::Queued {
-            self.fifo[dir.idx()].push(qid, deadline);
-        }
-        outcome
     }
 
     fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {

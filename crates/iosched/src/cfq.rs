@@ -16,8 +16,8 @@
 //! (`slice_async`) and no idling, reproducing CFQ's trickled writeback.
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
-use crate::pool::{add_run_with_merge, add_with_merge, PoolKernel, RqPool};
-use crate::request::{AddOutcome, IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId};
+use crate::pool::{add_run_with_merge, PoolKernel, RqPool};
+use crate::request::{IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId};
 use simcore::{FxHashMap, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -212,19 +212,6 @@ impl<P: PoolKernel> Cfq<P> {
 impl<P: PoolKernel> Elevator for Cfq<P> {
     fn kind(&self) -> SchedKind {
         SchedKind::Cfq
-    }
-
-    fn add(&mut self, r: IoRequest, _now: SimTime) -> AddOutcome {
-        let _prof = simcore::prof::span_hot("iosched.add");
-        let key = self.key_for(&r);
-        let max = self.max_merge_sectors;
-        let q = self.queue_mut(key);
-        let (outcome, _qid) = add_with_merge(&mut q.pool, r, max);
-        if outcome == AddOutcome::Queued {
-            self.queued += 1;
-        }
-        self.link_rr(key);
-        outcome
     }
 
     fn add_run(&mut self, run: &mut SegRun, _now: SimTime, steps: &mut Vec<RunStep>) {

@@ -9,8 +9,8 @@
 //! for `writes_starved` consecutive read batches.
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
-use crate::pool::{add_run_with_merge, add_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
-use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, RunStep, Sector, SegRun};
+use crate::pool::{add_run_with_merge, DeadlineFifo, DirPools, PoolKernel, RqPool};
+use crate::request::{Dir, QueuedRq, RunStep, Sector, SegRun};
 use simcore::{SimDuration, SimTime};
 
 /// Deadline tunables (`/sys/block/<dev>/queue/iosched/*` defaults).
@@ -125,17 +125,6 @@ impl<P: PoolKernel> Elevator for DeadlineSched<P> {
         SchedKind::Deadline
     }
 
-    fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome {
-        let _prof = simcore::prof::span_hot("iosched.add");
-        let dir = r.dir;
-        let deadline = now + self.expire_for(dir);
-        let (outcome, qid) = add_with_merge(self.pools.pool_mut(dir), r, self.max_merge_sectors);
-        if outcome == AddOutcome::Queued {
-            self.fifo[dir.idx()].push(qid, deadline);
-        }
-        outcome
-    }
-
     fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {
         let _prof = simcore::prof::span_hot("iosched.add");
         let dir = run.rest().dir;
@@ -200,6 +189,7 @@ impl<P: PoolKernel> Elevator for DeadlineSched<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{AddOutcome, IoRequest};
 
     fn req(id: u64, stream: u32, sector: Sector, sectors: u64, dir: Dir) -> IoRequest {
         IoRequest {

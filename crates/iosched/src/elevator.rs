@@ -150,7 +150,7 @@ pub enum Dispatch {
     /// Service this request now.
     Request(QueuedRq),
     /// Deliberately idle (anticipation / slice idling): poll again at
-    /// `until`, or immediately after the next `add`.
+    /// `until`, or immediately after the next arrival.
     Idle {
         /// When the idling decision expires.
         until: SimTime,
@@ -162,7 +162,7 @@ pub enum Dispatch {
 /// The elevator interface every scheduler implements.
 ///
 /// Driver contract (see `vmstack`):
-/// * after `add` (or `add_run`), if the device is idle, call `dispatch`;
+/// * after `add_run`, if the device is idle, call `dispatch`;
 /// * on `Dispatch::Idle { until }`, arm a timer for `until` and call
 ///   `dispatch` again when it fires *or* when a new request arrives —
 ///   whichever comes first;
@@ -172,20 +172,22 @@ pub trait Elevator: Send {
     /// Which scheduler this is.
     fn kind(&self) -> SchedKind;
 
-    /// Submit a request (may merge into an already queued one).
-    fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome;
+    /// Submit every piece of `run` at `now`, in order (each may merge
+    /// into an already queued request), appending one [`RunStep`] per
+    /// group of arrivals with the same outcome and resulting queue
+    /// depth. The one entry path: a single request enters as a run of
+    /// one ([`SegRun::one`]). Entering a run must equal entering each
+    /// of its pieces as a run of one, which `kernel_diff.rs` checks for
+    /// every elevator.
+    fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>);
 
-    /// Submit every piece of `run` at `now`, in order, appending one
-    /// [`RunStep`] per group of arrivals with the same outcome and
-    /// resulting queue depth. Equivalent to one [`Elevator::add`] then
-    /// [`Elevator::queued`] per piece — which is exactly this default
-    /// body, the reference the elevators' one-call fast paths are
-    /// tested against.
-    fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {
-        for r in run {
-            let outcome = self.add(r, now);
-            RunStep::push(steps, outcome, self.queued(), 1);
-        }
+    /// Submit one request as a run of one and return its outcome. Each
+    /// call allocates a step buffer; hot loops call
+    /// [`Elevator::add_run`] with a reused one.
+    fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome {
+        let mut steps = Vec::with_capacity(1);
+        self.add_run(&mut SegRun::one(r), now, &mut steps);
+        steps[0].outcome
     }
 
     /// Ask for the next request to service.

@@ -7,11 +7,11 @@
 //! [`SchedPair`] type naming a (VMM-level, VM-level) combination.
 //!
 //! Elevators are pure queueing state machines: they never block or keep
-//! time themselves. A driver (see `vmstack`) feeds them requests via
-//! [`Elevator::add`], asks for work via [`Elevator::dispatch`] (which
-//! may answer *"idle until T"* — anticipation and slice idling are
-//! explicit, testable decisions), and reports completions via
-//! [`Elevator::completed`].
+//! time themselves. A driver (see `vmstack`) feeds them runs of
+//! requests via [`Elevator::add_run`], asks for work via
+//! [`Elevator::dispatch`] (which may answer *"idle until T"* —
+//! anticipation and slice idling are explicit, testable decisions),
+//! and reports completions via [`Elevator::completed`].
 //!
 //! ```
 //! use iosched::{build_elevator, Dispatch, SchedKind, Tunables};

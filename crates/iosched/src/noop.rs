@@ -78,10 +78,6 @@ impl Elevator for Noop {
         SchedKind::Noop
     }
 
-    fn add(&mut self, r: IoRequest, _now: SimTime) -> AddOutcome {
-        self.add_one(r).0
-    }
-
     fn add_run(&mut self, run: &mut SegRun, _now: SimTime, steps: &mut Vec<RunStep>) {
         while let Some(r) = run.next() {
             let id = r.id;

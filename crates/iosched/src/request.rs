@@ -192,6 +192,12 @@ impl SegRun {
         SegRun { rest: extent, seg_sectors: seg_sectors.max(1) }
     }
 
+    /// A run of one piece: `r` whole.
+    pub fn one(r: IoRequest) -> Self {
+        let seg_sectors = r.sectors;
+        SegRun::new(r, seg_sectors)
+    }
+
     /// The extent not yet yielded (stream, direction, sync and submit
     /// time are those of every piece).
     #[inline]

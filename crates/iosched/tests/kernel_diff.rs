@@ -15,7 +15,7 @@
 //!
 //! A second suite pins each elevator's one-call [`Elevator::add_run`]
 //! fast path against a twin that takes the same ring segments one
-//! `add` at a time (the trait's default body), arrival by arrival.
+//! `add` (a run of one) at a time, arrival by arrival.
 
 use iosched::anticipatory::{Anticipatory, AsConfig};
 use iosched::cfq::{Cfq, CfqConfig};
@@ -302,16 +302,20 @@ fn pool_kernels_agree_on_full_api() {
 // add_run fast paths vs. one add per segment
 // ---------------------------------------------------------------------------
 
-/// The per-segment twin: forwards everything but `add_run`, which keeps
-/// the trait's default body (one `add`, then `queued()`, per piece).
+/// The per-segment reference: forwards everything, but enters each
+/// piece of a run as a run of one (`add`) and reads the depth after it
+/// from `queued()`.
 struct PerPiece<E: Elevator>(E);
 
 impl<E: Elevator> Elevator for PerPiece<E> {
     fn kind(&self) -> SchedKind {
         self.0.kind()
     }
-    fn add(&mut self, r: IoRequest, now: SimTime) -> AddOutcome {
-        self.0.add(r, now)
+    fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {
+        for piece in run {
+            let outcome = self.0.add(piece, now);
+            RunStep::push(steps, outcome, self.0.queued(), 1);
+        }
     }
     fn dispatch(&mut self, now: SimTime) -> Dispatch {
         self.0.dispatch(now)

@@ -366,12 +366,6 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// The time of the most recently popped event (the current
-    /// simulation clock from the queue's point of view).
-    pub fn now(&self) -> SimTime {
-        self.watermark
-    }
 }
 
 /// Epoch-based cancellable timer handle.
@@ -477,13 +471,12 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(1), ());
         q.push(SimTime::from_secs(2), ());
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(1));
-        // Same-time push after pop is fine.
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), ())));
+        // Same-time push after pop is fine: the watermark is the last
+        // popped time, not past it.
         q.push(SimTime::from_secs(1), ());
-        q.pop();
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(2));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), ())));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), ())));
     }
 
     #[test]

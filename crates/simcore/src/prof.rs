@@ -369,24 +369,6 @@ impl Profile {
     }
 }
 
-/// Strip the wall-clock fields (`total_ns` / `self_ns`) from a parsed
-/// `adios.profile/1` document — the reader-side counterpart of
-/// [`Profile::skeleton_json`] used when comparing documents from
-/// disk.
-pub fn skeleton_of(doc: &Json) -> Json {
-    match doc {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .iter()
-                .filter(|(k, _)| k != "total_ns" && k != "self_ns")
-                .map(|(k, v)| (k.clone(), skeleton_of(v)))
-                .collect(),
-        ),
-        Json::Arr(xs) => Json::Arr(xs.iter().map(skeleton_of).collect()),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,19 +487,6 @@ mod tests {
             take().skeleton_json().to_string()
         });
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn skeleton_of_strips_wall_fields() {
-        with_clean(LEVEL_FULL, || {
-            {
-                let _a = span("net.solve");
-            }
-            let p = take();
-            let full = p.to_json();
-            assert!(full.to_string().contains("total_ns"));
-            assert_eq!(skeleton_of(&full).to_string(), p.skeleton_json().to_string());
-        });
     }
 
     #[test]

@@ -198,12 +198,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Multiplicative jitter: a factor in `[1 - amp, 1 + amp]`.
-    pub fn jitter(&mut self, amp: f64) -> f64 {
-        assert!((0.0..1.0).contains(&amp), "jitter amplitude must be in [0,1)");
-        1.0 + amp * (2.0 * self.unit() - 1.0)
-    }
-
     /// Fisher–Yates shuffle (deterministic given the stream state).
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -271,15 +265,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.exponential(5.0)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.2, "sample mean {mean}");
-    }
-
-    #[test]
-    fn jitter_bounds() {
-        let mut r = SimRng::from_seed(13);
-        for _ in 0..1000 {
-            let j = r.jitter(0.1);
-            assert!((0.9..=1.1).contains(&j));
-        }
     }
 
     #[test]

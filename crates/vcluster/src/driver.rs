@@ -1219,7 +1219,8 @@ impl ClusterSim {
 
     fn switch_all(&mut self, pair: SchedPair) {
         for node in 0..self.nodes.len() as u32 {
-            let actions = self.nodes[node as usize].begin_switch(self.now, pair);
+            let actions =
+                self.nodes[node as usize].begin_switch(self.now, Some(pair.host), Some(pair.guest));
             self.push_stack_actions(node, actions);
         }
     }

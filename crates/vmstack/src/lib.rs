@@ -34,6 +34,6 @@ pub mod switching;
 pub mod telemetry;
 
 pub use attrib::{JobAttribution, JobIo};
-pub use node::{LevelCounters, NodeParams, NodeStack, StackAction, StackEvent, SwitchScope, VmId};
+pub use node::{LevelCounters, NodeParams, NodeStack, StackAction, StackEvent, VmId};
 pub use switching::{SwitchState, SwitchTiming};
 pub use telemetry::NodeTelemetry;

@@ -18,25 +18,20 @@
 //!
 //! The stack is a pure state machine: callers inject events and receive
 //! action lists; the event loop lives in `vcluster`.
+//!
+//! Dom0 and every guest are one `Level` type: an elevator plus its
+//! kick timer, switch state, re-init stall, counters, throughput meter
+//! and drain clock. Entering an elevator, recording a dispatch or an
+//! idle window, arming a kick, finishing a drain and thawing after a
+//! swap are each written once, over a level index.
 
 use crate::switching::{SwitchState, SwitchTiming};
-
-/// Which levels a switch touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchScope {
-    /// Dom0 and every guest (the paper's pair switch).
-    Both,
-    /// Dom0 only.
-    HostOnly,
-    /// Guests only.
-    GuestOnly,
-}
+use crate::telemetry::NodeTelemetry;
 use blkdev::{Disk, DiskParams};
 use iosched::{
     build_elevator, AddOutcome, Dispatch, Dir, Elevator, IoRequest, QueuedRq, RequestId, RunStep,
-    SchedPair, SegRun, Tunables,
+    SchedKind, SchedPair, SegRun, Tunables,
 };
-use crate::telemetry::NodeTelemetry;
 use simcore::trace::{Layer, Trace, TraceEvent};
 use simcore::{
     MetricsRegistry, OnlineStats, SampleSet, SimDuration, SimTime, Telemetry, ThroughputMeter,
@@ -50,15 +45,11 @@ pub type VmId = u32;
 /// Events the node stack schedules for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackEvent {
-    /// Re-poll a guest elevator (idle window or freeze expired).
-    GuestKick {
-        /// Which VM.
-        vm: VmId,
-        /// Arming ticket (stale tickets are ignored).
-        ticket: TimerTicket,
-    },
-    /// Re-poll the Dom0 elevator.
-    Dom0Kick {
+    /// Re-poll one level's elevator (idle window or re-init stall
+    /// expired).
+    Kick {
+        /// Which level: Dom0 (`Layer::Host`) or one guest.
+        layer: Layer,
         /// Arming ticket (stale tickets are ignored).
         ticket: TimerTicket,
     },
@@ -80,8 +71,8 @@ pub enum StackAction {
         /// Bytes transferred.
         bytes: u64,
     },
-    /// A previously requested elevator switch fully took effect
-    /// (both Dom0 and every guest).
+    /// A previously requested elevator switch fully took effect at
+    /// every level it touched.
     SwitchComplete {
         /// The pair now installed.
         pair: SchedPair,
@@ -189,19 +180,72 @@ impl LevelCounters {
     }
 }
 
-/// One guest's scheduling state.
-struct Guest {
+/// One elevator level of the stack: Dom0 or one guest. Either level
+/// switches the same way (quiesce, drain, swap, re-init stall), so
+/// everything a switch touches lives here.
+struct Level {
+    /// Trace identity: `Layer::Host` for Dom0, `Layer::Guest(vm)`.
+    layer: Layer,
     elevator: Box<dyn Elevator>,
-    /// In-flight requests in the ring (dispatched, not yet completed).
-    in_ring: usize,
+    /// Re-polls the elevator after an idle window or the re-init stall.
     timer: Timer,
     switch: SwitchState,
-    /// Physical base of this VM's extent.
-    base: u64,
-    meter: ThroughputMeter,
+    /// Stall after this level's elevator swap.
+    reinit: SimDuration,
     counters: LevelCounters,
+    /// Completions at this level: disk requests for Dom0, guest
+    /// requests for a guest.
+    meter: ThroughputMeter,
     /// When the in-progress switch began draining (for drain metrics).
     drain_began: Option<SimTime>,
+}
+
+impl Level {
+    /// The level `layer`, running its half of `pair`.
+    fn new(layer: Layer, pair: SchedPair, params: &NodeParams) -> Level {
+        let (kind, reinit) = match layer {
+            Layer::Host => (pair.host, params.switch.dom0_reinit),
+            Layer::Guest(_) => (pair.guest, params.switch.guest_reinit),
+        };
+        Level {
+            layer,
+            elevator: build_elevator(kind, &params.tunables),
+            timer: Timer::new(),
+            switch: SwitchState::new(),
+            reinit,
+            counters: LevelCounters::default(),
+            meter: ThroughputMeter::new(params.meter_window),
+            drain_began: None,
+        }
+    }
+
+    /// Arm this level's kick at `at` unless one is already pending (at
+    /// most one live kick per timer keeps the event queue small and
+    /// every pending ticket current).
+    fn arm_kick(&mut self, at: SimTime, out: &mut Vec<StackAction>) {
+        if !self.timer.is_armed() {
+            let ticket = self.timer.arm();
+            out.push(StackAction::At(at, StackEvent::Kick { layer: self.layer, ticket }));
+        }
+    }
+
+    /// A request this level dispatched finished: meter its bytes, tell
+    /// the elevator and count its parts.
+    fn complete(&mut self, now: SimTime, rq: &QueuedRq, counters: bool) {
+        self.meter.record(now, rq.bytes());
+        self.elevator.completed(rq, now);
+        if counters {
+            self.counters.completions += rq.parts.len() as u64;
+        }
+    }
+}
+
+/// Index of Dom0 in `NodeStack::levels`.
+const DOM0: usize = 0;
+
+/// Index of guest `vm`'s level in `NodeStack::levels`.
+fn guest_level(vm: VmId) -> usize {
+    vm as usize + 1
 }
 
 /// A guest request split across ring slots (a slot of
@@ -220,10 +264,10 @@ const SEG_DONE: u32 = u32::MAX;
 pub struct NodeStack {
     params: NodeParams,
     disk: Disk,
-    dom0: Box<dyn Elevator>,
-    dom0_timer: Timer,
-    dom0_switch: SwitchState,
-    guests: Vec<Guest>,
+    /// Dom0 at [`DOM0`], then one level per guest in VM order.
+    levels: Vec<Level>,
+    /// Ring segments in flight, per VM.
+    in_ring: Vec<usize>,
     /// Dom0 ids are handed out consecutively, one per ring segment:
     /// `ring[id - ring_base]` is the `parents` slot of segment `id`, or
     /// [`SEG_DONE`] once it completed. Completed ids are popped off the
@@ -236,7 +280,7 @@ pub struct NodeStack {
     parents: Vec<RingParent>,
     free_parents: Vec<u32>,
     next_dom0_id: RequestId,
-    /// Reused by `enter_dom0` for the Dom0 elevator's run steps.
+    /// Reused by `enter` for the elevators' run steps.
     run_steps: Vec<RunStep>,
     /// Reused by `on_disk_done` for VMs whose ring occupancy changed.
     occ_scratch: Vec<VmId>,
@@ -246,14 +290,11 @@ pub struct NodeStack {
     pair: SchedPair,
     /// Pending switch target (Some while any level is still draining).
     switching_to: Option<SchedPair>,
-    dom0_meter: ThroughputMeter,
     /// Completed-request latency, seconds (submit → IoDone).
     pub latency: simcore::OnlineStats,
     /// Level-gated histograms and time series.
     tel: NodeTelemetry,
     trace: Trace,
-    dom0_counters: LevelCounters,
-    dom0_drain_began: Option<SimTime>,
     /// Ring occupancy observed after every change, across all VMs.
     ring_occ: OnlineStats,
     ring_peak: u32,
@@ -273,33 +314,21 @@ impl NodeStack {
             needed <= params.disk.capacity_sectors,
             "VM extents ({needed} sectors) exceed disk capacity"
         );
-        let guests: Vec<Guest> = (0..vm_count)
-            .map(|v| Guest {
-                elevator: build_elevator(pair.guest, &params.tunables),
-                in_ring: 0,
-                timer: Timer::new(),
-                switch: SwitchState::new(),
-                base: v as u64 * params.vm_extent_sectors,
-                meter: ThroughputMeter::new(params.meter_window),
-                counters: LevelCounters::default(),
-                drain_began: None,
-            })
+        let levels: Vec<Level> = std::iter::once(Layer::Host)
+            .chain((0..vm_count).map(Layer::Guest))
+            .map(|layer| Level::new(layer, pair, &params))
             .collect();
         let seg = params.ring_seg_sectors.max(1);
         let ring_bound = (params.ring_depth.saturating_sub(1)
             + params.tunables.max_merge_sectors.max(seg).div_ceil(seg) as usize)
             as u32;
         let mut trace = Trace::bounded(params.trace_capacity);
-        trace.push(
-            SimTime::ZERO,
-            TraceEvent::SchedInstall { layer: Layer::Host, sched: pair.host.code() as u8 },
-        );
-        for v in 0..vm_count {
+        for lv in &levels {
             trace.push(
                 SimTime::ZERO,
                 TraceEvent::SchedInstall {
-                    layer: Layer::Guest(v),
-                    sched: pair.guest.code() as u8,
+                    layer: lv.layer,
+                    sched: lv.elevator.kind().code() as u8,
                 },
             );
         }
@@ -309,10 +338,8 @@ impl NodeStack {
         let ring_cap = vm_count as usize * ring_bound as usize;
         NodeStack {
             disk: Disk::new(params.disk.clone()),
-            dom0: build_elevator(pair.host, &params.tunables),
-            dom0_timer: Timer::new(),
-            dom0_switch: SwitchState::new(),
-            guests,
+            levels,
+            in_ring: vec![0; vm_count as usize],
             ring: VecDeque::with_capacity(ring_cap),
             ring_base: 1,
             parents: Vec::with_capacity(ring_cap),
@@ -324,12 +351,9 @@ impl NodeStack {
             outstanding: 0,
             pair,
             switching_to: None,
-            dom0_meter: ThroughputMeter::new(params.meter_window),
             latency: simcore::OnlineStats::new(),
             tel: NodeTelemetry::new(params.telemetry, vm_count),
             trace,
-            dom0_counters: LevelCounters::default(),
-            dom0_drain_began: None,
             ring_occ: OnlineStats::new(),
             ring_peak: 0,
             ring_bound,
@@ -339,7 +363,12 @@ impl NodeStack {
 
     /// Number of VMs.
     pub fn vm_count(&self) -> u32 {
-        self.guests.len() as u32
+        self.in_ring.len() as u32
+    }
+
+    /// The guest levels, in VM order.
+    fn guests(&self) -> &[Level] {
+        &self.levels[guest_level(0)..]
     }
 
     /// The currently installed pair (the old one while a switch drains).
@@ -364,22 +393,22 @@ impl NodeStack {
 
     /// Queued requests in the Dom0 elevator (for the online switcher).
     pub fn dom0_queue_len(&self) -> usize {
-        self.dom0.queued()
+        self.levels[DOM0].elevator.queued()
     }
 
     /// Queued requests in one guest's elevator.
     pub fn guest_queue_len(&self, vm: VmId) -> usize {
-        self.guests[vm as usize].elevator.queued()
+        self.levels[guest_level(vm)].elevator.queued()
     }
 
     /// Dom0-level throughput meter (physical disk completions).
     pub fn dom0_meter(&self) -> &ThroughputMeter {
-        &self.dom0_meter
+        &self.levels[DOM0].meter
     }
 
     /// Per-VM throughput meter (guest request completions).
     pub fn vm_meter(&self, vm: VmId) -> &ThroughputMeter {
-        &self.guests[vm as usize].meter
+        &self.levels[guest_level(vm)].meter
     }
 
     /// The physical disk's cumulative statistics.
@@ -389,9 +418,8 @@ impl NodeStack {
 
     /// Close meter windows at end of run.
     pub fn finish_meters(&mut self, now: SimTime) {
-        self.dom0_meter.finish(now);
-        for g in &mut self.guests {
-            g.meter.finish(now);
+        for lv in &mut self.levels {
+            lv.meter.finish(now);
         }
     }
 
@@ -420,12 +448,12 @@ impl NodeStack {
 
     /// Dom0-level instrumentation counters.
     pub fn dom0_counters(&self) -> &LevelCounters {
-        &self.dom0_counters
+        &self.levels[DOM0].counters
     }
 
     /// One guest's instrumentation counters.
     pub fn guest_counters(&self, vm: VmId) -> &LevelCounters {
-        &self.guests[vm as usize].counters
+        &self.levels[guest_level(vm)].counters
     }
 
     /// The hard ring-occupancy bound the oracle checks against.
@@ -450,8 +478,8 @@ impl NodeStack {
         reg.add_gauge("disk", "rotation_s", d.rotation_time.as_secs_f64());
         reg.add_gauge("disk", "transfer_s", d.transfer_time.as_secs_f64());
         reg.add_gauge("disk", "busy_s", d.busy_time.as_secs_f64());
-        self.dom0_counters.export(reg, "dom0_elevator");
-        for g in &self.guests {
+        self.dom0_counters().export(reg, "dom0_elevator");
+        for g in self.guests() {
             g.counters.export(reg, "guest_elevator");
         }
         reg.merge_stats("ring", "occupancy", &self.ring_occ);
@@ -465,9 +493,9 @@ impl NodeStack {
     /// across the VMs' mean throughputs (the paper's Fig. 3 probe
     /// instruments a single node, so callers pick which node).
     pub fn export_throughput(&self, reg: &mut MetricsRegistry) {
-        reg.extend_samples("throughput", "dom0_mbps", self.dom0_meter.samples());
+        reg.extend_samples("throughput", "dom0_mbps", self.dom0_meter().samples());
         let mut per_vm = SampleSet::new();
-        for (v, g) in self.guests.iter().enumerate() {
+        for (v, g) in self.guests().iter().enumerate() {
             reg.extend_samples("throughput", &format!("vm{v}_mbps"), g.meter.samples());
             let xs = g.meter.samples().samples();
             per_vm.record(xs.iter().sum::<f64>() / xs.len().max(1) as f64);
@@ -479,66 +507,142 @@ impl NodeStack {
         );
     }
 
-    /// Route a request into one guest's elevator, staging it while the
-    /// level is quiesced for a switch, and record the arrival.
-    fn enter_guest(&mut self, now: SimTime, vm: VmId, r: IoRequest) {
-        let g = &mut self.guests[vm as usize];
-        if !g.switch.is_settled() {
-            g.switch.stage(r);
-            return;
-        }
-        let (id, sector, sectors, write) = (r.id, r.sector, r.sectors, r.dir == Dir::Write);
-        let outcome = g.elevator.add(r, now);
-        let depth = g.elevator.queued();
-        record_add(
-            &mut self.trace,
-            &mut g.counters,
-            &mut self.tel,
-            Layer::Guest(vm),
-            now,
-            id,
-            sector,
-            sectors,
-            write,
-            outcome,
-            depth,
-        );
-    }
+    // ------------------------------------------------------------------
+    // Per-level steps, each written once for Dom0 and the guests
+    // ------------------------------------------------------------------
 
-    /// Route the ring segments of one guest dispatch into the Dom0
-    /// elevator as one run, then record each segment's arrival in id
-    /// order. While Dom0 is quiesced for a switch the segments are
-    /// staged one by one, and each re-enters later as a run of one.
-    fn enter_dom0(&mut self, now: SimTime, mut run: SegRun) {
-        if !self.dom0_switch.is_settled() {
+    /// Route `run` into level `at`'s elevator, then record each piece's
+    /// arrival in id order: counters, telemetry and an `Arrive` /
+    /// `MergeBack` / `MergeFront` trace event by outcome. While the
+    /// level is quiesced for a switch the pieces are staged one by one,
+    /// and each re-enters later as a run of one.
+    fn enter(&mut self, now: SimTime, at: usize, mut run: SegRun) {
+        let lv = &mut self.levels[at];
+        if !lv.switch.is_settled() {
             for r in run {
-                self.dom0_switch.stage(r);
+                lv.switch.stage(r);
             }
             return;
         }
         let mut pieces = run.clone();
-        let mut steps = std::mem::take(&mut self.run_steps);
+        let steps = &mut self.run_steps;
         steps.clear();
-        self.dom0.add_run(&mut run, now, &mut steps);
-        for step in &steps {
+        lv.elevator.add_run(&mut run, now, steps);
+        let counters = self.tel.level.counters();
+        let c = &mut lv.counters;
+        for step in steps.iter() {
             for r in pieces.by_ref().take(step.count as usize) {
-                record_add(
-                    &mut self.trace,
-                    &mut self.dom0_counters,
-                    &mut self.tel,
-                    Layer::Host,
-                    now,
-                    r.id,
-                    r.sector,
-                    r.sectors,
-                    r.dir == Dir::Write,
-                    step.outcome,
-                    step.depth,
-                );
+                if counters {
+                    c.arrivals += 1;
+                    c.queue_depth.record(step.depth as f64);
+                }
+                self.tel.on_arrival(now, lv.layer == Layer::Host, step.depth);
+                let (layer, id, sector, sectors) = (lv.layer, r.id, r.sector, r.sectors);
+                let write = r.dir == Dir::Write;
+                let ev = match step.outcome {
+                    AddOutcome::Queued => TraceEvent::Arrive { layer, id, sector, sectors, write },
+                    AddOutcome::MergedBack(_) => {
+                        if counters {
+                            c.merges_back += 1;
+                        }
+                        TraceEvent::MergeBack { layer, id, sector, sectors, write }
+                    }
+                    AddOutcome::MergedFront(_) => {
+                        if counters {
+                            c.merges_front += 1;
+                        }
+                        TraceEvent::MergeFront { layer, id, sector, sectors, write }
+                    }
+                };
+                self.trace.push(now, ev);
             }
         }
-        debug_assert!(pieces.next().is_none(), "one step entry per segment");
-        self.run_steps = steps;
+        debug_assert!(pieces.next().is_none(), "one step entry per piece");
+    }
+
+    /// Level `at` handed `rq` downwards: trace and count the dispatch.
+    fn record_dispatch(&mut self, now: SimTime, at: usize, rq: &QueuedRq) {
+        let lv = &mut self.levels[at];
+        self.trace.push(
+            now,
+            TraceEvent::Dispatch {
+                layer: lv.layer,
+                id: rq.id(),
+                sector: rq.sector,
+                sectors: rq.sectors,
+                write: rq.dir == Dir::Write,
+            },
+        );
+        if self.tel.level.counters() {
+            lv.counters.dispatches += 1;
+            lv.counters.dispatched_sectors += rq.sectors;
+        }
+    }
+
+    /// Level `at`'s elevator chose to idle until `until` (anticipation
+    /// or slice idling): count the window and arm the kick that
+    /// re-polls it.
+    fn record_idle(&mut self, now: SimTime, at: usize, until: SimTime, out: &mut Vec<StackAction>) {
+        let lv = &mut self.levels[at];
+        if self.tel.level.counters() {
+            lv.counters.idles += 1;
+            lv.counters.idle_wait.record(until.saturating_since(now).as_secs_f64());
+        }
+        self.trace.push(now, TraceEvent::IdleArm { layer: lv.layer, until });
+        lv.arm_kick(until, out);
+    }
+
+    /// If level `at` is draining for a switch and holds nothing, swap
+    /// in the target elevator, start the re-init stall and arm the kick
+    /// that ends it. Dom0 also waits for the request on the disk.
+    fn try_finish_drain(&mut self, now: SimTime, at: usize, out: &mut Vec<StackAction>) {
+        let disk_busy = at == DOM0 && self.in_service.is_some();
+        let lv = &mut self.levels[at];
+        if disk_busy || !(lv.switch.is_draining() && lv.elevator.queued() == 0) {
+            return;
+        }
+        let kind = lv.switch.target().expect("draining has a target");
+        lv.elevator = build_elevator(kind, &self.params.tunables);
+        let thaw_at = now + lv.reinit;
+        lv.switch.swap_done(thaw_at);
+        let drained = lv.drain_began.take().map(|began| now.saturating_since(began));
+        if self.tel.level.counters() {
+            lv.counters.switches += 1;
+            if let Some(d) = drained {
+                lv.counters.drain_durations.record(d.as_secs_f64());
+            }
+            lv.counters.freeze_secs += lv.reinit.as_secs_f64();
+        }
+        if let Some(d) = drained {
+            self.tel.on_drain(d.as_nanos());
+        }
+        self.tel.on_reinit(lv.reinit.as_nanos());
+        self.trace
+            .push(now, TraceEvent::SwapDone { layer: lv.layer, to: kind.code() as u8 });
+        lv.arm_kick(thaw_at, out);
+    }
+
+    /// True while level `at` sits in its post-swap re-init stall (the
+    /// kick that ends it is armed). Once the stall is over, release the
+    /// queue: the staged requests re-enter as runs of one, and the
+    /// switch completes if this was the last level.
+    fn still_frozen(&mut self, now: SimTime, at: usize, out: &mut Vec<StackAction>) -> bool {
+        let lv = &mut self.levels[at];
+        let Some(until) = lv.switch.frozen_until() else {
+            return false;
+        };
+        if now < until {
+            lv.arm_kick(until, out);
+            return true;
+        }
+        let staged = lv.switch.thaw();
+        let to = lv.elevator.kind().code() as u8;
+        self.trace.push(now, TraceEvent::SwitchEnd { layer: lv.layer, to });
+        for r in staged {
+            self.enter(now, at, SegRun::one(r));
+        }
+        self.finish_switch_if_done(out);
+        false
     }
 
     /// Retire Dom0 segment `id` from the ring window, returning its
@@ -575,7 +679,7 @@ impl NodeStack {
             "guest request beyond VM extent"
         );
         self.outstanding += 1;
-        self.enter_guest(now, vm, req);
+        self.enter(now, guest_level(vm), SegRun::one(req));
         self.pump_guest(now, vm, out);
         self.pump_dom0(now, out);
     }
@@ -590,14 +694,15 @@ impl NodeStack {
     pub fn handle_into(&mut self, now: SimTime, ev: StackEvent, out: &mut Vec<StackAction>) {
         let _prof = simcore::prof::span_hot("vmstack.handle");
         match ev {
-            StackEvent::GuestKick { vm, ticket } => {
-                if self.guests[vm as usize].timer.fire(ticket) {
-                    self.pump_guest(now, vm, out);
-                    self.pump_dom0(now, out);
-                }
-            }
-            StackEvent::Dom0Kick { ticket } => {
-                if self.dom0_timer.fire(ticket) {
+            StackEvent::Kick { layer, ticket } => {
+                let at = match layer {
+                    Layer::Host => DOM0,
+                    Layer::Guest(vm) => guest_level(vm),
+                };
+                if self.levels[at].timer.fire(ticket) {
+                    if let Layer::Guest(vm) = layer {
+                        self.pump_guest(now, vm, out);
+                    }
                     self.pump_dom0(now, out);
                 }
             }
@@ -605,71 +710,23 @@ impl NodeStack {
         }
     }
 
-    /// Arm a guest kick at `at` unless one is already pending (at most
-    /// one live kick per timer keeps the event queue small and every
-    /// pending ticket current).
-    fn arm_guest_kick(&mut self, vm: VmId, at: SimTime, out: &mut Vec<StackAction>) {
-        let g = &mut self.guests[vm as usize];
-        if !g.timer.is_armed() {
-            let ticket = g.timer.arm();
-            out.push(StackAction::At(at, StackEvent::GuestKick { vm, ticket }));
-        }
-    }
-
-    fn arm_dom0_kick(&mut self, at: SimTime, out: &mut Vec<StackAction>) {
-        if !self.dom0_timer.is_armed() {
-            let ticket = self.dom0_timer.arm();
-            out.push(StackAction::At(at, StackEvent::Dom0Kick { ticket }));
-        }
-    }
-
     /// Drive the guest elevator: move dispatchable requests into the
     /// ring (and on into Dom0) while ring slots are available.
     fn pump_guest(&mut self, now: SimTime, vm: VmId, out: &mut Vec<StackAction>) {
+        let at = guest_level(vm);
         loop {
-            // Re-init stall after a guest switch.
-            if let Some(until) = self.guests[vm as usize].switch.frozen_until() {
-                if now < until {
-                    self.arm_guest_kick(vm, until, out);
-                    return;
-                }
-                let staged = self.guests[vm as usize].switch.thaw();
-                let code = self.guests[vm as usize].elevator.kind().code() as u8;
-                self.trace
-                    .push(now, TraceEvent::SwitchEnd { layer: Layer::Guest(vm), to: code });
-                for r in staged {
-                    self.enter_guest(now, vm, r);
-                }
-                self.finish_switch_if_done(now, out);
-            }
-            if self.guests[vm as usize].in_ring >= self.params.ring_depth {
+            let ring_full = self.in_ring[vm as usize] >= self.params.ring_depth;
+            if self.still_frozen(now, at, out) || ring_full {
                 return;
             }
-            match self.guests[vm as usize].elevator.dispatch(now) {
+            match self.levels[at].elevator.dispatch(now) {
                 Dispatch::Request(grq) => {
-                    self.trace.push(
-                        now,
-                        TraceEvent::Dispatch {
-                            layer: Layer::Guest(vm),
-                            id: grq.id(),
-                            sector: grq.sector,
-                            sectors: grq.sectors,
-                            write: grq.dir == Dir::Write,
-                        },
-                    );
+                    self.record_dispatch(now, at, &grq);
                     // Split across ring slots of at most ring_seg_sectors.
                     let seg_max = self.params.ring_seg_sectors.max(1);
                     let nsegs = grq.sectors.div_ceil(seg_max) as u32;
-                    let counters = self.tel.level.counters();
-                    let (base, occ) = {
-                        let g = &mut self.guests[vm as usize];
-                        g.in_ring += nsegs as usize;
-                        if counters {
-                            g.counters.dispatches += 1;
-                            g.counters.dispatched_sectors += grq.sectors;
-                        }
-                        (g.base, g.in_ring as u32)
-                    };
+                    self.in_ring[vm as usize] += nsegs as usize;
+                    let occ = self.in_ring[vm as usize] as u32;
                     self.tel.on_guest_dispatch(grq.sectors);
                     self.tel.on_ring_occ(now, occ);
                     self.ring_occ.record(occ as f64);
@@ -682,7 +739,7 @@ impl NodeStack {
                         IoRequest {
                             id: self.next_dom0_id,
                             stream: vm,
-                            sector: base + grq.sector,
+                            sector: vm as u64 * self.params.vm_extent_sectors + grq.sector,
                             sectors: grq.sectors,
                             dir: grq.dir,
                             sync: grq.sync,
@@ -703,23 +760,16 @@ impl NodeStack {
                         }
                     };
                     self.ring.extend(std::iter::repeat_n(slot, nsegs as usize));
-                    self.enter_dom0(now, run);
+                    self.enter(now, DOM0, run);
                     // Check drain progress of the guest switch.
-                    self.try_finish_guest_drain(now, vm, out);
+                    self.try_finish_drain(now, at, out);
                 }
                 Dispatch::Idle { until } => {
-                    if self.tel.level.counters() {
-                        let c = &mut self.guests[vm as usize].counters;
-                        c.idles += 1;
-                        c.idle_wait.record(until.saturating_since(now).as_secs_f64());
-                    }
-                    self.trace
-                        .push(now, TraceEvent::IdleArm { layer: Layer::Guest(vm), until });
-                    self.arm_guest_kick(vm, until, out);
+                    self.record_idle(now, at, until, out);
                     return;
                 }
                 Dispatch::Empty => {
-                    self.try_finish_guest_drain(now, vm, out);
+                    self.try_finish_drain(now, at, out);
                     return;
                 }
             }
@@ -728,41 +778,12 @@ impl NodeStack {
 
     /// Drive the Dom0 elevator onto the disk.
     fn pump_dom0(&mut self, now: SimTime, out: &mut Vec<StackAction>) {
-        if self.in_service.is_some() {
+        if self.in_service.is_some() || self.still_frozen(now, DOM0, out) {
             return;
         }
-        // Re-init stall after the Dom0 switch.
-        if let Some(until) = self.dom0_switch.frozen_until() {
-            if now < until {
-                self.arm_dom0_kick(until, out);
-                return;
-            }
-            let staged = self.dom0_switch.thaw();
-            let code = self.dom0.kind().code() as u8;
-            self.trace
-                .push(now, TraceEvent::SwitchEnd { layer: Layer::Host, to: code });
-            let seg = self.params.ring_seg_sectors;
-            for r in staged {
-                self.enter_dom0(now, SegRun::new(r, seg));
-            }
-            self.finish_switch_if_done(now, out);
-        }
-        match self.dom0.dispatch(now) {
+        match self.levels[DOM0].elevator.dispatch(now) {
             Dispatch::Request(rq) => {
-                self.trace.push(
-                    now,
-                    TraceEvent::Dispatch {
-                        layer: Layer::Host,
-                        id: rq.id(),
-                        sector: rq.sector,
-                        sectors: rq.sectors,
-                        write: rq.dir == Dir::Write,
-                    },
-                );
-                if self.tel.level.counters() {
-                    self.dom0_counters.dispatches += 1;
-                    self.dom0_counters.dispatched_sectors += rq.sectors;
-                }
+                self.record_dispatch(now, DOM0, &rq);
                 let b = self
                     .disk
                     .service(now, rq.sector, rq.sectors, rq.dir == Dir::Write);
@@ -782,44 +803,28 @@ impl NodeStack {
                 self.in_service = Some(rq);
                 out.push(StackAction::At(now + b.total(), StackEvent::DiskDone));
             }
-            Dispatch::Idle { until } => {
-                if self.tel.level.counters() {
-                    self.dom0_counters.idles += 1;
-                    self.dom0_counters
-                        .idle_wait
-                        .record(until.saturating_since(now).as_secs_f64());
-                }
-                self.trace
-                    .push(now, TraceEvent::IdleArm { layer: Layer::Host, until });
-                self.arm_dom0_kick(until, out);
-            }
-            Dispatch::Empty => {
-                self.try_finish_dom0_drain(now, out);
-            }
+            Dispatch::Idle { until } => self.record_idle(now, DOM0, until, out),
+            Dispatch::Empty => self.try_finish_drain(now, DOM0, out),
         }
     }
 
     /// Physical completion: fan out to rings, guests and submitters.
     fn on_disk_done(&mut self, now: SimTime, out: &mut Vec<StackAction>) {
         let rq = self.in_service.take().expect("DiskDone without in-service rq");
-        self.dom0_meter.record(now, rq.bytes());
-        self.dom0.completed(&rq, now);
+        let counters = self.tel.level.counters();
+        self.levels[DOM0].complete(now, &rq, counters);
         // VMs whose ring occupancy changed, in first-touch order.
         let mut occ_vms = std::mem::take(&mut self.occ_scratch);
         occ_vms.clear();
-        let counters = self.tel.level.counters();
         for part in &rq.parts {
             self.trace
                 .push(now, TraceEvent::Complete { layer: Layer::Host, id: part.id });
-            if counters {
-                self.dom0_counters.completions += 1;
-            }
             self.tel
                 .on_dom0_complete(now.saturating_since(part.submitted).as_nanos());
             let slot = self.retire_segment(part.id);
             let parent = &mut self.parents[slot as usize];
             let vm = parent.vm;
-            self.guests[vm as usize].in_ring -= 1;
+            self.in_ring[vm as usize] -= 1;
             if !occ_vms.contains(&vm) {
                 occ_vms.push(vm);
             }
@@ -829,14 +834,7 @@ impl NodeStack {
             }
             let grq = parent.grq.take().expect("parent slot is live");
             self.free_parents.push(slot);
-            {
-                let g = &mut self.guests[vm as usize];
-                g.meter.record(now, grq.bytes());
-                g.elevator.completed(&grq, now);
-                if counters {
-                    g.counters.completions += grq.parts.len() as u64;
-                }
-            }
+            self.levels[guest_level(vm)].complete(now, &grq, counters);
             self.tel.on_vm_bytes(now, vm, grq.bytes());
             for gpart in &grq.parts {
                 self.trace.push(
@@ -857,7 +855,7 @@ impl NodeStack {
             }
         }
         for &vm in &occ_vms {
-            let occ = self.guests[vm as usize].in_ring as u32;
+            let occ = self.in_ring[vm as usize] as u32;
             self.ring_occ.record(occ as f64);
             self.tel.on_ring_occ(now, occ);
             self.trace
@@ -865,7 +863,7 @@ impl NodeStack {
         }
         self.occ_scratch = occ_vms;
         // Freed ring slots: refill from every guest that was blocked.
-        for vm in 0..self.guests.len() as u32 {
+        for vm in 0..self.vm_count() {
             self.pump_guest(now, vm, out);
         }
         self.pump_dom0(now, out);
@@ -875,194 +873,59 @@ impl NodeStack {
     // Elevator hot switching
     // ------------------------------------------------------------------
 
-    /// Begin switching to `pair` at both levels, Linux-style: each
-    /// elevator stops accepting new requests (they are staged), drains
-    /// what it holds, then swaps and stalls for its re-init time. The
+    /// Begin switching Dom0 to `host` and every guest to `guest`,
+    /// Linux-style; `None` keeps that level's elevator (the per-level
+    /// control the paper's §IV-B analyses). Each switching elevator
+    /// stops accepting new requests (they are staged), drains what it
+    /// holds, then swaps and stalls for its re-init time. The
     /// observable cost — queue drain under load plus the stalls — is
     /// what the paper's Fig. 5 measures.
     ///
-    /// Switching while a switch is in progress replaces the target pair.
-    pub fn begin_switch(&mut self, now: SimTime, pair: SchedPair) -> Vec<StackAction> {
-        self.begin_switch_scoped(now, pair, SwitchScope::Both)
-    }
-
-    /// Switch only the Dom0 elevator, keeping the guests' (the
-    /// finer-grained control the paper's §IV-B says it is analysing).
-    pub fn begin_switch_host(&mut self, now: SimTime, host: iosched::SchedKind) -> Vec<StackAction> {
-        let pair = SchedPair::new(host, self.pair.guest);
-        self.begin_switch_scoped(now, pair, SwitchScope::HostOnly)
-    }
-
-    /// Switch only the guests' elevators, keeping Dom0's.
-    pub fn begin_switch_guests(
+    /// Switching while a switch is in progress replaces the target.
+    pub fn begin_switch(
         &mut self,
         now: SimTime,
-        guest: iosched::SchedKind,
-    ) -> Vec<StackAction> {
-        let pair = SchedPair::new(self.pair.host, guest);
-        self.begin_switch_scoped(now, pair, SwitchScope::GuestOnly)
-    }
-
-    fn begin_switch_scoped(
-        &mut self,
-        now: SimTime,
-        pair: SchedPair,
-        scope: SwitchScope,
+        host: Option<SchedKind>,
+        guest: Option<SchedKind>,
     ) -> Vec<StackAction> {
         let _prof = simcore::prof::span("vmstack.switch");
         let mut out = Vec::new();
-        self.switching_to = Some(pair);
-        if scope != SwitchScope::GuestOnly {
-            self.dom0_switch.begin(pair.host);
-            if self.dom0_drain_began.is_none() {
-                self.dom0_drain_began = Some(now);
-            }
-            self.trace.push(
-                now,
-                TraceEvent::SwitchBegin { layer: Layer::Host, to: pair.host.code() as u8 },
-            );
-        }
-        if scope != SwitchScope::HostOnly {
-            for vm in 0..self.guests.len() as u32 {
-                let g = &mut self.guests[vm as usize];
-                g.switch.begin(pair.guest);
-                if g.drain_began.is_none() {
-                    g.drain_began = Some(now);
-                }
-                self.trace.push(
-                    now,
-                    TraceEvent::SwitchBegin {
-                        layer: Layer::Guest(vm),
-                        to: pair.guest.code() as u8,
-                    },
-                );
-            }
+        self.switching_to = Some(SchedPair::new(
+            host.unwrap_or(self.pair.host),
+            guest.unwrap_or(self.pair.guest),
+        ));
+        for (at, lv) in self.levels.iter_mut().enumerate() {
+            let Some(kind) = (if at == DOM0 { host } else { guest }) else {
+                continue;
+            };
+            lv.switch.begin(kind);
+            lv.drain_began.get_or_insert(now);
+            self.trace
+                .push(now, TraceEvent::SwitchBegin { layer: lv.layer, to: kind.code() as u8 });
         }
         // Drains may finish immediately on empty elevators.
-        for vm in 0..self.guests.len() as u32 {
-            self.try_finish_guest_drain(now, vm, &mut out);
+        for vm in 0..self.vm_count() {
+            self.try_finish_drain(now, guest_level(vm), &mut out);
             // pump so a frozen guest schedules its thaw kick
             self.pump_guest(now, vm, &mut out);
         }
-        self.try_finish_dom0_drain(now, &mut out);
+        self.try_finish_drain(now, DOM0, &mut out);
         self.pump_dom0(now, &mut out);
-        // A scoped switch on an idle level may already be complete.
-        self.finish_switch_if_done(now, &mut out);
+        // A one-level switch on an idle level may already be complete.
+        self.finish_switch_if_done(&mut out);
         out
-    }
-
-    fn try_finish_guest_drain(&mut self, now: SimTime, vm: VmId, out: &mut Vec<StackAction>) {
-        let thaw_at = now + self.params.switch.guest_reinit;
-        let counters = self.tel.level.counters();
-        let (code, drained) = {
-            let g = &mut self.guests[vm as usize];
-            if !(g.switch.is_draining() && g.elevator.queued() == 0) {
-                return;
-            }
-            let kind = g.switch.target().expect("draining has a target");
-            g.elevator = build_elevator(kind, &self.params.tunables);
-            g.switch.swap_done(thaw_at);
-            let drained = g.drain_began.take().map(|began| now.saturating_since(began));
-            if counters {
-                g.counters.switches += 1;
-                if let Some(d) = drained {
-                    g.counters.drain_durations.record(d.as_secs_f64());
-                }
-                g.counters.freeze_secs += self.params.switch.guest_reinit.as_secs_f64();
-            }
-            (kind.code() as u8, drained)
-        };
-        if let Some(d) = drained {
-            self.tel.on_drain(d.as_nanos());
-        }
-        self.tel.on_reinit(self.params.switch.guest_reinit.as_nanos());
-        self.trace
-            .push(now, TraceEvent::SwapDone { layer: Layer::Guest(vm), to: code });
-        self.arm_guest_kick(vm, thaw_at, out);
-    }
-
-    fn try_finish_dom0_drain(&mut self, now: SimTime, out: &mut Vec<StackAction>) {
-        if self.dom0_switch.is_draining()
-            && self.dom0.queued() == 0
-            && self.in_service.is_none()
-        {
-            let kind = self.dom0_switch.target().expect("draining has a target");
-            self.dom0 = build_elevator(kind, &self.params.tunables);
-            let thaw_at = now + self.params.switch.dom0_reinit;
-            self.dom0_switch.swap_done(thaw_at);
-            let counters = self.tel.level.counters();
-            let drained = self.dom0_drain_began.take().map(|began| now.saturating_since(began));
-            if counters {
-                self.dom0_counters.switches += 1;
-                if let Some(d) = drained {
-                    self.dom0_counters.drain_durations.record(d.as_secs_f64());
-                }
-                self.dom0_counters.freeze_secs += self.params.switch.dom0_reinit.as_secs_f64();
-            }
-            if let Some(d) = drained {
-                self.tel.on_drain(d.as_nanos());
-            }
-            self.tel.on_reinit(self.params.switch.dom0_reinit.as_nanos());
-            self.trace
-                .push(now, TraceEvent::SwapDone { layer: Layer::Host, to: kind.code() as u8 });
-            self.arm_dom0_kick(thaw_at, out);
-        }
     }
 
     /// If every level finished draining *and* thawed, declare the switch
     /// complete.
-    fn finish_switch_if_done(&mut self, _now: SimTime, out: &mut Vec<StackAction>) {
+    fn finish_switch_if_done(&mut self, out: &mut Vec<StackAction>) {
         let Some(pair) = self.switching_to else {
             return;
         };
-        let done = self.dom0_switch.is_settled()
-            && self.guests.iter().all(|g| g.switch.is_settled());
-        if done {
+        if self.levels.iter().all(|lv| lv.switch.is_settled()) {
             self.pair = pair;
             self.switching_to = None;
             out.push(StackAction::SwitchComplete { pair });
         }
     }
-}
-
-/// Record one elevator entry: counter updates plus the matching trace
-/// event (`Arrive` / `MergeBack` / `MergeFront` by `outcome`). A free
-/// function so callers can split-borrow the trace and one level's
-/// counters out of the stack.
-#[allow(clippy::too_many_arguments)]
-fn record_add(
-    trace: &mut Trace,
-    c: &mut LevelCounters,
-    tel: &mut NodeTelemetry,
-    layer: Layer,
-    now: SimTime,
-    id: RequestId,
-    sector: u64,
-    sectors: u64,
-    write: bool,
-    outcome: AddOutcome,
-    depth_after: usize,
-) {
-    let counters = tel.level.counters();
-    if counters {
-        c.arrivals += 1;
-        c.queue_depth.record(depth_after as f64);
-    }
-    tel.on_arrival(now, layer == Layer::Host, depth_after);
-    let ev = match outcome {
-        AddOutcome::Queued => TraceEvent::Arrive { layer, id, sector, sectors, write },
-        AddOutcome::MergedBack(_) => {
-            if counters {
-                c.merges_back += 1;
-            }
-            TraceEvent::MergeBack { layer, id, sector, sectors, write }
-        }
-        AddOutcome::MergedFront(_) => {
-            if counters {
-                c.merges_front += 1;
-            }
-            TraceEvent::MergeFront { layer, id, sector, sectors, write }
-        }
-    };
-    trace.push(now, ev);
 }

@@ -6,8 +6,8 @@
 //! and with ad-hoc workloads in tests. MapReduce workloads live in
 //! `mrsim`/`vcluster`; this runner is deliberately minimal.
 
-use crate::node::{NodeParams, NodeStack, StackAction, StackEvent, SwitchScope, VmId};
-use iosched::{Dir, IoRequest, RequestId, SchedPair, StreamId};
+use crate::node::{NodeParams, NodeStack, StackAction, StackEvent, VmId};
+use iosched::{Dir, IoRequest, RequestId, SchedKind, SchedPair, StreamId};
 use simcore::{EventQueue, FxHashMap, SimDuration, SimRng, SimTime};
 
 /// Access pattern of a synthetic process.
@@ -111,7 +111,7 @@ impl SyntheticProc {
 enum RunnerEvent {
     Stack(StackEvent),
     Issue { proc: usize },
-    SwitchAt { pair_idx: usize },
+    SwitchAt { idx: usize },
 }
 
 struct ProcState {
@@ -154,8 +154,9 @@ pub struct NodeRunner {
     /// Stack actions, recycled across `submit_into`/`handle_into` calls.
     actions: Vec<StackAction>,
     now: SimTime,
-    /// Scheduled mid-run switches (time-ordered).
-    switches: Vec<(SimTime, SchedPair, SwitchScope)>,
+    /// Scheduled mid-run switches: when, and the new Dom0 and guest
+    /// elevators (`None` keeps that level's).
+    switches: Vec<(SimTime, Option<SchedKind>, Option<SchedKind>)>,
 }
 
 impl NodeRunner {
@@ -189,27 +190,24 @@ impl NodeRunner {
             issued_sectors: 0,
             completed_sectors: 0,
             inflight: 0,
-            rng: None.or(rng),
+            rng,
             finished_at: None,
         });
     }
 
     /// Schedule a pair switch at an absolute time during the run.
     pub fn switch_at(&mut self, at: SimTime, pair: SchedPair) {
-        self.switches.push((at, pair, SwitchScope::Both));
+        self.switches.push((at, Some(pair.host), Some(pair.guest)));
     }
 
     /// Schedule a Dom0-only switch (the guests keep their elevator).
-    pub fn switch_host_at(&mut self, at: SimTime, host: iosched::SchedKind) {
-        // The guest half of the recorded pair is resolved at fire time.
-        self.switches
-            .push((at, SchedPair::new(host, host), SwitchScope::HostOnly));
+    pub fn switch_host_at(&mut self, at: SimTime, host: SchedKind) {
+        self.switches.push((at, Some(host), None));
     }
 
     /// Schedule a guests-only switch (Dom0 keeps its elevator).
-    pub fn switch_guests_at(&mut self, at: SimTime, guest: iosched::SchedKind) {
-        self.switches
-            .push((at, SchedPair::new(guest, guest), SwitchScope::GuestOnly));
+    pub fn switch_guests_at(&mut self, at: SimTime, guest: SchedKind) {
+        self.switches.push((at, None, Some(guest)));
     }
 
     /// Carry out (and empty) `actions`.
@@ -301,8 +299,8 @@ impl NodeRunner {
         }
         let mut switches = std::mem::take(&mut self.switches);
         switches.sort_by_key(|&(t, _, _)| t);
-        for (i, &(t, _, _)) in switches.iter().enumerate() {
-            self.queue.push(t, RunnerEvent::SwitchAt { pair_idx: i });
+        for (idx, &(t, _, _)) in switches.iter().enumerate() {
+            self.queue.push(t, RunnerEvent::SwitchAt { idx });
         }
 
         while let Some((t, ev)) = self.queue.pop() {
@@ -315,13 +313,9 @@ impl NodeRunner {
                     self.actions = actions;
                 }
                 RunnerEvent::Issue { proc } => self.prime(proc),
-                RunnerEvent::SwitchAt { pair_idx } => {
-                    let (_, pair, scope) = switches[pair_idx];
-                    let mut actions = match scope {
-                        SwitchScope::Both => self.stack.begin_switch(t, pair),
-                        SwitchScope::HostOnly => self.stack.begin_switch_host(t, pair.host),
-                        SwitchScope::GuestOnly => self.stack.begin_switch_guests(t, pair.guest),
-                    };
+                RunnerEvent::SwitchAt { idx } => {
+                    let (_, host, guest) = switches[idx];
+                    let mut actions = self.stack.begin_switch(t, host, guest);
                     self.apply(&mut actions);
                 }
             }

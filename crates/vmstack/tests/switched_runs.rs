@@ -5,33 +5,45 @@
 //! the Dom0 elevator one by one after the thaw; elsewhere every guest
 //! dispatch enters Dom0 as one run whose per-segment records are
 //! replayed in id order. Both paths feed the trace digest, which the
-//! cluster goldens cover only without a switch.
+//! cluster goldens cover only without a switch. Two more runs switch
+//! one level only (Dom0, or every guest) and pin both levels'
+//! `LevelCounters` besides.
 //!
 //! If a deliberate behaviour change invalidates these values,
 //! re-capture them with
 //! `cargo test -q -p vmstack --test switched_runs -- --ignored --nocapture`
 //! and say so in the commit message.
 
-use iosched::SchedPair;
-use simcore::SimTime;
+use iosched::{SchedKind, SchedPair};
+use simcore::{MetricsRegistry, SimTime};
 use vmstack::runner::{NodeRunner, SyntheticProc};
 use vmstack::NodeParams;
 
 const MIB: u64 = 1024 * 1024;
 
+/// When every run switches.
+const SWITCH_AT: SimTime = SimTime::from_millis(700);
+
 /// `(makespan_ns, trace_digest, dom0 arrivals, dom0 merges_back)`.
 type Fingerprint = (u64, u64, u64, u64);
 
-/// Start under pair `start`, switch to pair `15 - start` at 700 ms.
-fn fingerprint(start: usize) -> Fingerprint {
-    let pairs = SchedPair::all();
+/// Three VMs under `start`: two writers and two readers, VM 2 running
+/// one of each.
+fn runner(start: SchedPair) -> NodeRunner {
     let params = NodeParams { trace_capacity: usize::MAX, ..NodeParams::default() };
-    let mut r = NodeRunner::new(params, 3, pairs[start]);
+    let mut r = NodeRunner::new(params, 3, start);
     r.add_proc(SyntheticProc::dd_writer(0, 0, 0, 48 * MIB));
     r.add_proc(SyntheticProc::seq_reader(1, 0, 0, 32 * MIB));
     r.add_proc(SyntheticProc::dd_writer(2, 0, 0, 24 * MIB));
     r.add_proc(SyntheticProc::seq_reader(2, 1, 64 * MIB / 512, 24 * MIB));
-    r.switch_at(SimTime::from_millis(700), pairs[15 - start]);
+    r
+}
+
+/// Start under pair `start`, switch to pair `15 - start` at 700 ms.
+fn fingerprint(start: usize) -> Fingerprint {
+    let pairs = SchedPair::all();
+    let mut r = runner(pairs[start]);
+    r.switch_at(SWITCH_AT, pairs[15 - start]);
     let out = r.run();
     let stack = r.stack();
     assert_eq!(stack.pair(), pairs[15 - start], "switch never completed");
@@ -60,6 +72,66 @@ const GOLDENS: [Fingerprint; 16] = [
     (3238086364, 0x540d94bedbae2ec2, 3072, 2725),
 ];
 
+/// `(makespan_ns, trace_digest, dom0 switches, guest switches summed,
+/// FNV-1a of both levels' exported LevelCounters)`.
+type ScopedFingerprint = (u64, u64, u64, u64, u64);
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Start under the default pair and switch one level at 700 ms: Dom0
+/// to deadline (`host_only`), or every guest to anticipatory.
+fn scoped_fingerprint(host_only: bool) -> ScopedFingerprint {
+    let mut r = runner(SchedPair::DEFAULT);
+    let want = if host_only {
+        r.switch_host_at(SWITCH_AT, SchedKind::Deadline);
+        SchedPair::new(SchedKind::Deadline, SchedKind::Cfq)
+    } else {
+        r.switch_guests_at(SWITCH_AT, SchedKind::Anticipatory);
+        SchedPair::new(SchedKind::Cfq, SchedKind::Anticipatory)
+    };
+    let out = r.run();
+    let stack = r.stack();
+    assert_eq!(stack.pair(), want, "scoped switch never completed");
+    let mut reg = MetricsRegistry::new();
+    stack.dom0_counters().export(&mut reg, "dom0_elevator");
+    let mut guest_switches = 0;
+    for vm in 0..stack.vm_count() {
+        let c = stack.guest_counters(vm);
+        c.export(&mut reg, "guest_elevator");
+        guest_switches += c.switches;
+    }
+    (
+        out.makespan.as_nanos(),
+        stack.trace().digest(),
+        stack.dom0_counters().switches,
+        guest_switches,
+        fnv1a(reg.to_json().to_string().as_bytes()),
+    )
+}
+
+/// Captured with the scoped entry points `switch_host_at` and
+/// `switch_guests_at` before both levels shared one switch path.
+const SCOPED_GOLDENS: [(bool, ScopedFingerprint); 2] = [
+    (true, (2874551515, 0xd8b7beaaadc7d499, 1, 0, 0x6a0bf8eb8fb6fd37)),
+    (false, (2039400387, 0xab9e994ef24271fa, 0, 3, 0x4abef12b5a5a6de9)),
+];
+
+#[test]
+fn scoped_switches_match_goldens() {
+    for (host_only, golden) in SCOPED_GOLDENS {
+        let got = scoped_fingerprint(host_only);
+        assert_eq!(got, golden, "scoped switch (host_only {host_only}) drifted");
+    }
+}
+
 #[test]
 fn switched_runs_match_goldens() {
     for (start, golden) in GOLDENS.iter().enumerate() {
@@ -73,5 +145,9 @@ fn capture_goldens() {
     for start in 0..16 {
         let (m, d, a, b) = fingerprint(start);
         println!("    ({m}, 0x{d:016x}, {a}, {b}),");
+    }
+    for host_only in [true, false] {
+        let (m, d, h, g, f) = scoped_fingerprint(host_only);
+        println!("    ({host_only}, ({m}, 0x{d:016x}, {h}, {g}, 0x{f:016x})),");
     }
 }

@@ -43,6 +43,14 @@ grep -q '"schema":"adios.bench/1"' "${bench_json}" \
 cargo run -q --release --offline -p adios-report -- diff \
   --shape --fail-on-delta BENCH_micro.json "${bench_json}"
 
+# Paper switch benches at shrunken sizes. `fig5_switch_cost` asserts a
+# completed Dom0 switch and a broadly non-commutative cost matrix;
+# `ablation_scoped_switch` switches Dom0 only, the guests only and both
+# levels, and asserts each lands on its pair.
+for bench in fig5_switch_cost ablation_scoped_switch; do
+  REPRO_QUICK=1 cargo bench -q --offline -p repro-bench --bench "${bench}" > /dev/null
+done
+
 # Headline-cell wall gate: the 64x4 sweep cell (64 MB/VM sort, default
 # pair) must stay interactive. The slab elevator kernel plus the
 # incremental network solver hold it at ~0.93 s on the reference box
@@ -194,4 +202,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + deep-JSON rejection + rank/correlate/overlap smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + deep-JSON rejection + rank/correlate/overlap smoke green; dependency graph is workspace-only"

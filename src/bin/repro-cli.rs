@@ -151,6 +151,37 @@ where
     flags.get(key).map(|v| parse_value(key, v))
 }
 
+/// The parsed value of `--key`, if given, which must also pass `ok`: a
+/// value that parses but cannot run prints `--key: "v": must be what`
+/// and exits 2 before any calibration or simulation starts.
+fn flag_where<T: FromStr>(
+    flags: &Flags,
+    key: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Option<T>
+where
+    T::Err: Display,
+{
+    let v = flag(flags, key)?;
+    if !ok(&v) {
+        eprintln!("--{key}: {:?}: must be {what}", flags[key]);
+        exit(2);
+    }
+    Some(v)
+}
+
+/// The value of time flag `--key`, counted in `unit_ns` nanoseconds, if
+/// given. It must be at least `min` and fit the simulated clock's `u64`
+/// nanoseconds (a checked multiplication).
+fn duration_flag(flags: &Flags, key: &str, unit_ns: u64, min: u64) -> Option<SimDuration> {
+    let what = format!("in {min}..={}", u64::MAX / unit_ns);
+    let v: u64 = flag_where(flags, key, &what, |&v: &u64| {
+        v >= min && v.checked_mul(unit_ns).is_some()
+    })?;
+    Some(SimDuration::from_nanos(v * unit_ns))
+}
+
 /// The parsed entries of a comma-separated `--key` list, if given.
 fn flag_list<T: FromStr>(flags: &Flags, key: &str) -> Option<Vec<T>>
 where
@@ -301,8 +332,8 @@ fn online_policy(flags: &Flags, base: SchedPair) -> Option<(Box<dyn OnlinePolicy
             exit(2);
         }
     };
-    let tick_ms: u64 = flag(flags, "tick-ms").unwrap_or(500);
-    Some((policy, SimDuration::from_millis(tick_ms)))
+    let tick = duration_flag(flags, "tick-ms", 1_000_000, 1);
+    Some((policy, tick.unwrap_or(SimDuration::from_millis(500))))
 }
 
 fn cmd_run(flags: Flags) {
@@ -532,22 +563,27 @@ fn cmd_serve_jobs(flags: Flags) {
         shape: params.shape,
         ..ServiceParams::default()
     };
-    if let Some(v) = flag(&flags, "duration-s") {
-        sp.duration = SimDuration::from_secs(v);
+    if let Some(d) = duration_flag(&flags, "duration-s", 1_000_000_000, 0) {
+        sp.duration = d;
     }
     if let Some(v) = flag(&flags, "seed") {
         sp.seed = v;
     }
-    if let Some(v) = flag(&flags, "retune-s") {
-        sp.retune_period = SimDuration::from_secs(v);
+    if let Some(d) = duration_flag(&flags, "retune-s", 1_000_000_000, 1) {
+        sp.retune_period = d;
     }
-    if let Some(v) = flag(&flags, "switch-cost-ms") {
-        sp.switch_cost = SimDuration::from_millis(v);
+    if let Some(d) = duration_flag(&flags, "switch-cost-ms", 1_000_000, 0) {
+        sp.switch_cost = d;
     }
-    if let Some(v) = flag(&flags, "max-concurrent") {
+    if let Some(v) = flag_where(&flags, "max-concurrent", "at least 1", |&n: &u32| n >= 1) {
         sp.max_concurrent = v;
     }
-    let rate: f64 = flag(&flags, "rate").unwrap_or(6.0);
+    let rate = flag_where(&flags, "rate", "positive and finite", |r: &f64| {
+        r.is_finite() && *r > 0.0
+    })
+    .unwrap_or(6.0);
+    let margin = flag_where(&flags, "margin", "in [0, 1)", |m: &f64| (0.0..1.0).contains(m))
+        .unwrap_or(0.05);
     let arrivals = match flags.get("arrivals-file") {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -570,7 +606,6 @@ fn cmd_serve_jobs(flags: Flags) {
     // still use it for task service times).
     let cache = EvalCache::new();
     let profiles = calibrate_tenants(&params, &mix, &cache);
-    let margin: f64 = flag(&flags, "margin").unwrap_or(0.05);
     let mut policy: Box<dyn ServicePolicy> =
         match flags.get("policy").map(String::as_str).unwrap_or("adaptive") {
             "adaptive" => Box::new(BlendedTuner::new(profiles.clone(), margin)),

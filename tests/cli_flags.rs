@@ -45,6 +45,21 @@ fn bad_flag_values_exit_2_without_panicking() {
         (&["run", "--nodes", "x"][..], "--nodes"),
         (&["sweep", "--nodes", "2,x"][..], "--nodes"),
         (&["serve-jobs", "--rate", "fast"][..], "--rate"),
+        // Values that parse but cannot run are refused before the
+        // tenants are calibrated: each used to panic, hang, or (for
+        // the time flags) overflow the nanosecond clock.
+        (&["serve-jobs", "--rate", "0"][..], "--rate"),
+        (&["serve-jobs", "--rate", "-1"][..], "--rate"),
+        (&["serve-jobs", "--rate", "nan"][..], "--rate"),
+        (&["serve-jobs", "--rate", "inf"][..], "--rate"),
+        (&["serve-jobs", "--margin", "nan"][..], "--margin"),
+        (&["serve-jobs", "--max-concurrent", "0"][..], "--max-concurrent"),
+        (&["serve-jobs", "--retune-s", "0"][..], "--retune-s"),
+        (&["serve-jobs", "--duration-s", "99999999999"][..], "--duration-s"),
+        (&["serve-jobs", "--retune-s", "99999999999"][..], "--retune-s"),
+        (&["serve-jobs", "--switch-cost-ms", "99999999999999999"][..], "--switch-cost-ms"),
+        (&["run", "--policy", "phase", "--tick-ms", "0"][..], "--tick-ms"),
+        (&["run", "--policy", "phase", "--tick-ms", "99999999999999999"][..], "--tick-ms"),
         // A typo'd or retired flag is rejected, not silently ignored.
         (
             &["run", "--nodse", "2", "--vms", "2", "--data-mb", "16"][..],

@@ -87,6 +87,38 @@ const GOLDEN_128: Golden = Golden {
     metrics_fnv: 0x3725aa2b9700c77c,
 };
 
+/// A two-switch phased plan on the 2x2 shape, `(makespan_ns,
+/// trace_digest, metrics_fnv)` at 64 MB/VM: the Dom0 and guest
+/// elevators both switch under load at the map and shuffle boundaries,
+/// so drains, staging and re-init stalls feed the digest. Captured
+/// before the two levels shared one switch path. The makespan equals
+/// the `dd` row's: at this size the sort's critical path does not run
+/// through the disk, so the switches show in the digest and the metrics
+/// document (`switches`, `drain_s`, `freeze_s`) instead.
+const GOLDEN_PHASED: (u64, u64, u64) = (6257273994, 0x5096a3aa8ae46b75, 0x9e23c756cb490838);
+
+/// `ac` for the maps, `dd` for the shuffle, `cc` for the reduces.
+fn fingerprint_phased() -> (u64, u64, u64) {
+    let job = JobSpec {
+        data_per_vm_bytes: 64 * 1024 * 1024,
+        ..JobSpec::new(WorkloadSpec::sort())
+    };
+    let p = |code: &str| code.parse::<SchedPair>().expect("pair code");
+    let plan = SwitchPlan::phased(p("ac"), Some(p("dd")), Some(p("cc")));
+    assert_eq!(plan.switches(), 2);
+    let out = run_job(&params(), &job, plan);
+    (
+        out.makespan.as_nanos(),
+        out.trace_digest,
+        fnv1a(out.metrics.to_string().as_bytes()),
+    )
+}
+
+#[test]
+fn phased_plan_preserves_golden() {
+    assert_eq!(fingerprint_phased(), GOLDEN_PHASED, "phased-plan golden drifted");
+}
+
 fn params_128() -> ClusterParams {
     let mut p = params();
     p.shape.nodes = 128;
@@ -141,6 +173,8 @@ fn capture_goldens() {
         "Golden128 {{ pair_idx: 0, data_mb: 8, makespan_ns: {m}, \
          trace_digest: 0x{d:016x}, metrics_fnv: 0x{f:016x} }}"
     );
+    let (m, d, f) = fingerprint_phased();
+    println!("GOLDEN_PHASED: ({m}, 0x{d:016x}, 0x{f:016x})");
 }
 
 #[test]
