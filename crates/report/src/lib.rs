@@ -14,8 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod store;
-
 use simcore::Json;
 use std::fmt::Write as _;
 

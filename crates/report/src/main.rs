@@ -3,9 +3,6 @@
 //! ```text
 //! adios-report render <doc.json>
 //! adios-report diff <a.json> <b.json> [--shape] [--fail-on-delta] [--fail-on-share-delta [pct]]
-//! adios-report rank --metrics-dir <dir> [--require-crossover]
-//! adios-report correlate --metrics-dir <dir>
-//! adios-report overlap --metrics-dir <dir>
 //! ```
 //!
 //! A path of `-` reads from stdin. `render` exits non-zero on parse or
@@ -14,15 +11,9 @@
 //! compares structure only — which keys and named benchmark entries
 //! exist, not their values — the right gate for committed benchmark
 //! baselines whose timings drift from machine to machine.
-//!
-//! The cross-run analytics commands ingest manifest-stamped
-//! `adios.metrics/2` documents produced by `repro-cli sweep
-//! --metrics-dir`: `rank` prints per-phase plan rankings per (shape,
-//! data) group and exits 2 under `--require-crossover` when no
-//! phase-local ranking crossover exists anywhere (the D6 gate);
-//! `correlate` prints gain-vs-queue-depth/disk-busy tables (the D3
-//! diagnosis); `overlap` prints the mean non-concurrent shuffle share
-//! per `parallel_copies` setting against Table II (the D4 probe).
+//! `--fail-on-share-delta` exits 2 when a subsystem's profile share
+//! moved more than its threshold (default 5 percentage points); a
+//! threshold that is negative, NaN or infinite exits 1.
 
 use simcore::Json;
 use std::io::Read as _;
@@ -45,68 +36,19 @@ fn usage() -> ExitCode {
     eprintln!("usage: adios-report render <doc.json>");
     eprintln!("       adios-report diff <a.json> <b.json> [--shape] [--fail-on-delta]");
     eprintln!("                          [--fail-on-share-delta [pct]]");
-    eprintln!("       adios-report rank --metrics-dir <dir> [--require-crossover]");
-    eprintln!("       adios-report correlate --metrics-dir <dir>");
-    eprintln!("       adios-report overlap --metrics-dir <dir>");
     ExitCode::FAILURE
 }
 
-/// Value of a `--flag value` pair anywhere in `args`.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Load every `*.json` in `dir`, sorted by file name so the run set —
-/// and everything rendered from it — is deterministic.
-fn load_metrics_dir(dir: &str) -> Result<Vec<(String, Json)>, String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{dir}: {e}"))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".json"))
-        .collect();
-    names.sort();
-    if names.is_empty() {
-        return Err(format!("{dir}: no *.json metrics documents"));
-    }
-    let mut docs = Vec::with_capacity(names.len());
-    for n in names {
-        let path = format!("{dir}/{n}");
-        docs.push((n, load(&path)?));
-    }
-    Ok(docs)
-}
-
-fn run_store_command(args: &[String]) -> Result<ExitCode, String> {
-    match args[0].as_str() {
-        "rank" => {
-            let dir = flag_value(args, "--metrics-dir").ok_or("rank needs --metrics-dir")?;
-            let require = args.iter().any(|a| a == "--require-crossover");
-            let runs = report::store::load_runs(&load_metrics_dir(dir)?)?;
-            let r = report::store::rank(&runs)?;
-            print!("{}", r.text);
-            if require && r.crossovers == 0 {
-                eprintln!("adios-report: no phase-local ranking crossover found");
-                return Ok(ExitCode::from(2));
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "correlate" => {
-            let dir = flag_value(args, "--metrics-dir").ok_or("correlate needs --metrics-dir")?;
-            let runs = report::store::load_runs(&load_metrics_dir(dir)?)?;
-            print!("{}", report::store::correlate(&runs)?);
-            Ok(ExitCode::SUCCESS)
-        }
-        "overlap" => {
-            let dir = flag_value(args, "--metrics-dir").ok_or("overlap needs --metrics-dir")?;
-            let runs = report::store::load_runs(&load_metrics_dir(dir)?)?;
-            print!("{}", report::store::overlap(&runs)?.text);
-            Ok(ExitCode::SUCCESS)
-        }
-        _ => unreachable!(),
+/// A `--fail-on-share-delta` threshold in percentage points. A NaN or
+/// infinite gate never trips and a negative one trips on every row, so
+/// all three are refused.
+fn share_threshold(pct: f64) -> Result<f64, String> {
+    if pct.is_finite() && pct >= 0.0 {
+        Ok(pct)
+    } else {
+        Err(format!(
+            "--fail-on-share-delta: {pct}: must be a finite, non-negative number of percentage points"
+        ))
     }
 }
 
@@ -143,7 +85,13 @@ fn main() -> ExitCode {
                         .and_then(|v| v.parse::<f64>().ok())
                         .inspect(|_| i += 1)
                         .unwrap_or(5.0);
-                    share_gate = Some(thresh);
+                    match share_threshold(thresh) {
+                        Ok(thresh) => share_gate = Some(thresh),
+                        Err(e) => {
+                            eprintln!("adios-report: {e}");
+                            return ExitCode::FAILURE;
+                        }
+                    }
                 } else if a.starts_with("--") {
                     if a != "--fail-on-delta" && a != "--shape" {
                         eprintln!("adios-report: unknown flag {a}");
@@ -191,13 +139,21 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("rank" | "correlate" | "overlap") => match run_store_command(&args) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("adios-report: {e}");
-                ExitCode::FAILURE
-            }
-        },
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::share_threshold;
+
+    #[test]
+    fn share_threshold_refuses_values_that_switch_the_gate_off() {
+        assert_eq!(share_threshold(0.0), Ok(0.0));
+        assert_eq!(share_threshold(6.5), Ok(6.5));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let err = share_threshold(bad).unwrap_err();
+            assert!(err.starts_with("--fail-on-share-delta: "), "{bad}: {err}");
+        }
     }
 }

@@ -41,7 +41,4 @@ pub use driver::{
     SwitchPlan,
 };
 pub use network::{FlowId, NetParams, Network};
-pub use sweep::{
-    run_sweep, stamp_manifest, CellResult, MergedMetrics, RunManifest, SweepCell, SweepGrid,
-    SweepReport,
-};
+pub use sweep::{run_sweep, CellResult, MergedMetrics, SweepCell, SweepGrid, SweepReport};

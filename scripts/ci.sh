@@ -169,26 +169,36 @@ if (( bad_status != 1 )) || ! grep -qF 'spans[0].name: expected a string' <<< "$
   exit 1
 fi
 
-# Cross-run analytics smoke: a mini-sweep over two node counts (a comma
-# list), two pairs and two parallel-copies settings must round-trip
-# through `rank`, `correlate` and `overlap`. `rank` without
-# --require-crossover must exit 0 even when the tiny grid has none; the
+# A share gate that could never trip (NaN) must be refused with exit 1
+# naming the flag, not pass every profile pair.
+gate_status=0
+gate_err="$(cargo run -q --release --offline -p adios-report -- diff \
+  docs/profiles/PROFILE_64x4.json docs/profiles/PROFILE_256x4.json \
+  --fail-on-share-delta nan 2>&1 > /dev/null)" || gate_status=$?
+if (( gate_status != 1 )) || ! grep -qF -- '--fail-on-share-delta' <<< "${gate_err}"; then
+  echo "error: --fail-on-share-delta nan must exit 1 naming the flag" \
+    "(exit ${gate_status})" >&2
+  echo "${gate_err}" >&2
+  exit 1
+fi
+
+# Cross-run tables smoke: a mini-sweep over two node counts (a comma
+# list), two pairs and two parallel-copies settings must print its
+# ranking (with the crossover count), its gain-vs-queue-depth
+# correlation and both parallel-copies rows of the overlap table. The
 # Fig. 6 crossover itself is covered by unit tests and the
 # EXPERIMENTS.md 4x4/512MB recipe.
-sweep_dir="$(mktemp -d)"
-cargo run -q --release --offline --bin repro-cli -- sweep \
-  --nodes 2,3 --vms 2 --data-mb 64 --pairs cc,dd --parallel-copies 1,5 \
-  --metrics-dir "${sweep_dir}" > /dev/null
-cargo run -q --release --offline -p adios-report -- rank \
-  --metrics-dir "${sweep_dir}" > /dev/null
-cargo run -q --release --offline -p adios-report -- correlate \
-  --metrics-dir "${sweep_dir}" > /dev/null
-overlap_out="$(cargo run -q --release --offline -p adios-report -- overlap \
-  --metrics-dir "${sweep_dir}")"
-[[ "$(grep -cE '^ +[15] +4 ' <<< "${overlap_out}")" -eq 2 ]] \
-  || { echo "error: overlap must report both parallel-copies settings" >&2; \
-       echo "${overlap_out}" >&2; exit 1; }
-rm -rf "${sweep_dir}"
+sweep_out="$(cargo run -q --release --offline --bin repro-cli -- sweep \
+  --nodes 2,3 --vms 2 --data-mb 64 --pairs cc,dd --parallel-copies 1,5)"
+grep -qE '^crossovers: [0-9]+$' <<< "${sweep_out}" \
+  || { echo "error: sweep must print the ranking's crossovers line" >&2; \
+       echo "${sweep_out}" >&2; exit 1; }
+grep -qF '  corr(gain, qdepth) = ' <<< "${sweep_out}" \
+  || { echo "error: sweep must print a corr(gain, qdepth) line" >&2; \
+       echo "${sweep_out}" >&2; exit 1; }
+[[ "$(grep -cE '^ +[15] +4 ' <<< "${sweep_out}")" -eq 2 ]] \
+  || { echo "error: sweep must print both parallel-copies overlap rows" >&2; \
+       echo "${sweep_out}" >&2; exit 1; }
 
 # Dependency guard: every node reachable over normal, build, and dev
 # edges must be a path crate inside this repo. A registry dependency
@@ -202,4 +212,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + deep-JSON rejection + rank/correlate/overlap smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + deep-JSON/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"

@@ -1,22 +1,18 @@
-//! Goldens for the cross-run analytics (`adios-report rank`,
-//! `correlate`, `overlap`): their output is a pure function of the run
-//! set. The same sweep regenerated under `SIM_THREADS=1/2/8` must give
-//! byte-identical tables, any input order must give the same bytes,
-//! and the bytes themselves are pinned: an FNV-1a digest of the full
-//! `rank` and `correlate` text plus the lines a reader checks by eye,
-//! and the exact overlap means.
+//! Goldens for the cross-run tables `repro-cli sweep` prints
+//! (`SweepReport::rank`, `correlate`, `overlap`): their output is a pure
+//! function of the sweep grid. The same sweep run under
+//! `SIM_THREADS=1/2/8` must give byte-identical tables, and the bytes
+//! themselves are pinned: an FNV-1a digest of the full `rank` and
+//! `correlate` text plus the lines a reader checks by eye, and the
+//! exact overlap means.
 
 use adaptive_disk_sched::iosched::SchedPair;
 use adaptive_disk_sched::mrsim::{JobSpec, WorkloadSpec};
-use adaptive_disk_sched::vcluster::{
-    run_sweep, stamp_manifest, ClusterParams, RunManifest, SweepGrid, SwitchPlan,
-};
-use report::store::{correlate, load_runs, overlap, rank};
-use simcore::Json;
+use adaptive_disk_sched::vcluster::{run_sweep, ClusterParams, SweepGrid, SweepReport, SwitchPlan};
 
-/// FNV-1a of the `rank` text of [`sweep_docs`].
+/// FNV-1a of the `rank` text of [`sweep`].
 const RANK_FNV: u64 = 0x41d48853879e9a87;
-/// FNV-1a of the `correlate` text of [`sweep_docs`].
+/// FNV-1a of the `correlate` text of [`sweep`].
 const CORRELATE_FNV: u64 = 0xb0e41d733152d991;
 
 fn fnv1a(s: &str) -> u64 {
@@ -28,10 +24,8 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Run a small sweep (2 data sizes × cc/dd × parallel copies 1/5) and
-/// return the manifest-stamped documents exactly as `repro-cli sweep
-/// --metrics-dir` would write them, keyed by file name.
-fn sweep_docs() -> Vec<(String, Json)> {
+/// A small sweep: 2x2 VMs × 2 data sizes × cc/dd × parallel copies 1/5.
+fn sweep() -> SweepReport {
     let mut base = ClusterParams::default();
     base.shape.nodes = 2;
     base.shape.vms_per_node = 2;
@@ -47,25 +41,12 @@ fn sweep_docs() -> Vec<(String, Json)> {
         ],
         parallel_copies: vec![1, 5],
     };
-    let report = run_sweep(&base, &job, &grid);
-    report
-        .results
-        .iter()
-        .map(|r| {
-            let m = RunManifest::new(&r.cell, &base, &job);
-            (format!("{}.json", m.key()), stamp_manifest(&r.metrics, &m))
-        })
-        .collect()
+    run_sweep(&base, &job, &grid)
 }
 
-/// `rank`, `correlate` and `overlap` text over one document set.
-fn tables(docs: &[(String, Json)]) -> [String; 3] {
-    let runs = load_runs(docs).expect("load");
-    [
-        rank(&runs).expect("rank").text,
-        correlate(&runs).expect("correlate"),
-        overlap(&runs).expect("overlap").text,
-    ]
+/// `rank`, `correlate` and `overlap` text of one sweep.
+fn tables(report: &SweepReport) -> [String; 3] {
+    [report.rank(), report.correlate(), report.overlap().text]
 }
 
 /// The tables are byte-identical when the underlying sweep runs on 1,
@@ -77,7 +58,7 @@ fn tables_invariant_to_sim_threads() {
     let mut all = Vec::new();
     for threads in ["1", "2", "8"] {
         std::env::set_var("SIM_THREADS", threads);
-        all.push(tables(&sweep_docs()));
+        all.push(tables(&sweep()));
     }
     std::env::remove_var("SIM_THREADS");
     assert_eq!(all[0], all[1], "SIM_THREADS=2 changed the tables");
@@ -94,51 +75,25 @@ fn tables_invariant_to_sim_threads() {
 /// The lines behind the digests, and the overlap means to the bit.
 #[test]
 fn tables_match_pinned_lines() {
-    let docs = sweep_docs();
-    let runs = load_runs(&docs).expect("load");
-    let r = rank(&runs).expect("rank");
-    assert_eq!(r.crossovers, 0);
-    assert!(r.text.ends_with("\ncrossovers: 0\n"), "{}", r.text);
+    let report = sweep();
+    let r = report.rank();
+    assert!(r.ends_with("\ncrossovers: 0\n"), "{r}");
     assert!(
-        r.text
-            .contains("  ph1  1. dd@pc1 4.047s  2. dd@pc5 +0.000s  3. cc@pc1 +1.332s"),
-        "{}",
-        r.text
+        r.contains("  ph1  1. dd@pc1 4.047s  2. dd@pc5 +0.000s  3. cc@pc1 +1.332s"),
+        "{r}"
     );
-    let c = correlate(&runs).expect("correlate");
+    let c = report.correlate();
     for line in [
         "  corr(gain, qdepth) = +0.831   corr(gain, busy) = +0.237\n",
         "  corr(gain, qdepth) = +0.993   corr(gain, busy) = +1.000\n",
     ] {
         assert!(c.contains(line), "missing {line:?} in\n{c}");
     }
-    let o = overlap(&runs).expect("overlap");
+    let o = report.overlap();
     assert_eq!(
         o.rows,
         vec![(1, 4, 43.34754313832858), (5, 4, 43.29139365082737)],
         "{}",
         o.text
     );
-}
-
-/// Reversed or rotated input gives the same bytes as sorted input.
-#[test]
-fn tables_independent_of_input_order() {
-    let mut sorted = sweep_docs();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let expect = tables(&sorted);
-    let reversed: Vec<_> = sorted.iter().rev().cloned().collect();
-    let mid = sorted.len() / 2;
-    let rotated: Vec<_> = sorted[mid..]
-        .iter()
-        .chain(&sorted[..mid])
-        .cloned()
-        .collect();
-    for (label, order) in [("reversed", &reversed), ("rotated", &rotated)] {
-        assert_eq!(
-            tables(order),
-            expect,
-            "{label} input order changed the tables"
-        );
-    }
 }
