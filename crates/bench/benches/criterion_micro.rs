@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the simulator itself: elevator add/dispatch
 //! throughput, one node's whole virtualized block path at fixed VM
 //! counts, calendar event-queue push/pop and same-instant batch drain,
-//! the memo-cache hit path, mechanical disk service computation, and a
-//! complete small MapReduce job — the costs that bound every
-//! reproduction experiment above.
+//! the memo-cache hit path, trace pushes (service-shaped, unbounded;
+//! node-shaped, into a dropping ring), sample-set records, mechanical
+//! disk service computation, and a complete small MapReduce job — the
+//! costs that bound every reproduction experiment above.
 //!
 //! Runs on the in-tree `repro_bench::micro` timer harness (warmup +
 //! fixed iteration count, mean/stddev from `simcore::stats`) so the
@@ -17,7 +18,7 @@ use metasched::EvalCache;
 use mrsim::{JobSpec, WorkloadSpec};
 use repro_bench::micro::{bench, Timing};
 use repro_bench::quick;
-use simcore::{EventQueue, Json, SimDuration, SimTime};
+use simcore::{EventQueue, Json, Layer, SampleSet, SimDuration, SimTime, Trace, TraceEvent};
 use std::hint::black_box;
 use vcluster::{run_job, ClusterParams, NetParams, Network, SwitchPlan};
 use vmstack::runner::{NodeRunner, SyntheticProc};
@@ -207,7 +208,6 @@ fn net_churn(active: usize, rounds: u64, sources: u64) -> u64 {
     completed
 }
 
-/// Serialize one benchmark's timing for `BENCH_micro.json`.
 /// One `dd` pass through a single node's block path: each of `vms`
 /// VMs writes 32 MiB sequentially under the default pair, so every
 /// request goes submit → guest elevator → ring → Dom0 elevator → disk
@@ -220,6 +220,82 @@ fn vmstack_dd(vms: u32) -> SimDuration {
     r.run().makespan
 }
 
+/// Fixed LCG step: identical workloads per iteration.
+fn lcg(x: &mut u64) -> u64 {
+    *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *x >> 11
+}
+
+/// Service-shaped pushes into an unbounded trace, as `run_service`
+/// keeps one: per job an arrival, an admission, four slot
+/// acquire/release pairs and a completion, second-scale gaps apart.
+fn trace_push_service(records: u64) -> u64 {
+    let mut tr = Trace::unbounded();
+    let mut x = 0x2545_f491_4f6c_dd1d_u64;
+    let mut t = 0u64;
+    let mut at = |x: &mut u64| {
+        t += lcg(x) % 2_000_000_000;
+        SimTime::from_nanos(t)
+    };
+    for job in 0.. {
+        if tr.total() >= records {
+            break;
+        }
+        let bytes = 64 << 20;
+        tr.push(at(&mut x), TraceEvent::JobArrive { job, bytes: 4 * bytes });
+        tr.push(at(&mut x), TraceEvent::JobAdmit { job });
+        for _ in 0..4 {
+            let gvm = (lcg(&mut x) % 16) as u32;
+            tr.push(at(&mut x), TraceEvent::SlotAcquire { job, gvm, map: true });
+            tr.push(at(&mut x), TraceEvent::SlotRelease { job, gvm, map: true, bytes });
+        }
+        tr.push(at(&mut x), TraceEvent::JobComplete { job });
+    }
+    tr.digest()
+}
+
+/// Node-shaped pushes into a bounded ring four times past its
+/// capacity: per request a guest entry and dispatch, a ring occupancy,
+/// the Dom0 entry, dispatch and disk service, and both completions.
+fn trace_push_node(records: u64, cap: usize) -> u64 {
+    let mut tr = Trace::bounded(cap);
+    let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut t = SimTime::ZERO;
+    for id in 0.. {
+        if tr.total() >= records {
+            break;
+        }
+        let (guest, host) = (Layer::Guest((id % 4) as u32), Layer::Host);
+        let (sector, sectors, write) = (lcg(&mut x) % 1_900_000_000, 8 + lcg(&mut x) % 248, id % 3 == 0);
+        for layer in [guest, host] {
+            tr.push(t, TraceEvent::Arrive { layer, id, sector, sectors, write });
+            t += SimDuration::from_nanos(lcg(&mut x) % 200_000);
+            tr.push(t, TraceEvent::Dispatch { layer, id, sector, sectors, write });
+        }
+        tr.push(t, TraceEvent::RingOcc { vm: (id % 4) as u32, occupied: (id % 32) as u32, bound: 43 });
+        let (seek_ns, rotation_ns) = (lcg(&mut x) % 8_000_000, lcg(&mut x) % 4_000_000);
+        let transfer_ns = sectors * 5_000;
+        let sequential = seek_ns == 0;
+        tr.push(t, TraceEvent::DiskService { id, seek_ns, rotation_ns, transfer_ns, sectors, sequential });
+        t += SimDuration::from_nanos(seek_ns + rotation_ns + transfer_ns);
+        tr.push(t, TraceEvent::Complete { layer: host, id });
+        tr.push(t, TraceEvent::Complete { layer: guest, id });
+    }
+    tr.digest() ^ tr.dropped()
+}
+
+/// `n` job latencies recorded in completion (unsorted) order, then the
+/// p99 read `run_service` makes of them.
+fn sample_set_record(n: usize) -> f64 {
+    let mut set = SampleSet::new();
+    let mut x = 0x853c_49e6_748f_ea9b_u64;
+    for _ in 0..n {
+        set.record((lcg(&mut x) % 150_000) as f64 / 1000.0);
+    }
+    set.quantile(0.99).unwrap_or(0.0)
+}
+
+/// Serialize one benchmark's timing for `BENCH_micro.json`.
 fn timing_json(name: &str, t: Timing) -> Json {
     Json::obj()
         .field("name", name)
@@ -302,6 +378,21 @@ fn main() {
         let t = bench(&name, warmup, iters, || black_box(net_churn(active, rounds, 3)));
         results.push(timing_json(&name, t));
     }
+
+    let records = if quick() { 1 << 14 } else { 1 << 18 };
+    let t = bench("trace_push/service", warmup, iters, || {
+        black_box(trace_push_service(records))
+    });
+    results.push(timing_json("trace_push/service", t));
+    let t = bench("trace_push/node", warmup, iters, || {
+        black_box(trace_push_node(records, records as usize / 4))
+    });
+    results.push(timing_json("trace_push/node", t));
+
+    let t = bench("sample_set_record/40k", warmup, iters, || {
+        black_box(sample_set_record(40_000))
+    });
+    results.push(timing_json("sample_set_record/40k", t));
 
     let t = bench("disk_service_1k_requests", warmup, iters, || {
         let mut d = blkdev::Disk::new(blkdev::DiskParams::default());

@@ -203,6 +203,42 @@ fn render_rows(out: &mut String, rows: &[Json]) {
     }
 }
 
+/// The `[service SLO]` block of a service document. A missing or
+/// mistyped field is an error naming its path, e.g.
+/// `latency.p50_s: expected a number`.
+fn render_service_slo(out: &mut String, doc: &Json) -> Result<(), String> {
+    let at = |path: &[&str]| path.iter().try_fold(doc, |v, k| v.get(k));
+    let num = |path: &[&str]| {
+        at(path)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("{}: expected a number", path.join(".")))
+    };
+    let count = |path: &[&str]| {
+        at(path)
+            .and_then(Json::as_i64)
+            .and_then(|n| u64::try_from(n).ok())
+            .ok_or_else(|| format!("{}: expected a non-negative integer", path.join(".")))
+    };
+    let (p50, p99) = (num(&["latency", "p50_s"])?, num(&["latency", "p99_s"])?);
+    let throughput = num(&["service", "throughput_jpm"])?;
+    let (completed, arrivals) = (count(&["service", "completed"])?, count(&["service", "arrivals"])?);
+    let (map_util, reduce_util) = (num(&["slots", "map_util"])?, num(&["slots", "reduce_util"])?);
+    let policy = doc
+        .get("policy")
+        .and_then(Json::as_str)
+        .ok_or_else(|| "policy: expected a string".to_string())?;
+    let _ = writeln!(out, "\n[service SLO]");
+    let _ = writeln!(out, "  {:<24} {policy}", "policy");
+    let _ = writeln!(out, "  {:<24} p50={p50:.3}s p99={p99:.3}s", "job latency");
+    let _ = writeln!(
+        out,
+        "  {:<24} {throughput:.2} jobs/min (completed {completed} of {arrivals} arrivals)",
+        "throughput"
+    );
+    let _ = writeln!(out, "  {:<24} map={map_util:.2} reduce={reduce_util:.2}", "slot utilization");
+    Ok(())
+}
+
 /// Render a metrics or benchmark document as a terminal dashboard.
 /// Errors unless the document carries a recognised `adios.metrics` or
 /// `adios.bench` schema. Benchmark documents (`criterion_micro`,
@@ -231,45 +267,7 @@ pub fn render(doc: &Json) -> Result<String, String> {
     // Multi-job service documents lead with the four numbers the
     // service is judged on, ahead of the generic section dump.
     if schema == "adios.metrics/3" && doc.get("kind").and_then(Json::as_str) == Some("service") {
-        let g = |path: &[&str]| -> f64 {
-            let mut v = doc;
-            for k in path {
-                match v.get(k) {
-                    Some(inner) => v = inner,
-                    None => return 0.0,
-                }
-            }
-            f(v)
-        };
-        let _ = writeln!(out, "\n[service SLO]");
-        let _ = writeln!(
-            out,
-            "  {:<24} {}",
-            "policy",
-            doc.get("policy").and_then(Json::as_str).unwrap_or("?")
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} p50={:.3}s p99={:.3}s",
-            "job latency",
-            g(&["latency", "p50_s"]),
-            g(&["latency", "p99_s"]),
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} {:.2} jobs/min (completed {} of {} arrivals)",
-            "throughput",
-            g(&["service", "throughput_jpm"]),
-            g(&["service", "completed"]) as u64,
-            g(&["service", "arrivals"]) as u64,
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} map={:.2} reduce={:.2}",
-            "slot utilization",
-            g(&["slots", "map_util"]),
-            g(&["slots", "reduce_util"]),
-        );
+        render_service_slo(&mut out, doc)?;
     }
     let mut scalars: Vec<(String, Json)> = Vec::new();
     for (section, value) in doc.entries().unwrap_or(&[]) {
@@ -786,6 +784,37 @@ mod tests {
             text.find("[service SLO]").unwrap() < text.find("[service]").unwrap(),
             "{text}"
         );
+    }
+
+    /// A service document whose SLO fields are missing or mistyped is
+    /// refused with the field's path, not rendered with zeros.
+    #[test]
+    fn render_service_slo_names_malformed_fields() {
+        let err = |text: &str| render(&Json::parse(text).unwrap()).unwrap_err();
+        let head = r#""schema":"adios.metrics/3","kind":"service""#;
+        assert_eq!(
+            err(&format!(r#"{{{head},"latency":{{"p50_s":"x"}}}}"#)),
+            "latency.p50_s: expected a number"
+        );
+        assert_eq!(
+            err(&format!(r#"{{{head},"latency":{{"p50_s":1,"p99_s":2}}}}"#)),
+            "service.throughput_jpm: expected a number"
+        );
+        let body = r#""latency":{"p50_s":1,"p99_s":2},"slots":{"map_util":0.5,"reduce_util":0.5}"#;
+        assert_eq!(
+            err(&format!(
+                r#"{{{head},{body},"service":{{"throughput_jpm":1,"completed":-1,"arrivals":2}}}}"#
+            )),
+            "service.completed: expected a non-negative integer"
+        );
+        let service = r#""service":{"throughput_jpm":1,"completed":1,"arrivals":2}"#;
+        assert_eq!(
+            err(&format!(r#"{{{head},{body},{service}}}"#)),
+            "policy: expected a string"
+        );
+        let ok = format!(r#"{{{head},"policy":"fixed",{body},{service}}}"#);
+        let text = render(&Json::parse(&ok).unwrap()).unwrap();
+        assert!(text.contains("1.00 jobs/min (completed 1 of 2 arrivals)"), "{text}");
     }
 
     #[test]

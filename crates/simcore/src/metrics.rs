@@ -62,7 +62,8 @@ impl Telemetry {
     }
 }
 
-/// One registered metric value.
+/// One registered metric value. The large shapes are boxed, so the
+/// many counters and gauges of a service document take 16 bytes each.
 #[derive(Debug, Clone)]
 pub enum Metric {
     /// Accumulated integer count.
@@ -70,13 +71,13 @@ pub enum Metric {
     /// Last-set / accumulated float value.
     Gauge(f64),
     /// Streaming moments.
-    Stats(OnlineStats),
+    Stats(Box<OnlineStats>),
     /// Full sample distribution.
-    Samples(SampleSet),
+    Samples(Box<SampleSet>),
     /// Log-bucketed histogram (exported with p50/p90/p99/p999).
-    Hist(Histogram),
+    Hist(Box<Histogram>),
     /// Windowed sim-time series.
-    Series(TimeSeries),
+    Series(Box<TimeSeries>),
 }
 
 impl Metric {
@@ -167,7 +168,7 @@ impl MetricsRegistry {
 
     /// Record one observation into a stats metric.
     pub fn observe(&mut self, section: &str, name: &str, x: f64) {
-        match self.slot(section, name, || Metric::Stats(OnlineStats::new())) {
+        match self.slot(section, name, || Metric::Stats(Box::new(OnlineStats::new()))) {
             Metric::Stats(s) => s.record(x),
             other => panic!("{section}.{name} is not a stats metric: {other:?}"),
         }
@@ -175,7 +176,7 @@ impl MetricsRegistry {
 
     /// Merge a whole accumulator into a stats metric (per-node fold).
     pub fn merge_stats(&mut self, section: &str, name: &str, stats: &OnlineStats) {
-        match self.slot(section, name, || Metric::Stats(OnlineStats::new())) {
+        match self.slot(section, name, || Metric::Stats(Box::new(OnlineStats::new()))) {
             Metric::Stats(s) => s.merge(stats),
             other => panic!("{section}.{name} is not a stats metric: {other:?}"),
         }
@@ -183,7 +184,7 @@ impl MetricsRegistry {
 
     /// Record one sample into a samples metric.
     pub fn sample(&mut self, section: &str, name: &str, x: f64) {
-        match self.slot(section, name, || Metric::Samples(SampleSet::new())) {
+        match self.slot(section, name, || Metric::Samples(Box::new(SampleSet::new()))) {
             Metric::Samples(s) => s.record(x),
             other => panic!("{section}.{name} is not a samples metric: {other:?}"),
         }
@@ -192,7 +193,7 @@ impl MetricsRegistry {
     /// Append every sample of `set` into a samples metric, in the
     /// set's insertion order (deterministic per-node fold).
     pub fn extend_samples(&mut self, section: &str, name: &str, set: &SampleSet) {
-        match self.slot(section, name, || Metric::Samples(SampleSet::new())) {
+        match self.slot(section, name, || Metric::Samples(Box::new(SampleSet::new()))) {
             Metric::Samples(s) => {
                 for &x in set.samples() {
                     s.record(x);
@@ -205,7 +206,7 @@ impl MetricsRegistry {
     /// Merge a histogram into a hist metric (per-node fold; the
     /// histogram's resolution fixes the metric's on first merge).
     pub fn merge_hist(&mut self, section: &str, name: &str, h: &Histogram) {
-        match self.slot(section, name, || Metric::Hist(h.empty_like())) {
+        match self.slot(section, name, || Metric::Hist(Box::new(h.empty_like()))) {
             Metric::Hist(dst) => dst.merge(h),
             other => panic!("{section}.{name} is not a hist metric: {other:?}"),
         }
@@ -213,7 +214,7 @@ impl MetricsRegistry {
 
     /// Merge a time series into a series metric (per-node fold).
     pub fn merge_series(&mut self, section: &str, name: &str, s: &TimeSeries) {
-        match self.slot(section, name, || Metric::Series(s.empty_like())) {
+        match self.slot(section, name, || Metric::Series(Box::new(s.empty_like()))) {
             Metric::Series(dst) => dst.merge(s),
             other => panic!("{section}.{name} is not a series metric: {other:?}"),
         }

@@ -4,6 +4,7 @@
 //! Fig. 3 CDFs of VMM/VM I/O throughput).
 
 use crate::time::{SimDuration, SimTime};
+use std::sync::OnceLock;
 
 /// Streaming mean/variance/min/max over `f64` observations
 /// (Welford's algorithm — numerically stable, O(1) memory).
@@ -99,17 +100,20 @@ impl OnlineStats {
 /// A finite sample set supporting quantiles and CDF extraction.
 ///
 /// Used where the full distribution is reported (paper Fig. 3). Samples
-/// are kept verbatim in insertion order ([`SampleSet::samples`]) *and*
-/// in a sorted index maintained incrementally on record, so every read
-/// path — quantiles, CDFs, max — takes `&self` and shared views (the
+/// are kept verbatim in insertion order ([`SampleSet::samples`]), and
+/// recording one is a push. The sorted view behind quantiles, CDFs,
+/// `min` and `max` is built once, on the first such read after a
+/// record, so every read path takes `&self` and shared views (the
 /// metrics registry, post-run exports) never need mutable access.
 #[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     /// Insertion order (what `samples()` exposes; determinism
     /// fingerprints hash this).
     xs: Vec<f64>,
-    /// The same values, kept sorted ascending.
-    sorted: Vec<f64>,
+    /// The same values sorted ascending; ties (and `-0.0` against
+    /// `0.0`) keep insertion order. Unset until the first sorted read
+    /// after a record.
+    sorted: OnceLock<Vec<f64>>,
 }
 
 impl SampleSet {
@@ -118,13 +122,22 @@ impl SampleSet {
         SampleSet::default()
     }
 
-    /// Record one sample. NaN is rejected here (rather than at the
-    /// first sorted read, as before).
+    /// Record one sample. NaN is rejected here, so the sorted view's
+    /// comparisons are total.
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "NaN sample");
         self.xs.push(x);
-        let i = self.sorted.partition_point(|v| *v <= x);
-        self.sorted.insert(i, x);
+        self.sorted.take();
+    }
+
+    /// The samples sorted ascending by a stable sort, so equal values
+    /// (`-0.0` and `0.0` included) keep their insertion order.
+    fn sorted(&self) -> &[f64] {
+        self.sorted.get_or_init(|| {
+            let mut v = self.xs.clone();
+            v.sort_by(|a, b| a.partial_cmp(b).expect("NaN is rejected at record"));
+            v
+        })
     }
 
     /// Number of samples.
@@ -140,12 +153,12 @@ impl SampleSet {
     /// The q-quantile (0 ≤ q ≤ 1) by nearest-rank; `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.sorted.is_empty() {
+        if self.xs.is_empty() {
             return None;
         }
-        let idx = ((q * (self.sorted.len() - 1) as f64).round() as usize)
-            .min(self.sorted.len() - 1);
-        Some(self.sorted[idx])
+        let sorted = self.sorted();
+        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
+        Some(sorted[idx])
     }
 
     /// Sample mean; `None` when empty.
@@ -159,19 +172,19 @@ impl SampleSet {
 
     /// Smallest sample; `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
+        self.sorted().first().copied()
     }
 
     /// Largest sample; `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
+        self.sorted().last().copied()
     }
 
     /// Empirical CDF as `(value, cumulative fraction)` pairs, one per
     /// sample, suitable for plotting or table output.
     pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        self.sorted
+        let n = self.xs.len() as f64;
+        self.sorted()
             .iter()
             .enumerate()
             .map(|(i, &x)| (x, (i + 1) as f64 / n))
@@ -182,7 +195,7 @@ impl SampleSet {
     /// compact form for report tables.
     pub fn cdf_summary(&self, k: usize) -> Vec<(f64, f64)> {
         assert!(k >= 2, "need at least 2 summary points");
-        if self.sorted.is_empty() {
+        if self.xs.is_empty() {
             return Vec::new();
         }
         (0..k)
@@ -208,7 +221,7 @@ impl SampleSet {
         Some(s * s / (self.xs.len() as f64 * s2))
     }
 
-    /// Borrow the raw samples (unsorted order not guaranteed).
+    /// Borrow the raw samples, in insertion order.
     pub fn samples(&self) -> &[f64] {
         &self.xs
     }

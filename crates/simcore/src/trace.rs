@@ -13,9 +13,14 @@
 //! codes (the paper's `c`/`d`/`a`/`n` axis labels), layers as
 //! [`Layer`], and nothing here depends on the elevator or stack crates.
 //!
-//! Records are `Copy` and the ring never allocates per event after
-//! construction; a full ring drops the *oldest* record and counts the
-//! drop. The rolling FNV-1a [`Trace::digest`] covers every record ever
+//! A record is stored as the LEB128 varints of its canonical words
+//! (`TraceRecord::words`): the time as a zigzag delta from the
+//! previous record, then the variant tag and the fields, about 11
+//! bytes for a service record instead of 56. The bytes fill chunks of
+//! [`CHUNK_RECORDS`] records, allocated one chunk at a time; a bounded
+//! ring evicts whole chunks but still exposes exactly its newest `cap`
+//! records and counts the rest as dropped. The rolling FNV-1a
+//! [`Trace::digest`] hashes the same words and covers every record ever
 //! pushed (including dropped ones), so two runs can be compared
 //! bit-for-bit without retaining their full traces.
 
@@ -268,79 +273,231 @@ pub struct TraceRecord {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
+/// `FNV_PRIME^k`: folding k zero bytes is one multiply, since
+/// `h ^ 0 == h`.
+const FNV_PRIME_4: u64 = FNV_PRIME.wrapping_pow(4);
+const FNV_PRIME_8: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// Byte-wise FNV-1a over the little-endian bytes of `words`. A word's
+/// high zero bytes fold into one multiply: a word below 2^8 (tags,
+/// flags) hashes one byte, one below 2^32 (ids, sectors, byte counts)
+/// four, any other all eight. Three fixed tiers instead of a loop over
+/// each run of zero bytes: the all-ones `Layer::Host` word that
+/// dominates node traces made that loop's exits mispredict.
 fn fnv1a(mut h: u64, words: &[u64]) -> u64 {
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+    for &w in words {
+        if w < 0x100 {
+            h = (h ^ w).wrapping_mul(FNV_PRIME_8);
+        } else if w >> 32 == 0 {
+            for b in &w.to_le_bytes()[..4] {
+                h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
+            }
+            h = h.wrapping_mul(FNV_PRIME_4);
+        } else {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
         }
     }
     h
 }
 
+/// The most words one record has (`DiskService`).
+const MAX_WORDS: usize = 8;
+
 impl TraceRecord {
-    /// Fold this record into a rolling FNV-1a state: a canonical
-    /// encoding of (time, variant tag, fields), stable across runs.
-    fn fold(&self, h: u64) -> u64 {
+    /// Call `f` with the canonical words of this record, stable across
+    /// runs: the time in ns, the variant tag, then the fields. The digest
+    /// hashes them and the store encodes them. Each variant passes a
+    /// fixed-length array, so an inlined `f` runs unrolled per variant.
+    fn words<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
         use TraceEvent::*;
         let t = self.t.as_nanos();
         match self.ev {
-            SchedInstall { layer, sched } => fnv1a(h, &[t, 1, layer.tag(), sched as u64]),
+            SchedInstall { layer, sched } => f(&[t, 1, layer.tag(), sched as u64]),
             Arrive { layer, id, sector, sectors, write } => {
-                fnv1a(h, &[t, 2, layer.tag(), id, sector, sectors, write as u64])
+                f(&[t, 2, layer.tag(), id, sector, sectors, write as u64])
             }
             MergeBack { layer, id, sector, sectors, write } => {
-                fnv1a(h, &[t, 3, layer.tag(), id, sector, sectors, write as u64])
+                f(&[t, 3, layer.tag(), id, sector, sectors, write as u64])
             }
             MergeFront { layer, id, sector, sectors, write } => {
-                fnv1a(h, &[t, 4, layer.tag(), id, sector, sectors, write as u64])
+                f(&[t, 4, layer.tag(), id, sector, sectors, write as u64])
             }
             Dispatch { layer, id, sector, sectors, write } => {
-                fnv1a(h, &[t, 5, layer.tag(), id, sector, sectors, write as u64])
+                f(&[t, 5, layer.tag(), id, sector, sectors, write as u64])
             }
-            Complete { layer, id } => fnv1a(h, &[t, 6, layer.tag(), id]),
-            IdleArm { layer, until } => fnv1a(h, &[t, 7, layer.tag(), until.as_nanos()]),
-            SwitchBegin { layer, to } => fnv1a(h, &[t, 8, layer.tag(), to as u64]),
-            SwapDone { layer, to } => fnv1a(h, &[t, 9, layer.tag(), to as u64]),
-            SwitchEnd { layer, to } => fnv1a(h, &[t, 10, layer.tag(), to as u64]),
+            Complete { layer, id } => f(&[t, 6, layer.tag(), id]),
+            IdleArm { layer, until } => f(&[t, 7, layer.tag(), until.as_nanos()]),
+            SwitchBegin { layer, to } => f(&[t, 8, layer.tag(), to as u64]),
+            SwapDone { layer, to } => f(&[t, 9, layer.tag(), to as u64]),
+            SwitchEnd { layer, to } => f(&[t, 10, layer.tag(), to as u64]),
             RingOcc { vm, occupied, bound } => {
-                fnv1a(h, &[t, 11, vm as u64, occupied as u64, bound as u64])
+                f(&[t, 11, vm as u64, occupied as u64, bound as u64])
             }
-            DiskService { id, seek_ns, rotation_ns, transfer_ns, sectors, sequential } => fnv1a(
-                h,
-                &[t, 12, id, seek_ns, rotation_ns, transfer_ns, sectors, sequential as u64],
-            ),
+            DiskService { id, seek_ns, rotation_ns, transfer_ns, sectors, sequential } => {
+                f(&[t, 12, id, seek_ns, rotation_ns, transfer_ns, sectors, sequential as u64])
+            }
             FlowStart { id, src, dst, bytes } => {
-                fnv1a(h, &[t, 13, id, src as u64, dst as u64, bytes])
+                f(&[t, 13, id, src as u64, dst as u64, bytes])
             }
-            FlowEnd { id } => fnv1a(h, &[t, 14, id]),
-            Phase { phase } => fnv1a(h, &[t, 15, phase as u64]),
-            PolicyDecision { observed_bits, threshold_bits, streak, acted } => fnv1a(
-                h,
-                &[t, 16, observed_bits, threshold_bits, streak as u64, acted as u64],
-            ),
-            JobArrive { job, bytes } => fnv1a(h, &[t, 17, job, bytes]),
-            JobAdmit { job } => fnv1a(h, &[t, 18, job]),
-            SlotAcquire { job, gvm, map } => {
-                fnv1a(h, &[t, 19, job, gvm as u64, map as u64])
+            FlowEnd { id } => f(&[t, 14, id]),
+            Phase { phase } => f(&[t, 15, phase as u64]),
+            PolicyDecision { observed_bits, threshold_bits, streak, acted } => {
+                f(&[t, 16, observed_bits, threshold_bits, streak as u64, acted as u64])
             }
+            JobArrive { job, bytes } => f(&[t, 17, job, bytes]),
+            JobAdmit { job } => f(&[t, 18, job]),
+            SlotAcquire { job, gvm, map } => f(&[t, 19, job, gvm as u64, map as u64]),
             SlotRelease { job, gvm, map, bytes } => {
-                fnv1a(h, &[t, 20, job, gvm as u64, map as u64, bytes])
+                f(&[t, 20, job, gvm as u64, map as u64, bytes])
             }
-            JobComplete { job } => fnv1a(h, &[t, 21, job]),
+            JobComplete { job } => f(&[t, 21, job]),
         }
+    }
+
+    /// The inverse of [`TraceRecord::words`]: the record at time `t`
+    /// whose tag and fields `next` yields in order. (Struct fields and
+    /// tuples are evaluated in the order written, which is the order of
+    /// `words`.)
+    fn from_words(t: u64, mut next: impl FnMut() -> u64) -> TraceRecord {
+        use TraceEvent::*;
+        let layer = |w: u64| if w == u64::MAX { Layer::Host } else { Layer::Guest(w as u32) };
+        let ev = match next() {
+            1 => SchedInstall { layer: layer(next()), sched: next() as u8 },
+            tag @ 2..=5 => {
+                let (layer, id, sector, sectors, write) =
+                    (layer(next()), next(), next(), next(), next() != 0);
+                match tag {
+                    2 => Arrive { layer, id, sector, sectors, write },
+                    3 => MergeBack { layer, id, sector, sectors, write },
+                    4 => MergeFront { layer, id, sector, sectors, write },
+                    _ => Dispatch { layer, id, sector, sectors, write },
+                }
+            }
+            6 => Complete { layer: layer(next()), id: next() },
+            7 => IdleArm { layer: layer(next()), until: SimTime::from_nanos(next()) },
+            8 => SwitchBegin { layer: layer(next()), to: next() as u8 },
+            9 => SwapDone { layer: layer(next()), to: next() as u8 },
+            10 => SwitchEnd { layer: layer(next()), to: next() as u8 },
+            11 => RingOcc { vm: next() as u32, occupied: next() as u32, bound: next() as u32 },
+            12 => DiskService {
+                id: next(),
+                seek_ns: next(),
+                rotation_ns: next(),
+                transfer_ns: next(),
+                sectors: next(),
+                sequential: next() != 0,
+            },
+            13 => FlowStart { id: next(), src: next() as u32, dst: next() as u32, bytes: next() },
+            14 => FlowEnd { id: next() },
+            15 => Phase { phase: next() as u8 },
+            16 => PolicyDecision {
+                observed_bits: next(),
+                threshold_bits: next(),
+                streak: next() as u32,
+                acted: next() != 0,
+            },
+            17 => JobArrive { job: next(), bytes: next() },
+            18 => JobAdmit { job: next() },
+            19 => SlotAcquire { job: next(), gvm: next() as u32, map: next() != 0 },
+            20 => SlotRelease {
+                job: next(),
+                gvm: next() as u32,
+                map: next() != 0,
+                bytes: next(),
+            },
+            21 => JobComplete { job: next() },
+            tag => unreachable!("trace store holds an unknown tag {tag}"),
+        };
+        TraceRecord { t: SimTime::from_nanos(t), ev }
+    }
+}
+
+/// Records per store chunk: the unit a bounded ring evicts.
+pub const CHUNK_RECORDS: usize = 4096;
+
+/// Bytes reserved for a new chunk: a typical service record encodes
+/// to about 11 bytes. A chunk that needs more grows, and is trimmed
+/// when it fills.
+const CHUNK_RESERVE: usize = CHUNK_RECORDS * 12;
+
+/// The longest encoding of one record: ten bytes per LEB128 word.
+const MAX_RECORD_BYTES: usize = MAX_WORDS * 10;
+
+/// Append `w` as a LEB128 varint at `buf[n..]`; returns the new end.
+fn put_varint(buf: &mut [u8; MAX_RECORD_BYTES], mut n: usize, mut w: u64) -> usize {
+    while w >= 0x80 {
+        buf[n] = w as u8 | 0x80;
+        w >>= 7;
+        n += 1;
+    }
+    buf[n] = w as u8;
+    n + 1
+}
+
+/// Read the LEB128 varint at `bytes[*pos..]` and advance past it.
+fn varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let (mut w, mut shift) = (0u64, 0);
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        w |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return w;
+        }
+        shift += 7;
+    }
+}
+
+/// A signed time delta as an unsigned varint word: small magnitudes of
+/// either sign stay small.
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Up to [`CHUNK_RECORDS`] consecutive encoded records.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Time of the record pushed just before this chunk's first one
+    /// (0 for the first chunk): the base of the first delta.
+    base_t: u64,
+    /// Records encoded in `bytes`.
+    len: usize,
+    bytes: Vec<u8>,
+}
+
+impl Chunk {
+    fn records(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        let (mut pos, mut t) = (0, self.base_t);
+        std::iter::from_fn(move || {
+            (pos < self.bytes.len()).then(|| {
+                let mut next = || varint(&self.bytes, &mut pos);
+                t = t.wrapping_add(unzigzag(next()));
+                TraceRecord::from_words(t, next)
+            })
+        })
     }
 }
 
 /// A bounded, drop-oldest ring of [`TraceRecord`]s with a rolling
-/// digest. Capacity 0 disables tracing entirely (pushes are no-ops and
-/// cost one branch).
+/// digest, stored as varint-encoded chunks (see the module docs).
+/// Capacity 0 disables tracing entirely (pushes are no-ops and cost
+/// one branch).
 #[derive(Debug, Clone)]
 pub struct Trace {
     cap: usize,
-    buf: VecDeque<TraceRecord>,
+    chunks: VecDeque<Chunk>,
+    /// Records held in `chunks`; the newest `cap` of them are retained.
+    stored: usize,
+    /// Time of the newest record: the base of the next delta.
+    last_t: u64,
     total: u64,
-    dropped: u64,
     hash: u64,
 }
 
@@ -352,13 +509,7 @@ impl Trace {
 
     /// A ring holding at most `cap` records (0 = disabled).
     pub fn bounded(cap: usize) -> Self {
-        Trace {
-            cap,
-            buf: VecDeque::with_capacity(cap.min(1 << 16)),
-            total: 0,
-            dropped: 0,
-            hash: FNV_OFFSET,
-        }
+        Trace { cap, chunks: VecDeque::new(), stored: 0, last_t: 0, total: 0, hash: FNV_OFFSET }
     }
 
     /// A ring that never drops (grows without bound) — for oracle runs.
@@ -366,34 +517,60 @@ impl Trace {
         Trace::bounded(usize::MAX)
     }
 
-    /// Append one record, evicting the oldest when full.
+    /// Append one record, dropping the oldest when the ring is full.
     pub fn push(&mut self, t: SimTime, ev: TraceEvent) {
         if self.cap == 0 {
             return;
         }
-        let rec = TraceRecord { t, ev };
-        self.hash = rec.fold(self.hash);
+        let (hash, last_t) = (self.hash, self.last_t);
+        let mut buf = [0; MAX_RECORD_BYTES];
+        let (hash, n, t) = TraceRecord { t, ev }.words(
+            #[inline(always)]
+            |words| {
+                let hash = fnv1a(hash, words);
+                let mut n = put_varint(&mut buf, 0, zigzag(words[0].wrapping_sub(last_t)));
+                for &w in &words[1..] {
+                    n = put_varint(&mut buf, n, w);
+                }
+                (hash, n, words[0])
+            },
+        );
+        self.hash = hash;
         self.total += 1;
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
+        if self.chunks.back().is_none_or(|c| c.len == CHUNK_RECORDS) {
+            if let Some(full) = self.chunks.back_mut() {
+                full.bytes.shrink_to_fit();
+            }
+            let bytes = Vec::with_capacity(CHUNK_RESERVE);
+            self.chunks.push_back(Chunk { base_t: self.last_t, len: 0, bytes });
         }
-        self.buf.push_back(rec);
+        let chunk = self.chunks.back_mut().expect("a chunk was just ensured");
+        chunk.bytes.extend_from_slice(&buf[..n]);
+        chunk.len += 1;
+        self.stored += 1;
+        self.last_t = t;
+        // Evict whole chunks once the newer ones alone hold `cap`
+        // records; the oldest chunk left may still hold dropped ones.
+        while self.stored - self.chunks[0].len >= self.cap {
+            let evicted = self.chunks.pop_front().expect("more than one chunk");
+            self.stored -= evicted.len;
+        }
     }
 
-    /// Records currently retained, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
+    /// Records currently retained, oldest first, decoded on the fly.
+    pub fn records(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        let dropped_but_stored = self.stored - self.len();
+        self.chunks.iter().flat_map(Chunk::records).skip(dropped_but_stored)
     }
 
     /// Retained record count.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.stored.min(self.cap)
     }
 
     /// True if nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Records ever pushed (retained + dropped).
@@ -401,9 +578,9 @@ impl Trace {
         self.total
     }
 
-    /// Records evicted by the ring bound.
+    /// Records dropped by the ring bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.total - self.len() as u64
     }
 
     /// Rolling FNV-1a digest over every record ever pushed. Equal
@@ -589,7 +766,7 @@ impl TraceOracle {
             return;
         }
         for rec in trace.records() {
-            self.observe(rec);
+            self.observe(&rec);
         }
     }
 
@@ -1095,10 +1272,10 @@ pub fn to_chrome_json(cluster: &Trace, nodes: &[&Trace]) -> Json {
         }
     }
 
-    for tr in nodes.iter() {
-        for rec in tr.records() {
-            last_t = last_t.max(rec.t);
-        }
+    // Decode each node's ring once for the three walks below.
+    let nodes: Vec<Vec<TraceRecord>> = nodes.iter().map(|tr| tr.records().collect()).collect();
+    for rec in nodes.iter().flatten() {
+        last_t = last_t.max(rec.t);
     }
     // Close the last phase at the end of the run.
     if let Some((t0, p)) = phase_open {
@@ -1113,7 +1290,7 @@ pub fn to_chrome_json(cluster: &Trace, nodes: &[&Trace]) -> Json {
         events.push(chrome_meta(pid, None, "process_name", &format!("node{i}")));
         // Name every layer track that appears.
         let mut named: Vec<u64> = Vec::new();
-        for rec in tr.records() {
+        for rec in tr {
             let layer = match rec.ev {
                 TraceEvent::SchedInstall { layer, .. }
                 | TraceEvent::Arrive { layer, .. }
@@ -1142,7 +1319,7 @@ pub fn to_chrome_json(cluster: &Trace, nodes: &[&Trace]) -> Json {
 
         let mut begun: HashMap<(u64, u64), ()> = HashMap::new();
         let mut switches: HashMap<u64, SwitchSpan> = HashMap::new();
-        for rec in tr.records() {
+        for rec in tr {
             let t = rec.t;
             match rec.ev {
                 TraceEvent::SchedInstall { layer, sched } => {
@@ -1291,6 +1468,22 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![3, 4]);
+    }
+
+    /// Eviction keeps only chunks that hold retained records, so a
+    /// bounded ring stores fewer than `cap + CHUNK_RECORDS` records.
+    #[test]
+    fn bounded_ring_keeps_no_chunk_of_dropped_records_only() {
+        for cap in [1, 2, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1] {
+            let mut tr = Trace::bounded(cap);
+            for i in 0..3 * CHUNK_RECORDS as u64 {
+                tr.push(SimTime::from_nanos(i), ev_arrive(Layer::Host, i, i * 8, 8));
+                assert!(
+                    tr.chunks.len() == 1 || tr.stored - tr.chunks[0].len < cap,
+                    "cap {cap}, push {i}: the oldest chunk holds only dropped records"
+                );
+            }
+        }
     }
 
     #[test]

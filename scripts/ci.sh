@@ -110,6 +110,16 @@ grep -q '"schema":"adios.metrics/3"' "${service_json}" \
 cargo run -q --release --offline -p adios-report -- render "${service_json}" > /dev/null
 rm -f "${service_json}"
 
+# The same strict check at the tenant_stream_2pm shape: 14 days at 2
+# jobs/min. The run keeps its whole trace (3,977,523 records in the
+# varint store) and the oracle decodes and replays all of it; the
+# record count pins the stream.
+long_out="$(ADIOS_STRICT=1 cargo run -q --release --offline --bin repro-cli -- serve-jobs \
+  --nodes 4 --vms 4 --data-mb 64 --duration-s 1209600 --rate 2 --seed 42 --policy adaptive)"
+grep -qxF '  oracle: clean (3977523 records)' <<< "${long_out}" \
+  || { echo "error: the 14-day strict serve-jobs must replay 3977523 records clean" >&2; \
+       echo "${long_out}" >&2; exit 1; }
+
 # Profiler smoke: a full-telemetry run must export an adios.profile/1
 # document that renders as the flame-style share table, and whose
 # self-diff passes the subsystem share gate (exit 0 — the same gate
@@ -169,6 +179,21 @@ if (( bad_status != 1 )) || ! grep -qF 'spans[0].name: expected a string' <<< "$
   exit 1
 fi
 
+# A service document with a non-numeric SLO field must be rejected
+# with an error naming its path (exit 1), not rendered with zeros.
+bad_service="$(mktemp)"
+echo '{"schema":"adios.metrics/3","kind":"service","latency":{"p50_s":"x"}}' > "${bad_service}"
+bad_status=0
+bad_err="$(cargo run -q --release --offline -p adios-report -- render "${bad_service}" \
+  2>&1 > /dev/null)" || bad_status=$?
+rm -f "${bad_service}"
+if (( bad_status != 1 )) || ! grep -qF 'latency.p50_s: expected a number' <<< "${bad_err}"; then
+  echo "error: a service SLO field p50_s of \"x\" must exit 1 naming latency.p50_s" \
+    "(exit ${bad_status})" >&2
+  echo "${bad_err}" >&2
+  exit 1
+fi
+
 # A share gate that could never trip (NaN) must be refused with exit 1
 # naming the flag, not pass every profile pair.
 gate_status=0
@@ -212,4 +237,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke + profiler smoke + bench-doc render + deep-JSON/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"
