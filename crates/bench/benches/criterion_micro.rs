@@ -2,9 +2,10 @@
 //! throughput, one node's whole virtualized block path at fixed VM
 //! counts, calendar event-queue push/pop and same-instant batch drain,
 //! the memo-cache hit path, trace pushes (service-shaped, unbounded;
-//! node-shaped, into a dropping ring), sample-set records, mechanical
-//! disk service computation, and a complete small MapReduce job — the
-//! costs that bound every reproduction experiment above.
+//! node-shaped, into a dropping ring), sample-set records, the
+//! multi-job service loop and its metrics export, mechanical disk
+//! service computation, and a complete small MapReduce job — the costs
+//! that bound every reproduction experiment above.
 //!
 //! Runs on the in-tree `repro_bench::micro` timer harness (warmup +
 //! fixed iteration count, mean/stddev from `simcore::stats`) so the
@@ -14,13 +15,18 @@
 //! (CI runs it that way: the numbers are then only a liveness check).
 
 use iosched::{build_elevator, Dispatch, Dir, IoRequest, SchedKind, SchedPair, SegRun, Tunables};
-use metasched::EvalCache;
+use metasched::{BlendedTuner, EvalCache};
 use mrsim::{JobSpec, WorkloadSpec};
 use repro_bench::micro::{bench, Timing};
 use repro_bench::quick;
-use simcore::{EventQueue, Json, Layer, SampleSet, SimDuration, SimTime, Trace, TraceEvent};
+use simcore::{
+    EventQueue, Json, Layer, MetricsRegistry, SampleSet, SimDuration, SimTime, Trace, TraceEvent,
+};
 use std::hint::black_box;
-use vcluster::{run_job, ClusterParams, NetParams, Network, SwitchPlan};
+use vcluster::{
+    run_job, run_service, ArrivalSpec, ClusterParams, NetParams, Network, ServiceParams,
+    SwitchPlan, TenantMix, TenantProfile,
+};
 use vmstack::runner::{NodeRunner, SyntheticProc};
 use vmstack::NodeParams;
 
@@ -295,6 +301,53 @@ fn sample_set_record(n: usize) -> f64 {
     set.quantile(0.99).unwrap_or(0.0)
 }
 
+/// The fixed synthetic calibration of `tests/multijob_goldens.rs`:
+/// pair 0 fastest for maps, the last pair fastest for the tail.
+fn service_profiles() -> Vec<TenantProfile> {
+    (0..3)
+        .map(|t| TenantProfile {
+            phase: (0..SchedPair::all().len())
+                .map(|i| {
+                    let k = i as f64;
+                    let tail = 48.0 - 2.0 * k + t as f64;
+                    [
+                        SimDuration::from_secs_f64(22.0 + 1.5 * k + 2.0 * t as f64),
+                        SimDuration::from_secs_f64(tail * 0.4),
+                        SimDuration::from_secs_f64(tail * 0.6),
+                    ]
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// One `run_service` on a 2x2 cluster: the 3-tenant mix at 64 MB/VM,
+/// Poisson arrivals at 6 jobs/min for `duration_s` (seed 42), under
+/// the blended adaptive tuner. Returns the trace digest.
+fn service_loop(mix: &TenantMix, profiles: &[TenantProfile], duration_s: u64) -> u64 {
+    let mut params = ServiceParams::default();
+    params.shape.nodes = 2;
+    params.shape.vms_per_node = 2;
+    params.duration = SimDuration::from_secs(duration_s);
+    let spec = ArrivalSpec::Poisson { rate_per_min: 6.0 };
+    let mut tuner = BlendedTuner::new(profiles.to_vec(), 0.02);
+    run_service(&params, mix, profiles, &spec, &mut tuner).trace_digest
+}
+
+/// `names.len()` counters registered into one section, then exported
+/// to a JSON tree, as `run_service` exports its per-job `jobs_io`
+/// counters. Returns the exported field count.
+fn metrics_export(names: &[String]) -> usize {
+    let mut reg = MetricsRegistry::new();
+    for (i, name) in names.iter().enumerate() {
+        reg.inc("jobs_io", name, i as u64);
+    }
+    match reg.into_json() {
+        Json::Obj(sections) => sections[0].1.entries().map_or(0, <[_]>::len),
+        _ => 0,
+    }
+}
+
 /// Serialize one benchmark's timing for `BENCH_micro.json`.
 fn timing_json(name: &str, t: Timing) -> Json {
     Json::obj()
@@ -393,6 +446,19 @@ fn main() {
         black_box(sample_set_record(40_000))
     });
     results.push(timing_json("sample_set_record/40k", t));
+
+    let mix = TenantMix::parse("sort:2,wordcount:1,wordcount-nc:1", 64 << 20)
+        .expect("the service mix literal parses");
+    let profiles = service_profiles();
+    let duration_s = if quick() { 600 } else { 3600 };
+    let t = bench("service_loop/2x2", warmup, iters, || {
+        black_box(service_loop(&mix, &profiles, duration_s))
+    });
+    results.push(timing_json("service_loop/2x2", t));
+
+    let names: Vec<String> = (0..200_000).map(|i| format!("job{}_reads", i)).collect();
+    let t = bench("metrics_export/200k", warmup, iters, || black_box(metrics_export(&names)));
+    results.push(timing_json("metrics_export/200k", t));
 
     let t = bench("disk_service_1k_requests", warmup, iters, || {
         let mut d = blkdev::Disk::new(blkdev::DiskParams::default());

@@ -11,7 +11,6 @@
 use crate::job::{ClusterShape, JobSpec};
 use crate::plan::TaskId;
 use simcore::SimTime;
-use std::collections::VecDeque;
 
 /// Task flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,12 +58,17 @@ pub struct JobTracker {
     task_base: TaskId,
     /// Reduce indices handed out so far via [`JobTracker::next_reduce`].
     reduces_started: u32,
-    /// Per-VM queue of pending (data-local) map tasks.
-    pending_maps: Vec<VecDeque<TaskId>>,
+    /// Per VM, the next block not yet handed out. Block `b` lives on VM
+    /// `b % total_vms`, so VM `g`'s blocks are `g, g + total_vms, …`
+    /// and popping one steps the cursor by `total_vms`; a cursor at or
+    /// past `num_maps` means the VM has none left.
+    next_block: Vec<u32>,
+    /// Maps not yet handed out, over all VMs.
+    pending_maps: u32,
     maps_done: Vec<bool>,
     maps_done_count: u32,
-    /// `fetched[reduce][map]`.
-    fetched: Vec<Vec<bool>>,
+    /// `fetched[reduce * num_maps + map]`.
+    fetched: Vec<bool>,
     fetch_count: Vec<u32>,
     shuffle_done: Vec<bool>,
     shuffle_done_count: u32,
@@ -93,21 +97,17 @@ impl JobTracker {
         job.validate(shape).expect("invalid job spec");
         let num_maps = job.num_blocks(shape);
         let num_reduces = job.num_reduces(shape);
-        let total_vms = shape.total_vms();
-        let mut pending_maps = vec![VecDeque::new(); total_vms as usize];
-        for b in 0..num_maps {
-            pending_maps[(b % total_vms) as usize].push_back(base + b as TaskId);
-        }
         JobTracker {
             shape: *shape,
             num_maps,
             num_reduces,
             task_base: base,
             reduces_started: 0,
-            pending_maps,
+            next_block: (0..shape.total_vms()).collect(),
+            pending_maps: num_maps,
             maps_done: vec![false; num_maps as usize],
             maps_done_count: 0,
-            fetched: vec![vec![false; num_maps as usize]; num_reduces as usize],
+            fetched: vec![false; num_maps as usize * num_reduces as usize],
             fetch_count: vec![0; num_reduces as usize],
             shuffle_done: vec![false; num_reduces as usize],
             shuffle_done_count: 0,
@@ -167,14 +167,7 @@ impl JobTracker {
         let mut out = Vec::new();
         for gvm in 0..self.shape.total_vms() {
             for _ in 0..self.shape.map_slots_per_vm {
-                if let Some(task) = self.pending_maps[gvm as usize].pop_front() {
-                    out.push(Assignment {
-                        task,
-                        kind: TaskKind::Map,
-                        gvm,
-                        block: Some(self.map_block(task)),
-                    });
-                }
+                out.extend(self.pop_local_map(gvm));
             }
         }
         for r in 0..self.num_reduces {
@@ -193,26 +186,24 @@ impl JobTracker {
     /// scheduling under slot contention, instead of the greedy
     /// [`JobTracker::initial_assignments`] wave).
     pub fn pop_local_map(&mut self, gvm: u32) -> Option<Assignment> {
-        let task = self.pending_maps[gvm as usize].pop_front()?;
+        let next = &mut self.next_block[gvm as usize];
+        let block = *next;
+        if block >= self.num_maps {
+            return None;
+        }
+        *next += self.shape.total_vms();
+        self.pending_maps -= 1;
         Some(Assignment {
-            task,
+            task: self.task_base + block,
             kind: TaskKind::Map,
             gvm,
-            block: Some(self.map_block(task)),
+            block: Some(block),
         })
-    }
-
-    /// Pull one pending map from any VM, lowest VM index first (a
-    /// deterministic non-local fallback when the local queue is empty).
-    pub fn pop_any_map(&mut self) -> Option<Assignment> {
-        let gvm = (0..self.shape.total_vms())
-            .find(|&g| !self.pending_maps[g as usize].is_empty())?;
-        self.pop_local_map(gvm)
     }
 
     /// Maps not yet handed out.
     pub fn pending_map_count(&self) -> u32 {
-        self.pending_maps.iter().map(|q| q.len() as u32).sum()
+        self.pending_maps
     }
 
     /// Hand out the next not-yet-started reduce task, in index order.
@@ -253,15 +244,6 @@ impl JobTracker {
         (next, events)
     }
 
-    /// Maps whose output reduce index `r` can fetch right now (done,
-    /// not yet fetched).
-    pub fn available_fetches(&self, r: u32) -> Vec<TaskId> {
-        (0..self.num_maps)
-            .filter(|&m| self.maps_done[m as usize] && !self.fetched[r as usize][m as usize])
-            .map(|m| self.task_base + m)
-            .collect()
-    }
-
     /// Record that reduce index `r` finished fetching map `m`'s output.
     pub fn on_fetch_complete(&mut self, r: u32, m: TaskId, now: SimTime) -> Vec<JobEvent> {
         let m = self.map_block(m);
@@ -269,11 +251,9 @@ impl JobTracker {
             self.maps_done[m as usize],
             "fetched output of unfinished map {m}"
         );
-        assert!(
-            !self.fetched[r as usize][m as usize],
-            "reduce {r} fetched map {m} twice"
-        );
-        self.fetched[r as usize][m as usize] = true;
+        let fetched = &mut self.fetched[r as usize * self.num_maps as usize + m as usize];
+        assert!(!*fetched, "reduce {r} fetched map {m} twice");
+        *fetched = true;
         self.fetch_count[r as usize] += 1;
         let mut events = Vec::new();
         if self.fetch_count[r as usize] == self.num_maps {
@@ -392,7 +372,7 @@ mod tests {
                 t.on_map_done(m, now);
             }
         }
-        assert_eq!(t.available_fetches(0).len(), t.num_maps() as usize);
+        assert_eq!(t.maps_done_count(), t.num_maps());
         // Reduce 0 fetches everything.
         let mut saw_rsd = false;
         for m in 0..t.num_maps() {
@@ -474,30 +454,38 @@ mod tests {
         if let Some(n) = next {
             assert!(n.task >= base, "refill must stay in the offset id space");
         }
-        assert!(offset.available_fetches(0).contains(&m));
         offset.on_fetch_complete(0, m, SimTime::from_secs(2));
         assert_eq!(offset.reduce_index(offset.reduce_task_id(3)), 3);
     }
 
-    /// Slot-at-a-time scheduling: pulls never exceed the pending count,
-    /// stay data-local when asked, and `next_reduce` hands each reducer
-    /// out exactly once.
+    /// Slot-at-a-time scheduling: local pulls hand every map out exactly
+    /// once, on its block's VM in ascending block order, the pending
+    /// count tracks them, and `next_reduce` hands each reducer out
+    /// exactly once.
     #[test]
     fn incremental_slot_pulls() {
         let job = JobSpec::new(WorkloadSpec::sort());
         let shape = ClusterShape::default();
-        let mut t = JobTracker::new(&job, &shape);
+        let mut t = JobTracker::with_task_base(&job, &shape, 100);
         let total = t.pending_map_count();
         assert_eq!(total, t.num_maps());
-        let a = t.pop_local_map(2).unwrap();
-        assert_eq!(a.gvm, 2);
-        assert_eq!(t.block_home(a.block.unwrap()), 2);
-        assert_eq!(t.pending_map_count(), total - 1);
-        let mut pulled = 1;
-        while t.pop_any_map().is_some() {
-            pulled += 1;
+        assert!(total > 2 * shape.total_vms(), "several blocks per VM");
+        let mut handed = vec![0u32; total as usize];
+        // VM 2 first, then every VM from the highest down: the order
+        // pulls are asked in must not change which block a VM yields.
+        for gvm in std::iter::once(2).chain((0..shape.total_vms()).rev()) {
+            let mut last = None;
+            while let Some(a) = t.pop_local_map(gvm) {
+                let b = a.block.unwrap();
+                assert_eq!((a.gvm, a.kind, a.task), (gvm, TaskKind::Map, 100 + b));
+                assert_eq!(t.block_home(b), gvm);
+                assert!(last < Some(b), "vm {gvm} handed block {b} after {last:?}");
+                last = Some(b);
+                handed[b as usize] += 1;
+                assert_eq!(t.pending_map_count(), total - handed.iter().sum::<u32>());
+            }
         }
-        assert_eq!(pulled, total);
+        assert!(handed.iter().all(|&n| n == 1), "every map exactly once: {handed:?}");
         assert_eq!(t.pending_map_count(), 0);
         let mut reduces = 0;
         while let Some(r) = t.next_reduce() {

@@ -14,9 +14,13 @@
 //! `--fail-on-share-delta` exits 2 when a subsystem's profile share
 //! moved more than its threshold (default 5 percentage points); a
 //! threshold that is negative, NaN or infinite exits 1.
+//!
+//! A reader that closes stdout early (`adios-report render doc.json |
+//! head`) ends the output quietly: the exit code is the one the command
+//! would have returned. Any other write error exits 1 and names it.
 
 use simcore::Json;
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<Json, String> {
@@ -30,6 +34,20 @@ fn load(path: &str) -> Result<Json, String> {
         std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
     };
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Write `text` to stdout and exit with `code`. A closed pipe stops the
+/// output without changing `code`; any other write error exits 1.
+fn emit(text: &str, code: ExitCode) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => code,
+        Err(e) => {
+            eprintln!("adios-report: writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn usage() -> ExitCode {
@@ -58,10 +76,7 @@ fn main() -> ExitCode {
         Some("render") => {
             let [_, path] = args.as_slice() else { return usage() };
             match load(path).and_then(|doc| report::render(&doc)) {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
+                Ok(text) => emit(&text, ExitCode::SUCCESS),
                 Err(e) => {
                     eprintln!("adios-report: {e}");
                     ExitCode::FAILURE
@@ -107,14 +122,10 @@ fn main() -> ExitCode {
                 (Ok(da), Ok(db)) => {
                     if let Some(thresh) = share_gate {
                         return match report::diff_profile_shares(&da, &db, thresh) {
-                            Ok((text, tripped)) => {
-                                print!("{text}");
-                                if tripped {
-                                    ExitCode::from(2)
-                                } else {
-                                    ExitCode::SUCCESS
-                                }
-                            }
+                            Ok((text, tripped)) => emit(
+                                &text,
+                                if tripped { ExitCode::from(2) } else { ExitCode::SUCCESS },
+                            ),
                             Err(e) => {
                                 eprintln!("adios-report: {e}");
                                 ExitCode::FAILURE
@@ -126,12 +137,8 @@ fn main() -> ExitCode {
                     } else {
                         report::diff(&da, &db)
                     };
-                    print!("{text}");
-                    if fail_on_delta && !deltas.is_empty() {
-                        ExitCode::from(2)
-                    } else {
-                        ExitCode::SUCCESS
-                    }
+                    let tripped = fail_on_delta && !deltas.is_empty();
+                    emit(&text, if tripped { ExitCode::from(2) } else { ExitCode::SUCCESS })
                 }
                 (Err(e), _) | (_, Err(e)) => {
                     eprintln!("adios-report: {e}");

@@ -350,13 +350,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8; find the char boundary).
+                    // Copy the whole run up to the next quote or
+                    // backslash at once. Both are ASCII and the input is
+                    // a `&str`, so the run ends on a char boundary.
                     let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    let len = rest.iter().position(|&c| c == b'"' || c == b'\\');
+                    let run = &rest[..len.unwrap_or(rest.len())];
+                    out.push_str(std::str::from_utf8(run).map_err(|_| "invalid utf-8")?);
+                    self.i += run.len();
                 }
                 None => return Err("unterminated string".to_string()),
             }
@@ -626,6 +627,21 @@ mod tests {
             Json::parse("\"A\\u00e9\\ud83d\\ude00 é☃\"").unwrap(),
             Json::Str("Aé😀 é☃".to_string())
         );
+    }
+
+    #[test]
+    fn parse_copies_multibyte_runs_between_escapes() {
+        let text = r#""héllo ☃\"中文\"\n😀 𝄞\tß\\é""#;
+        assert_eq!(
+            Json::parse(text).unwrap(),
+            Json::Str("héllo ☃\"中文\"\n😀 𝄞\tß\\é".to_string())
+        );
+        // A long key and value parse in one pass each.
+        let long = "☃é".repeat(100_000);
+        let doc = Json::parse(&format!(r#"{{"{long}":"{long}\n"}}"#)).unwrap();
+        assert_eq!(doc.get(&long), Some(&Json::Str(format!("{long}\n"))));
+        // A run that reaches the end of input is still unterminated.
+        assert_eq!(Json::parse("\"ab☃"), Err("unterminated string".to_string()));
     }
 
     #[test]

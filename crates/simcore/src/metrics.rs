@@ -13,7 +13,7 @@
 //!   (p0/p25/p50/p75/p100), mean and Jain fairness.
 //!
 //! Registration order is preserved at both levels, so
-//! [`MetricsRegistry::to_json`] emits the same byte sequence for the
+//! [`MetricsRegistry::into_json`] emits the same byte sequence for the
 //! same sequence of updates — the determinism tests compare the
 //! rendered documents of repeated runs directly.
 
@@ -106,18 +106,58 @@ impl Metric {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Section {
-    name: String,
-    order: Vec<String>,
-    vals: FxHashMap<String, Metric>,
+/// Values keyed by name in first-insertion order. Each name is stored
+/// once, as the index key; the values sit in a `Vec` at their
+/// position, and [`Ordered::into_entries`] puts the names back.
+#[derive(Debug, Clone)]
+struct Ordered<T> {
+    index: FxHashMap<Box<str>, u32>,
+    vals: Vec<T>,
+}
+
+impl<T> Default for Ordered<T> {
+    fn default() -> Self {
+        Ordered { index: FxHashMap::default(), vals: Vec::new() }
+    }
+}
+
+impl<T> Ordered<T> {
+    fn get(&self, name: &str) -> Option<&T> {
+        self.index.get(name).map(|&i| &self.vals[i as usize])
+    }
+
+    /// The value under `name`, appended from `mk` on first use.
+    fn get_or_insert_with(&mut self, name: &str, mk: impl FnOnce() -> T) -> &mut T {
+        let i = match self.index.get(name) {
+            Some(&i) => i as usize,
+            None => {
+                let i = self.vals.len();
+                self.index.insert(name.into(), u32::try_from(i).expect("under 2^32 metrics"));
+                self.vals.push(mk());
+                i
+            }
+        };
+        &mut self.vals[i]
+    }
+
+    /// `(name, value)` pairs in insertion order. Names are placed by
+    /// position, so the index's iteration order never shows.
+    fn into_entries(self) -> impl Iterator<Item = (String, T)> {
+        let mut names: Vec<Option<Box<str>>> = vec![None; self.vals.len()];
+        for (name, i) in self.index {
+            names[i as usize] = Some(name);
+        }
+        names
+            .into_iter()
+            .map(|n| n.expect("every position has a name").into_string())
+            .zip(self.vals)
+    }
 }
 
 /// An insertion-ordered registry of sections of metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    order: Vec<String>,
-    sections: FxHashMap<String, Section>,
+    sections: Ordered<Ordered<Metric>>,
 }
 
 impl MetricsRegistry {
@@ -127,19 +167,7 @@ impl MetricsRegistry {
     }
 
     fn slot(&mut self, section: &str, name: &str, mk: impl FnOnce() -> Metric) -> &mut Metric {
-        if !self.sections.contains_key(section) {
-            self.order.push(section.to_string());
-            self.sections.insert(
-                section.to_string(),
-                Section { name: section.to_string(), ..Section::default() },
-            );
-        }
-        let s = self.sections.get_mut(section).expect("just inserted");
-        if !s.vals.contains_key(name) {
-            s.order.push(name.to_string());
-            s.vals.insert(name.to_string(), mk());
-        }
-        s.vals.get_mut(name).expect("just inserted")
+        self.sections.get_or_insert_with(section, Ordered::default).get_or_insert_with(name, mk)
     }
 
     /// Add `by` to a counter (created at 0).
@@ -222,34 +250,36 @@ impl MetricsRegistry {
 
     /// Look up a metric.
     pub fn get(&self, section: &str, name: &str) -> Option<&Metric> {
-        self.sections.get(section)?.vals.get(name)
+        self.sections.get(section)?.get(name)
     }
 
     /// Number of sections.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.sections.vals.len()
     }
 
     /// True when no metric has been registered.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.sections.vals.is_empty()
     }
 
     /// Render every section, in registration order, into one JSON
     /// object — deterministic byte-for-byte for a deterministic run.
-    pub fn to_json(&self) -> Json {
-        let mut doc = Json::obj();
-        for sec_name in &self.order {
-            let s = &self.sections[sec_name];
-            let mut obj = Json::obj();
-            for name in &s.order {
-                obj = obj.field(name, s.vals[name].to_json());
-            }
-            doc = doc.field(&s.name, obj);
-        }
-        doc
+    /// Consumes the registry, so each name moves into the document
+    /// instead of being copied.
+    pub fn into_json(self) -> Json {
+        Json::Obj(
+            self.sections
+                .into_entries()
+                .map(|(section, metrics)| {
+                    let fields = metrics.into_entries().map(|(n, m)| (n, m.to_json())).collect();
+                    (section, Json::Obj(fields))
+                })
+                .collect(),
+        )
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -262,7 +292,7 @@ mod tests {
         r.inc("zeta", "a", 2);
         r.set_gauge("alpha", "x", 1.5);
         r.inc("zeta", "b", 1);
-        let s = r.to_json().to_string();
+        let s = r.into_json().to_string();
         let zeta = s.find("\"zeta\"").unwrap();
         let alpha = s.find("\"alpha\"").unwrap();
         assert!(zeta < alpha, "section order must be registration order: {s}");
@@ -282,7 +312,7 @@ mod tests {
             r.observe("s", "depth", x);
             r.sample("s", "lat", x);
         }
-        let j = r.to_json().to_string();
+        let j = r.into_json().to_string();
         assert!(j.contains("\"count\":3"), "{j}");
         assert!(j.contains("\"seconds\":1.5"), "{j}");
         assert!(j.contains("\"mean\":2.5"), "{j}");
@@ -298,7 +328,7 @@ mod tests {
             r.observe("disk", "seek_ms", 3.25);
             r.observe("disk", "seek_ms", 4.75);
             r.sample("tput", "mbps", 55.0);
-            r.to_json().to_string()
+            r.into_json().to_string()
         };
         assert_eq!(build(), build());
     }

@@ -1497,7 +1497,7 @@ impl ClusterSim {
         let mut doc = Json::obj()
             .field("schema", "adios.metrics/2")
             .field("telemetry", telemetry);
-        if let (Json::Obj(dst), Json::Obj(src)) = (&mut doc, reg.to_json()) {
+        if let (Json::Obj(dst), Json::Obj(src)) = (&mut doc, reg.into_json()) {
             dst.extend(src);
         }
         doc

@@ -44,7 +44,7 @@ use simcore::{
     TraceEvent,
 };
 use std::collections::{BTreeMap, VecDeque};
-use vmstack::JobAttribution;
+use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------
 // Tenants
@@ -291,6 +291,11 @@ impl SlotLedger {
         }
     }
 
+    /// VMs the ledger covers.
+    fn vms(&self) -> u32 {
+        self.map_used.len() as u32
+    }
+
     /// Occupied slots of a kind, cluster-wide.
     pub fn in_use(&self, map: bool) -> u32 {
         if map {
@@ -485,6 +490,70 @@ struct ActiveJob {
     total_bytes: u64,
 }
 
+impl ActiveJob {
+    /// Acquire a slot for this job's next task and hand the task out,
+    /// or `None` when none of its tasks can start on a free slot. The
+    /// order: the oldest refill hint, then a local map on the lowest VM
+    /// with a free map slot, then the next reduce once every map is
+    /// done (service model: shuffle is folded into the reduce span).
+    fn next_start(&mut self, ledger: &mut SlotLedger) -> Option<mrsim::Assignment> {
+        if let Some(a) = self.ready_maps.front() {
+            if ledger.try_acquire(a.gvm, true) {
+                return self.ready_maps.pop_front();
+            }
+        }
+        if self.tracker.pending_map_count() > 0 {
+            for gvm in 0..ledger.vms() {
+                if ledger.free(gvm, true) > 0 {
+                    if let Some(a) = self.tracker.pop_local_map(gvm) {
+                        ledger.try_acquire(gvm, true);
+                        return Some(a);
+                    }
+                }
+            }
+        }
+        if self.tracker.t_maps_done.is_some() && self.next_reduce < self.tracker.num_reduces() {
+            let home = self.tracker.reduce_home(self.next_reduce);
+            if ledger.try_acquire(home, false) {
+                self.next_reduce += 1;
+                let a = self.tracker.next_reduce().expect("reduce available");
+                debug_assert_eq!(a.gvm, home);
+                return Some(a);
+            }
+        }
+        None
+    }
+}
+
+/// I/O charged to one job: a read per finished map, a write per
+/// finished reduce.
+#[derive(Debug, Clone, Copy, Default)]
+struct JobIo {
+    reads: u64,
+    writes: u64,
+    read_bytes: u64,
+    write_bytes: u64,
+}
+
+/// Export every charged job's counters into the `jobs_io` section of
+/// `reg` (`job{N}_reads`, `job{N}_writes`, `job{N}_read_bytes`,
+/// `job{N}_write_bytes`), ascending by id. `io` is indexed by job id.
+fn export_job_io(io: &[JobIo], reg: &mut MetricsRegistry) {
+    let mut name = String::new();
+    for (j, io) in io.iter().enumerate().filter(|(_, io)| io.reads + io.writes > 0) {
+        for (field, v) in [
+            ("reads", io.reads),
+            ("writes", io.writes),
+            ("read_bytes", io.read_bytes),
+            ("write_bytes", io.write_bytes),
+        ] {
+            name.clear();
+            write!(name, "job{j}_{field}").expect("writing to a String cannot fail");
+            reg.inc("jobs_io", &name, v);
+        }
+    }
+}
+
 /// Run the multi-job service to completion: every arrival inside
 /// `params.duration` is admitted (FIFO beyond the concurrency cap),
 /// scheduled round-robin onto the shared slot ledger, and timed with
@@ -522,8 +591,8 @@ pub fn run_service(
     let mut ledger = SlotLedger::new(&shape);
     let mut active: BTreeMap<u64, ActiveJob> = BTreeMap::new();
     let mut admit_queue: VecDeque<u64> = VecDeque::new();
-    let mut parked: BTreeMap<u64, (usize, SimTime)> = BTreeMap::new();
-    let mut attrib = JobAttribution::new();
+    // Job ids are the dense arrival indices.
+    let mut job_io = vec![JobIo::default(); arrivals.len()];
     let mut latencies = SampleSet::new();
     let mut per_tenant_done: Vec<(u64, f64)> = vec![(0, 0.0); mix.tenants.len()];
     let mut per_tenant_arrived: Vec<u64> = vec![0; mix.tenants.len()];
@@ -550,23 +619,25 @@ pub fn run_service(
     let pair_idx =
         |p: SchedPair| pairs.iter().position(|&q| q == p).expect("known pair");
 
-    // One task's calibrated duration under `pair` with `n_active` jobs
-    // in the system.
-    let task_duration = |tenant: usize, map: bool, pair: SchedPair, n_active: usize| {
-        let prof = &profiles[tenant].phase[pair_idx(pair)];
-        let job = &mix.tenants[tenant].job;
-        let base = if map {
+    // One task's calibrated duration alone on the cluster, as
+    // `[map, reduce]` per tenant and pair index. A task started while
+    // `n` jobs are in the system takes this times the contention
+    // slowdown for the `n - 1` others.
+    let base_duration: Vec<Vec<[SimDuration; 2]>> = mix
+        .tenants
+        .iter()
+        .zip(profiles)
+        .map(|(tn, prof)| {
             // Ph1 covers all map waves at full cluster width; one
             // task's share is slots/maps of it — capped at the whole
             // phase when the maps fit in a single wave.
-            let num_maps = job.num_blocks(&shape).max(1);
-            prof[0].mul_f64((shape.total_map_slots() as f64 / num_maps as f64).min(1.0))
-        } else {
+            let num_maps = tn.job.num_blocks(&shape).max(1);
+            let map_share = (shape.total_map_slots() as f64 / num_maps as f64).min(1.0);
             // A reducer spans shuffle and reduce; reducers run one wave.
-            prof[1] + prof[2]
-        };
-        base.mul_f64(1.0 + params.contention_penalty * (n_active.saturating_sub(1)) as f64)
-    };
+            prof.phase.iter().map(|ph| [ph[0].mul_f64(map_share), ph[1] + ph[2]]).collect()
+        })
+        .collect();
+    let mut current_idx = pair_idx(current);
 
     let mut batch: Vec<SEv> = Vec::with_capacity(16);
     let mut now;
@@ -596,7 +667,6 @@ pub fn run_service(
                         );
                     } else {
                         admit_queue.push_back(job_id);
-                        parked.insert(job_id, (tenant, now));
                     }
                 }
                 SEv::TaskDone { job, task, gvm, map } => {
@@ -609,8 +679,10 @@ pub fn run_service(
                         now,
                         TraceEvent::SlotRelease { job, gvm, map, bytes: release_bytes },
                     );
+                    let io = &mut job_io[job as usize];
                     if map {
-                        attrib.charge_read(job, jspec.block_bytes);
+                        io.reads += 1;
+                        io.read_bytes += jspec.block_bytes;
                         let (next, _events) = aj.tracker.on_map_done(task, now);
                         if let Some(a) = next {
                             aj.ready_maps.push_back(a);
@@ -622,7 +694,8 @@ pub fn run_service(
                             * jspec.workload.map_output_ratio
                             / jspec.num_reduces(&shape).max(1) as f64)
                             as u64;
-                        attrib.charge_write(job, out_bytes);
+                        io.writes += 1;
+                        io.write_bytes += out_bytes;
                         aj.tracker.on_reduce_done(task, now);
                         if aj.tracker.finished() {
                             let aj = active.remove(&job).expect("finishing job");
@@ -637,8 +710,7 @@ pub fn run_service(
                             // A slot's worth of room: admit the next
                             // queued job.
                             if let Some(next_id) = admit_queue.pop_front() {
-                                let (tn, arrived) =
-                                    parked.remove(&next_id).expect("parked job");
+                                let (arrived, tn) = arrivals[next_id as usize];
                                 admit(
                                     next_id, tn, arrived, now, stride, &shape, mix,
                                     &mut active, &mut trace,
@@ -653,6 +725,7 @@ pub fn run_service(
                     let want = policy.choose(&mix_vec, current);
                     if want != current {
                         current = want;
+                        current_idx = pair_idx(want);
                         switches += 1;
                         frozen_until = now + params.switch_cost;
                         switch_log.push((now, want));
@@ -667,64 +740,22 @@ pub fn run_service(
         batch = evs;
 
         // Round-robin dispatch: one task per active job per round, in
-        // job-id order, until no slot/task pairing remains.
+        // job-id order, until a round starts nothing. Nothing admits or
+        // retires a job here, so the rounds walk `active` in place.
         let n_active = active.len() + admit_queue.len();
+        let contention =
+            1.0 + params.contention_penalty * (n_active.saturating_sub(1)) as f64;
         loop {
             let mut progress = false;
-            let ids: Vec<u64> = active.keys().cloned().collect();
-            for id in ids {
-                let aj = active.get_mut(&id).expect("active job");
-                let tenant = aj.tenant;
-                // Maps first: refill hints, then fresh local pulls.
-                let mut started = false;
-                if let Some(a) = aj.ready_maps.front() {
-                    if ledger.try_acquire(a.gvm, true) {
-                        let a = aj.ready_maps.pop_front().expect("non-empty");
-                        start_task(
-                            &mut queue, &mut trace, id, &a, true, now, frozen_until,
-                            task_duration(tenant, true, current, n_active),
-                            &mut map_busy_ns,
-                        );
-                        started = true;
-                    }
-                }
-                if !started {
-                    for gvm in 0..total_vms {
-                        if ledger.free(gvm, true) == 0 {
-                            continue;
-                        }
-                        if let Some(a) = aj.tracker.pop_local_map(gvm) {
-                            ledger.try_acquire(gvm, true);
-                            start_task(
-                                &mut queue, &mut trace, id, &a, true, now, frozen_until,
-                                task_duration(tenant, true, current, n_active),
-                                &mut map_busy_ns,
-                            );
-                            started = true;
-                            break;
-                        }
-                    }
-                }
-                // Reduces once the job's maps are all done (service
-                // model: shuffle is folded into the reduce span).
-                if !started
-                    && aj.tracker.t_maps_done.is_some()
-                    && aj.next_reduce < aj.tracker.num_reduces()
-                {
-                    let home = aj.tracker.reduce_home(aj.next_reduce);
-                    if ledger.try_acquire(home, false) {
-                        let a = aj.tracker.next_reduce().expect("reduce available");
-                        debug_assert_eq!(a.gvm, home);
-                        aj.next_reduce += 1;
-                        start_task(
-                            &mut queue, &mut trace, id, &a, false, now, frozen_until,
-                            task_duration(tenant, false, current, n_active),
-                            &mut reduce_busy_ns,
-                        );
-                        started = true;
-                    }
-                }
-                progress |= started;
+            for (&id, aj) in active.iter_mut() {
+                let Some(a) = aj.next_start(&mut ledger) else { continue };
+                let map = a.kind == TaskKind::Map;
+                start_task(
+                    &mut queue, &mut trace, id, &a, map, now, frozen_until,
+                    base_duration[aj.tenant][current_idx][usize::from(!map)].mul_f64(contention),
+                    if map { &mut map_busy_ns } else { &mut reduce_busy_ns },
+                );
+                progress = true;
             }
             if !progress {
                 break;
@@ -787,18 +818,22 @@ pub fn run_service(
     }
     reg.inc("policy", "retunes", retunes as u64);
     reg.inc("policy", "switches", switches as u64);
+    let mut name = String::new();
     for (i, (t, p)) in switch_log.iter().enumerate() {
-        reg.set_gauge("policy", &format!("switch{i}_t_s"), t.as_secs_f64());
-        reg.set_gauge("policy", &format!("switch{i}_pair_idx"), pair_idx(*p) as f64);
+        for (field, v) in [("t_s", t.as_secs_f64()), ("pair_idx", pair_idx(*p) as f64)] {
+            name.clear();
+            write!(name, "switch{i}_{field}").expect("writing to a String cannot fail");
+            reg.set_gauge("policy", &name, v);
+        }
     }
-    attrib.export(&mut reg, "jobs_io");
+    export_job_io(&job_io, &mut reg);
     reg.inc("trace", "records", trace.total());
     reg.inc("trace", "dropped", trace.dropped());
     let mut doc = Json::obj()
         .field("schema", "adios.metrics/3")
         .field("kind", "service")
         .field("policy", policy.name());
-    if let (Json::Obj(dst), Json::Obj(src)) = (&mut doc, reg.to_json()) {
+    if let (Json::Obj(dst), Json::Obj(src)) = (&mut doc, reg.into_json()) {
         dst.extend(src);
     }
 

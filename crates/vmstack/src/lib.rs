@@ -27,13 +27,11 @@
 
 #![warn(missing_docs)]
 
-pub mod attrib;
 pub mod node;
 pub mod runner;
 pub mod switching;
 pub mod telemetry;
 
-pub use attrib::{JobAttribution, JobIo};
 pub use node::{LevelCounters, NodeParams, NodeStack, StackAction, StackEvent, VmId};
 pub use switching::{SwitchState, SwitchTiming};
 pub use telemetry::NodeTelemetry;

@@ -223,7 +223,7 @@ mod tests {
         t.on_dom0_dispatch(SimTime::from_millis(2), 2000, 8, 500);
         let mut reg = MetricsRegistry::new();
         t.export(&mut reg, 4);
-        let j = reg.to_json().to_string();
+        let j = reg.into_json().to_string();
         assert!(j.contains("guest_lat_ph1_ns"), "{j}");
         assert!(j.contains("guest_lat_ph3_ns"), "{j}");
         // Seek distance needs two dispatches: |2000 - 1008| = 992.

@@ -113,7 +113,7 @@ fn scoped_fingerprint(host_only: bool) -> ScopedFingerprint {
         stack.trace().digest(),
         stack.dom0_counters().switches,
         guest_switches,
-        fnv1a(reg.to_json().to_string().as_bytes()),
+        fnv1a(reg.into_json().to_string().as_bytes()),
     )
 }
 

@@ -114,11 +114,26 @@ rm -f "${service_json}"
 # jobs/min. The run keeps its whole trace (3,977,523 records in the
 # varint store) and the oracle decodes and replays all of it; the
 # record count pins the stream.
+long_json="$(mktemp)"
 long_out="$(ADIOS_STRICT=1 cargo run -q --release --offline --bin repro-cli -- serve-jobs \
-  --nodes 4 --vms 4 --data-mb 64 --duration-s 1209600 --rate 2 --seed 42 --policy adaptive)"
+  --nodes 4 --vms 4 --data-mb 64 --duration-s 1209600 --rate 2 --seed 42 --policy adaptive \
+  --metrics-out "${long_json}")"
 grep -qxF '  oracle: clean (3977523 records)' <<< "${long_out}" \
   || { echo "error: the 14-day strict serve-jobs must replay 3977523 records clean" >&2; \
        echo "${long_out}" >&2; exit 1; }
+# Its 5.4 MB metrics document must render (JSON parsing is linear in
+# the input), and a reader that stops after one line must not crash
+# the renderer: under pipefail, a panic on the closed pipe (exit 101)
+# fails the pipeline.
+cargo run -q --release --offline -p adios-report -- render "${long_json}" > /dev/null
+head_status=0
+head_line="$(set -o pipefail; cargo run -q --release --offline -p adios-report -- \
+  render "${long_json}" | head -n 1)" || head_status=$?
+rm -f "${long_json}"
+if (( head_status != 0 )) || [[ "${head_line}" != "== adios.metrics/3 ==" ]]; then
+  echo "error: render | head -1 must print the banner and exit 0 (exit ${head_status})" >&2
+  exit 1
+fi
 
 # Profiler smoke: a full-telemetry run must export an adios.profile/1
 # document that renders as the flame-style share table, and whose
@@ -237,4 +252,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days, rendered whole and through head) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"

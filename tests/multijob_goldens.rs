@@ -36,11 +36,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn mix() -> TenantMix {
-    TenantMix::parse("sort:2,wordcount:1,wordcount-nc:1", 64 * 1024 * 1024)
-        .expect("golden tenant mix")
-}
-
 /// Synthetic calibration with phase-crossing pair rankings (pair 0
 /// fastest for maps, the last pair fastest for the tail) — fixed
 /// numbers, so the goldens do not depend on the inner cluster model.
@@ -64,13 +59,27 @@ fn profiles() -> Vec<TenantProfile> {
         .collect()
 }
 
-fn run(seed: u64, adaptive: bool) -> ServiceOutcome {
+/// The stream load a golden runs: MB of input per VM for every
+/// tenant, and the admission cap.
+#[derive(Clone, Copy)]
+struct Load {
+    data_mb: u64,
+    max_concurrent: u32,
+}
+
+/// One 64 MB block per VM under the default cap: a job's maps are all
+/// handed out by its first dispatch, so no map ever waits on a refill.
+const ONE_BLOCK: Load = Load { data_mb: 64, max_concurrent: 8 };
+
+fn run(seed: u64, adaptive: bool, load: Load) -> ServiceOutcome {
     let mut params = ServiceParams::default();
     params.shape.nodes = 2;
     params.shape.vms_per_node = 2;
     params.duration = SimDuration::from_secs(180);
     params.seed = seed;
-    let mix = mix();
+    params.max_concurrent = load.max_concurrent;
+    let mix = TenantMix::parse("sort:2,wordcount:1,wordcount-nc:1", load.data_mb << 20)
+        .expect("golden tenant mix");
     let profiles = profiles();
     let spec = ArrivalSpec::Poisson { rate_per_min: 6.0 };
     let mut fixed;
@@ -85,8 +94,8 @@ fn run(seed: u64, adaptive: bool) -> ServiceOutcome {
     run_service(&params, &mix, &profiles, &spec, policy)
 }
 
-fn fingerprint(seed: u64, adaptive: bool) -> (u64, u64, u64) {
-    let out = run(seed, adaptive);
+fn fingerprint(seed: u64, adaptive: bool, load: Load) -> (u64, u64, u64) {
+    let out = run(seed, adaptive, load);
     assert_eq!(
         out.metrics.get("schema").and_then(|s| s.as_str()),
         Some("adios.metrics/3"),
@@ -107,33 +116,46 @@ const GOLDENS: &[Golden] = &[
     Golden { seed: 7, adaptive: true, completed: 16, trace_digest: 0xf9825db2655ddff0, metrics_fnv: 0x0f355f8e70c3ff2d },
 ];
 
+/// Four 64 MB blocks per VM (256 MB/VM), so a finished map hands its
+/// slot to the next local block of the same job (the refill path), and
+/// jobs contend for slots; a cap of 2 also parks arrivals in the
+/// admission queue.
+const MANY_BLOCKS: &[(Load, Golden)] = &[
+    (Load { data_mb: 256, max_concurrent: 8 }, Golden { seed: 42, adaptive: true, completed: 22, trace_digest: 0xe481821da93ab01a, metrics_fnv: 0x836bf797f3bf89c1 }),
+    (Load { data_mb: 256, max_concurrent: 2 }, Golden { seed: 42, adaptive: true, completed: 22, trace_digest: 0x7c14f5dd9e209035, metrics_fnv: 0xe31cb9a2fb2ffdb8 }),
+    (Load { data_mb: 256, max_concurrent: 2 }, Golden { seed: 7, adaptive: false, completed: 16, trace_digest: 0xc4ba80122d32832f, metrics_fnv: 0xfcb2d64fd01bb585 }),
+];
+
+/// Every pinned configuration with its load.
+fn all_goldens() -> impl Iterator<Item = (Load, &'static Golden)> {
+    GOLDENS.iter().map(|g| (ONE_BLOCK, g)).chain(MANY_BLOCKS.iter().map(|(l, g)| (*l, g)))
+}
+
 #[test]
 #[ignore]
 fn capture_goldens() {
-    for (seed, adaptive) in [(42u64, false), (42, true), (7, true)] {
-        let (c, d, f) = fingerprint(seed, adaptive);
+    for (load, g) in all_goldens() {
+        let (seed, adaptive) = (g.seed, g.adaptive);
+        let (c, d, f) = fingerprint(seed, adaptive, load);
         println!(
-            "Golden {{ seed: {seed}, adaptive: {adaptive}, completed: {c}, \
-             trace_digest: 0x{d:016x}, metrics_fnv: 0x{f:016x} }},"
+            "{} MB/VM, cap {}: Golden {{ seed: {seed}, adaptive: {adaptive}, completed: {c}, \
+             trace_digest: 0x{d:016x}, metrics_fnv: 0x{f:016x} }},",
+            load.data_mb, load.max_concurrent
         );
     }
 }
 
 #[test]
 fn multijob_service_preserves_goldens() {
-    for g in GOLDENS {
-        let (c, d, f) = fingerprint(g.seed, g.adaptive);
-        assert_eq!(c, g.completed, "job count drifted (seed {})", g.seed);
-        assert_eq!(
-            d, g.trace_digest,
-            "trace digest drifted (seed {}, adaptive {})",
-            g.seed, g.adaptive
+    for (load, g) in all_goldens() {
+        let (c, d, f) = fingerprint(g.seed, g.adaptive, load);
+        let at = format!(
+            "seed {}, adaptive {}, {} MB/VM, cap {}",
+            g.seed, g.adaptive, load.data_mb, load.max_concurrent
         );
-        assert_eq!(
-            f, g.metrics_fnv,
-            "adios.metrics/3 bytes drifted (seed {}, adaptive {})",
-            g.seed, g.adaptive
-        );
+        assert_eq!(c, g.completed, "job count drifted ({at})");
+        assert_eq!(d, g.trace_digest, "trace digest drifted ({at})");
+        assert_eq!(f, g.metrics_fnv, "adios.metrics/3 bytes drifted ({at})");
     }
 }
 
@@ -142,10 +164,11 @@ fn multijob_service_preserves_goldens() {
 /// yields identical fingerprints (the `SIM_THREADS=1/2/8` invariance).
 #[test]
 fn multijob_goldens_thread_invariant() {
-    let configs: Vec<(u64, bool)> = GOLDENS.iter().map(|g| (g.seed, g.adaptive)).collect();
-    let one = par_map_threads(1, &configs, |&(s, a)| fingerprint(s, a));
-    let two = par_map_threads(2, &configs, |&(s, a)| fingerprint(s, a));
-    let eight = par_map_threads(8, &configs, |&(s, a)| fingerprint(s, a));
+    let configs: Vec<(u64, bool, Load)> =
+        all_goldens().map(|(l, g)| (g.seed, g.adaptive, l)).collect();
+    let one = par_map_threads(1, &configs, |&(s, a, l)| fingerprint(s, a, l));
+    let two = par_map_threads(2, &configs, |&(s, a, l)| fingerprint(s, a, l));
+    let eight = par_map_threads(8, &configs, |&(s, a, l)| fingerprint(s, a, l));
     assert_eq!(one, two, "2-worker sweep changed service fingerprints");
     assert_eq!(one, eight, "8-worker sweep changed service fingerprints");
 }
