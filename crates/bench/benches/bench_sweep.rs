@@ -4,12 +4,12 @@
 //! (adios.bench/1).
 //!
 //! The headline number is the 64-node sort cell (64 nodes × 4 VMs,
-//! 64 MB/VM, default pair), compared against the pre-calendar-queue
-//! kernel measured on the same cell: the flat-`BinaryHeap`,
-//! alloc-per-event kernel took **136.377 s** of host wall-clock for the
-//! identical simulation (same event count — the rework is bit-exact, so
-//! both kernels process exactly the same events). The acceptance bar is
-//! ≥5× events/sec over that baseline.
+//! 64 MB/VM, default pair), compared against the original kernel
+//! measured on the same cell: popping one event at a time and
+//! allocating per event, it took **136.377 s** of host wall-clock for
+//! the identical simulation (same event count — the rework is
+//! bit-exact, so both kernels process exactly the same events). The
+//! acceptance bar is ≥5× events/sec over that baseline.
 //!
 //! `REPRO_QUICK=1` shrinks the grid to a liveness smoke pass and skips
 //! the speedup assertion (the headline cell never runs).
@@ -28,9 +28,9 @@ use vcluster::{
 };
 
 /// Host wall-clock of the headline cell (64×4 VMs, 64 MB/VM sort,
-/// default pair) under the pre-change kernel — measured before the
-/// calendar-queue/batching rework on the same simulation (which, being
-/// bit-exact, processes the same event count).
+/// default pair) under the original kernel — measured before the
+/// batching/slab rework on the same simulation (which, being bit-exact,
+/// processes the same event count).
 const BASELINE_WALL_S: f64 = 136.377;
 
 fn shape(nodes: u32) -> ClusterShape {

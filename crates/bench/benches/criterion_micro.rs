@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulator itself: elevator add/dispatch
 //! throughput, one node's whole virtualized block path at fixed VM
-//! counts, calendar event-queue push/pop and same-instant batch drain,
+//! counts, event-queue (binary heap) push/pop and same-instant batch drain,
 //! the memo-cache hit path, trace pushes (service-shaped, unbounded;
 //! node-shaped, into a dropping ring), sample-set records, the
 //! multi-job service loop and its metrics export, mechanical disk
@@ -123,10 +123,10 @@ fn elevator_churn(kind: SchedKind, population: usize, rounds: u64) -> u64 {
     served
 }
 
-/// Calendar-queue push/pop round: interleave pushes at scattered times
-/// with orderly pops, the access pattern of the cluster event loop.
+/// Event-queue push/pop round: 4,096 pushes at scattered times, then
+/// pops in order until the queue is empty.
 fn event_queue_push_pop() -> u64 {
-    let mut q = EventQueue::with_capacity(4096);
+    let mut q = EventQueue::new();
     let mut x = 0x9e37_79b9_u64; // fixed LCG keeps the workload identical per iter
     for i in 0..4096u64 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -143,7 +143,7 @@ fn event_queue_push_pop() -> u64 {
 /// (the common cluster pattern — many I/O completions per tick) and
 /// drain each instant with one `pop_batch` instead of pop-per-event.
 fn event_queue_batch_drain() -> u64 {
-    let mut q = EventQueue::with_capacity(4096);
+    let mut q = EventQueue::new();
     for burst in 0..64u64 {
         let t = SimTime::from_micros(burst * 10);
         for i in 0..64u64 {

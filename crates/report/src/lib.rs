@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 
 use simcore::Json;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Sparkline alphabet, lowest to highest.
@@ -533,6 +534,38 @@ impl Delta {
     }
 }
 
+/// Pair the entries of `a` with those of `b` by `key`, for the diff
+/// walks: the n-th entry of `a` under a key pairs with the n-th entry of
+/// `b` under that key, so a key that repeats (a service document's
+/// `policy` name and `policy` section) pairs with itself. Returns every
+/// entry of `a` in order as `(key, entry, partner)`, then the unpaired
+/// entries of `b` in order. `b` is indexed once, so this is linear in
+/// the entry count. The keys come from the documents read, so the index
+/// keeps the standard hasher.
+fn pair_fields<'a, T>(
+    a: &'a [T],
+    b: &'a [T],
+    key: impl Fn(&'a T) -> &'a str,
+) -> Vec<(&'a str, Option<&'a T>, Option<&'a T>)> {
+    // `unpaired[k]` lists the indices of `b` under key `k` not yet paired,
+    // in reverse, so the next partner is a `pop`.
+    let mut unpaired: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (j, y) in b.iter().enumerate().rev() {
+        unpaired.entry(key(y)).or_default().push(j);
+    }
+    let mut paired = vec![false; b.len()];
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    for x in a {
+        let j = unpaired.get_mut(key(x)).and_then(Vec::pop);
+        if let Some(j) = j {
+            paired[j] = true;
+        }
+        out.push((key(x), Some(x), j.map(|j| &b[j])));
+    }
+    out.extend(b.iter().zip(paired).filter(|(_, p)| !p).map(|(y, _)| (key(y), None, Some(y))));
+    out
+}
+
 /// Collect numeric leaf differences between two JSON trees. Arrays are
 /// compared as aggregates (element sum) so bucket vectors produce one
 /// row instead of hundreds; string/bool leaves count as a difference
@@ -540,18 +573,11 @@ impl Delta {
 fn walk_diff(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
     match (a, b) {
         (Json::Obj(fa), Json::Obj(fb)) => {
-            for (k, va) in fa {
-                let sub = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
-                match fb.iter().find(|(kb, _)| kb == k) {
-                    Some((_, vb)) => walk_diff(&sub, va, vb, out),
-                    None => walk_diff(&sub, va, &Json::Null, out),
-                }
-            }
-            for (k, vb) in fb {
-                if !fa.iter().any(|(ka, _)| ka == k) {
-                    let sub = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
-                    walk_diff(&sub, &Json::Null, vb, out);
-                }
+            for (k, x, y) in pair_fields(fa, fb, |(k, _)| k.as_str()) {
+                let sub = if path.is_empty() { k.to_string() } else { format!("{path}.{k}") };
+                let va = x.map_or(&Json::Null, |(_, v)| v);
+                let vb = y.map_or(&Json::Null, |(_, v)| v);
+                walk_diff(&sub, va, vb, out);
             }
         }
         (Json::Arr(xa), Json::Arr(xb)) => {
@@ -647,15 +673,11 @@ fn walk_shape(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
     };
     match (a, b) {
         (Json::Obj(fa), Json::Obj(fb)) => {
-            for (k, va) in fa {
-                match fb.iter().find(|(kb, _)| kb == k) {
-                    Some((_, vb)) => walk_shape(&sub(k), va, vb, out),
-                    None => out.push(Delta { path: sub(k), a: 1.0, b: 0.0 }),
-                }
-            }
-            for (k, _) in fb {
-                if !fa.iter().any(|(ka, _)| ka == k) {
-                    out.push(Delta { path: sub(k), a: 0.0, b: 1.0 });
+            for (k, x, y) in pair_fields(fa, fb, |(k, _)| k.as_str()) {
+                match (x, y) {
+                    (Some((_, va)), Some((_, vb))) => walk_shape(&sub(k), va, vb, out),
+                    (Some(_), None) => out.push(Delta { path: sub(k), a: 1.0, b: 0.0 }),
+                    _ => out.push(Delta { path: sub(k), a: 0.0, b: 1.0 }),
                 }
             }
         }
@@ -666,17 +688,12 @@ fn walk_shape(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
             if xa.iter().all(|x| name(x).is_some()) && xb.iter().all(|x| name(x).is_some()) {
                 // Arrays of named records (benchmark results): match by
                 // name so reorderings don't count and renames do.
-                for x in xa {
-                    let n = name(x).expect("checked");
-                    match xb.iter().find(|y| name(y) == Some(n)) {
-                        Some(y) => walk_shape(&sub(&format!("[{n}]")), x, y, out),
-                        None => out.push(Delta { path: sub(&format!("[{n}]")), a: 1.0, b: 0.0 }),
-                    }
-                }
-                for y in xb {
-                    let n = name(y).expect("checked");
-                    if !xa.iter().any(|x| name(x) == Some(n)) {
-                        out.push(Delta { path: sub(&format!("[{n}]")), a: 0.0, b: 1.0 });
+                for (n, x, y) in pair_fields(xa, xb, |x| name(x).expect("checked")) {
+                    let at = sub(&format!("[{n}]"));
+                    match (x, y) {
+                        (Some(x), Some(y)) => walk_shape(&at, x, y, out),
+                        (Some(_), None) => out.push(Delta { path: at, a: 1.0, b: 0.0 }),
+                        _ => out.push(Delta { path: at, a: 0.0, b: 1.0 }),
                     }
                 }
             } else if xa.len() != xb.len() {
@@ -829,6 +846,40 @@ mod tests {
         let (text, deltas) = diff(&doc, &doc);
         assert!(deltas.is_empty(), "{text}");
         assert!(text.contains("identical"));
+    }
+
+    /// A service document's top level holds two `policy` fields: the
+    /// policy's name and the registry's `policy` section.
+    fn service_doc(retunes: u32) -> Json {
+        Json::parse(&format!(
+            r#"{{"schema":"adios.metrics/3","kind":"service","policy":"blended:margin=0.05",
+                "service":{{"completed":3}},"policy":{{"retunes":{retunes},"switches":1}}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn repeated_keys_self_diff_clean() {
+        let doc = service_doc(12);
+        let (text, deltas) = diff(&doc, &doc);
+        assert!(deltas.is_empty(), "{text}");
+        let (text, deltas) = diff_shape(&doc, &doc);
+        assert!(deltas.is_empty(), "{text}");
+    }
+
+    #[test]
+    fn repeated_keys_pair_nth_with_nth() {
+        let (text, deltas) = diff(&service_doc(12), &service_doc(13));
+        assert_eq!(
+            deltas,
+            vec![Delta { path: "policy.retunes".into(), a: 12.0, b: 13.0 }],
+            "{text}"
+        );
+        // A third `policy` on one side only is reported as that side's.
+        let extra = Json::parse(r#"{"policy":"a","policy":{"x":1},"policy":2}"#).unwrap();
+        let base = Json::parse(r#"{"policy":"a","policy":{"x":1}}"#).unwrap();
+        let (text, deltas) = diff_shape(&base, &extra);
+        assert_eq!(deltas, vec![Delta { path: "policy".into(), a: 0.0, b: 1.0 }], "{text}");
     }
 
     #[test]

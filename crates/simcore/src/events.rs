@@ -1,35 +1,18 @@
 //! The event queue at the heart of the discrete-event kernel.
 //!
-//! [`EventQueue`] is a priority queue of `(SimTime, T)` pairs ordered by
-//! time, with FIFO tie-breaking via a monotone sequence number so that
-//! events scheduled at the same instant pop in insertion order. That
-//! tie-break is what makes whole-cluster runs deterministic.
+//! [`EventQueue`] is one binary min-heap of `(SimTime, T)` pairs ordered
+//! by `(time, seq)`, where `seq` is a monotone insertion counter: events
+//! scheduled at the same instant pop in insertion order. That tie-break
+//! is what makes whole-cluster runs deterministic. It also makes the pop
+//! order a total order, which any correct priority queue reproduces
+//! event for event (`tests/kernel_goldens.rs` pins it).
 //!
-//! # Two-tier calendar / ladder structure
-//!
-//! Internally the queue is *not* a flat binary heap: events land in one
-//! of three tiers by distance from the cursor.
-//!
-//! ```text
-//!   active (sorted vec) │ calendar buckets (unsorted) │ overflow heap
-//!   [watermark, hi)     │ [hi, horizon)               │ [horizon, ∞)
-//! ```
-//!
-//! * **active** — the events of the bucket currently being drained,
-//!   sorted descending so a pop is a `Vec::pop`. Same-instant pushes
-//!   during processing (the common case: a handler scheduling work at
-//!   `now`) append in O(1).
-//! * **calendar** — `NBUCKETS` fixed-width time buckets; a push within
-//!   the horizon is an O(1) `Vec::push` with no comparisons at all.
-//!   A bucket is sorted only when the cursor reaches it.
-//! * **overflow** — a binary heap for the far future. When the
-//!   calendar is exhausted, a new epoch is laid over the earliest
-//!   overflow event and near events are re-bucketed lazily, with the
-//!   bucket width re-fitted to the observed event spacing.
-//!
-//! The pop order is the exact total order `(time, seq)` — identical,
-//! event for event, to the flat-heap implementation this replaced (the
-//! `tests/kernel_goldens.rs` fingerprints pin that).
+//! The heap holds a simulation's frontier, not its history: each
+//! component keeps only its next wake-ups queued, and a stream known in
+//! advance (a service's job arrivals) is read from a sorted cursor
+//! beside the queue instead of being parked in it (see
+//! [`EventQueue::advance_to`]). Push and pop are O(log n) in that
+//! frontier.
 //!
 //! Cancellation is handled by *epochs* (see [`Timer`]): instead of
 //! removing entries, a component bumps its epoch counter and stale
@@ -39,11 +22,11 @@
 //!
 //! # Causality checking
 //!
-//! Scheduling an event before the watermark (the last popped time) is a
-//! logic error in the caller. Debug builds always panic on it; release
-//! builds check it too when the `ADIOS_STRICT=1` environment variable is
-//! set at process start (`scripts/ci.sh` runs the pairs smoke test once
-//! that way).
+//! Scheduling an event before the watermark (the last popped or
+//! advanced-to time) is a logic error in the caller. Debug builds always
+//! panic on it; release builds check it too when the `ADIOS_STRICT=1`
+//! environment variable is set at process start (`scripts/ci.sh` runs
+//! the pairs smoke test once that way).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -94,13 +77,6 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Number of calendar buckets (a power of two keeps the index math to
-/// one multiply and one shift-free divide).
-const NBUCKETS: usize = 512;
-/// Initial bucket width, ns, before any re-fit (8.2 µs × 512 ≈ a 4 ms
-/// horizon — the scale of disk service times, the densest event source).
-const INITIAL_WIDTH_NS: u64 = 1 << 13;
-
 /// A deterministic time-ordered event queue.
 ///
 /// ```
@@ -116,8 +92,7 @@ const INITIAL_WIDTH_NS: u64 = 1 << 13;
 /// assert_eq!(q.pop(), None);
 /// ```
 ///
-/// Same-instant events can be claimed in one call, without re-touching
-/// the queue per event:
+/// Same-instant events can be claimed in one call:
 ///
 /// ```
 /// use simcore::{EventQueue, SimTime};
@@ -132,26 +107,11 @@ const INITIAL_WIDTH_NS: u64 = 1 << 13;
 /// assert_eq!(batch, vec!['a', 'b']);
 /// ```
 pub struct EventQueue<T> {
-    /// Drained-bucket events, sorted descending by `(time, seq)`;
-    /// pops come off the back. All times `< active_hi`.
-    active: Vec<Entry<T>>,
-    /// Upper time bound (ns) of the region `active` covers.
-    active_hi: u64,
-    /// Calendar: bucket `i` covers `[epoch_start + i*width, +width)` ns.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// ns timestamp of bucket 0.
-    epoch_start: u64,
-    /// Next bucket the cursor will drain (everything before is empty).
-    cursor: usize,
-    /// Bucket width, ns (re-fitted at each epoch change).
-    width: u64,
-    /// Far-future events (`time >= horizon`).
-    overflow: BinaryHeap<Entry<T>>,
-    len: usize,
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    /// Largest time popped so far; pushes earlier than this are a logic
-    /// error in the caller (checked in debug builds and under
-    /// `ADIOS_STRICT=1`).
+    /// Largest time popped or advanced to so far; pushes earlier than
+    /// this are a logic error in the caller (checked in debug builds and
+    /// under `ADIOS_STRICT=1`).
     watermark: SimTime,
     /// Cached [`strict_checks`] so the hot push path pays one branch.
     strict: bool,
@@ -166,40 +126,19 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Create an empty queue sized for roughly `cap` pending events
-    /// (pre-reserves the far-future heap; calendar buckets grow on
-    /// demand).
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            active: Vec::new(),
-            active_hi: 0,
-            buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
-            epoch_start: 0,
-            cursor: 0,
-            width: INITIAL_WIDTH_NS,
-            overflow: BinaryHeap::with_capacity(cap / 4),
-            len: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             watermark: SimTime::ZERO,
             strict: strict_checks(),
         }
     }
 
-    #[inline]
-    fn horizon(&self) -> u64 {
-        self.epoch_start
-            .saturating_add(self.width.saturating_mul(NBUCKETS as u64))
-    }
-
     /// Schedule `payload` to fire at `time`.
     ///
-    /// Scheduling in the past (before the last popped event) is a
-    /// causality violation; debug builds panic on it, and release
-    /// builds do too when `ADIOS_STRICT=1` is set (see
-    /// [`strict_checks`]).
+    /// Scheduling in the past (before the watermark) is a causality
+    /// violation; debug builds panic on it, and release builds do too
+    /// when `ADIOS_STRICT=1` is set (see [`strict_checks`]).
     pub fn push(&mut self, time: SimTime, payload: T) {
         debug_assert!(
             time >= self.watermark,
@@ -215,156 +154,62 @@ impl<T> EventQueue<T> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        let t = time.as_nanos();
-        let e = Entry { time, seq, payload };
-        if t < self.active_hi {
-            // Into the drained region: keep `active` sorted descending.
-            // The overwhelmingly common case is a push at the current
-            // instant, whose (time, seq) is the largest-seq among equal
-            // times — that lands at the back in O(1)... no: descending
-            // order pops smallest from the back, so the newest
-            // same-instant event belongs just before older-but-later
-            // times. partition_point finds it; for `now`-pushes the
-            // scan terminates immediately at the back.
-            let key = (time, seq);
-            let idx = self.active.partition_point(|x| x.key() > key);
-            self.active.insert(idx, e);
-        } else if t < self.horizon() {
-            let idx = ((t - self.epoch_start) / self.width) as usize;
-            debug_assert!(idx >= self.cursor.saturating_sub(1));
-            self.buckets[idx].push(e);
-        } else {
-            self.overflow.push(e);
-        }
-    }
-
-    /// Lay a new epoch over the earliest overflow event and re-bucket
-    /// every overflow event inside the new horizon (lazy re-bucketing).
-    /// Only called when the active vec and every calendar bucket are
-    /// empty. Guarantees progress: the earliest event always lands in
-    /// bucket 0.
-    fn reprime(&mut self) {
-        let _prof = crate::prof::span("evq.reprime");
-        let Some(first) = self.overflow.peek() else {
-            return;
-        };
-        let lo = first.time.as_nanos();
-        // Fit the bucket width to the observed spacing: aim for ~2
-        // events per bucket over the overflow's span, clamped so the
-        // horizon always moves forward.
-        let mut hi = lo;
-        for e in self.overflow.iter() {
-            hi = hi.max(e.time.as_nanos());
-        }
-        let n = self.overflow.len() as u64;
-        let span = hi - lo;
-        self.width = (span.saturating_mul(2) / n.max(1)).clamp(1, span.max(1));
-        self.epoch_start = lo;
-        self.cursor = 0;
-        self.active_hi = lo;
-        let horizon = self.horizon();
-        while let Some(e) = self.overflow.peek() {
-            if e.time.as_nanos() >= horizon {
-                break;
-            }
-            let e = self.overflow.pop().expect("peeked");
-            let idx = ((e.time.as_nanos() - self.epoch_start) / self.width) as usize;
-            self.buckets[idx].push(e);
-        }
-    }
-
-    /// Ensure `active` holds the earliest pending events (drain the
-    /// next non-empty bucket, re-priming from overflow as needed).
-    /// Returns false when the queue is empty.
-    fn prime_active(&mut self) -> bool {
-        if !self.active.is_empty() {
-            return true;
-        }
-        if self.len == 0 {
-            return false;
-        }
-        loop {
-            while self.cursor < NBUCKETS {
-                if self.buckets[self.cursor].is_empty() {
-                    self.cursor += 1;
-                    continue;
-                }
-                std::mem::swap(&mut self.active, &mut self.buckets[self.cursor]);
-                self.active
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                self.cursor += 1;
-                self.active_hi = self
-                    .epoch_start
-                    .saturating_add(self.width.saturating_mul(self.cursor as u64));
-                return true;
-            }
-            debug_assert!(!self.overflow.is_empty(), "len counted missing events");
-            self.reprime();
-        }
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Pop the earliest event, advancing the causality watermark.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        if !self.prime_active() {
-            return None;
-        }
-        let e = self.active.pop().expect("primed");
-        self.len -= 1;
+        let e = self.heap.pop()?;
         self.watermark = e.time;
         Some((e.time, e.payload))
     }
 
     /// Pop *every* event scheduled at the earliest pending instant into
-    /// `buf` (appended in FIFO order) and return that instant. The
-    /// whole batch costs one queue touch instead of one per event.
-    /// Events the caller pushes at the same instant while processing
-    /// the batch form the next batch, preserving the exact `(time,
-    /// seq)` pop order of repeated [`EventQueue::pop`] calls.
+    /// `buf` (appended in FIFO order) and return that instant. Events
+    /// the caller pushes at the same instant while processing the batch
+    /// form the next batch, preserving the exact `(time, seq)` pop order
+    /// of repeated [`EventQueue::pop`] calls.
     pub fn pop_batch(&mut self, buf: &mut Vec<T>) -> Option<SimTime> {
         let _prof = crate::prof::span_hot("evq.pop_batch");
-        if !self.prime_active() {
-            return None;
-        }
+        let first = self.heap.pop()?;
+        let t = first.time;
         let before = buf.len();
-        let t = self.active.last().expect("primed").time;
-        while let Some(e) = self.active.last() {
-            if e.time != t {
-                break;
-            }
-            let e = self.active.pop().expect("just peeked");
-            self.len -= 1;
-            buf.push(e.payload);
+        buf.push(first.payload);
+        while self.heap.peek().is_some_and(|e| e.time == t) {
+            buf.push(self.heap.pop().expect("just peeked").payload);
         }
         self.watermark = t;
         crate::prof::count("events", (buf.len() - before) as u64);
         Some(t)
     }
 
+    /// Move the causality watermark to `time` without popping. A loop
+    /// that also takes events from a source outside the queue (a sorted
+    /// cursor of job arrivals) calls it at each instant only that source
+    /// reaches, so a later push before that instant is still caught.
+    /// `time` lies between the watermark and the earliest pending event.
+    pub fn advance_to(&mut self, time: SimTime) {
+        debug_assert!(time >= self.watermark, "advance_to moved the watermark back");
+        debug_assert!(
+            self.peek_time().is_none_or(|next| time <= next),
+            "advance_to passed a pending event"
+        );
+        self.watermark = time;
+    }
+
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.active.last() {
-            return Some(e.time);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        for b in &self.buckets[self.cursor.min(NBUCKETS)..] {
-            if !b.is_empty() {
-                return b.iter().map(|e| e.time).min();
-            }
-        }
-        self.overflow.peek().map(|e| e.time)
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -490,6 +335,27 @@ mod tests {
     }
 
     #[test]
+    fn advance_to_moves_the_watermark_without_popping() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(5), 'a');
+        q.advance_to(SimTime::from_secs(3));
+        assert_eq!(q.len(), 1, "advancing pops nothing");
+        // A push at the advanced-to instant is fine.
+        q.push(SimTime::from_secs(3), 'b');
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), 'b')));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(5), 'a')));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    #[cfg(debug_assertions)]
+    fn rejects_push_before_advanced_instant() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance_to(SimTime::from_secs(2));
+        q.push(SimTime::from_secs(1), ());
+    }
+
+    #[test]
     fn timer_epochs() {
         let mut t = Timer::new();
         let first = t.arm();
@@ -513,7 +379,7 @@ mod tests {
     #[test]
     fn high_volume_is_sorted() {
         // Pseudo-random but deterministic insertion order.
-        let mut q = EventQueue::with_capacity(1 << 12);
+        let mut q = EventQueue::new();
         let mut x: u64 = 0x9e3779b97f4a7c15;
         for i in 0..4096u64 {
             x ^= x << 13;
@@ -555,10 +421,10 @@ mod tests {
         assert_eq!(q.pop_batch(&mut buf), None);
     }
 
-    /// Epoch re-priming: events far beyond the initial horizon, with
-    /// clustered and sparse regions, still pop in exact order.
+    /// Mixed time scales, from same-instant runs to minutes ahead, with
+    /// clustered and sparse regions, pop in exact `(time, seq)` order.
     #[test]
-    fn far_future_reprime_keeps_order() {
+    fn mixed_time_scales_keep_order() {
         let mut q = EventQueue::new();
         let mut expect: Vec<(u64, u64)> = Vec::new();
         let mut x: u64 = 0x2545F4914F6CDD1D;
@@ -583,9 +449,8 @@ mod tests {
         assert_eq!(got, expect);
     }
 
-    /// Interleaved push/pop around the active window: pushes at the
-    /// watermark, inside the drained region, and into later buckets
-    /// must all slot into the exact (time, seq) order.
+    /// Interleaved push/pop: pushes at the watermark and just ahead of
+    /// it slot into the exact (time, seq) order.
     #[test]
     fn interleaved_push_pop_ordering() {
         let mut q = EventQueue::new();
@@ -600,9 +465,9 @@ mod tests {
             last = (t, p);
             n += 1;
             if n.is_multiple_of(7) && extra < 1018 {
-                // Push at the current instant (drained region).
+                // Push at the current instant.
                 q.push(t, extra);
-                // And a little ahead (current or next bucket).
+                // And a little ahead.
                 q.push(t + SimDuration::from_nanos(5), extra + 1);
                 extra += 2;
             }

@@ -415,13 +415,6 @@ impl ClusterSim {
             files[home as usize].ensure(FileRef::HdfsBlock { block: b, replica: 0 }, job.block_bytes);
         }
         let num_reduces = job.num_reduces(&shape) as usize;
-        // Size the event queue from the job plan: each task contributes
-        // a handful of in-flight chunk events, each VM its kick/CPU
-        // timers, plus network/heartbeat slack. Pending events, not
-        // total events — the queue holds the frontier, not the history.
-        let plan_events = (tracker.num_maps() as usize + tracker.num_reduces() as usize) * 8
-            + total_vms as usize * (params.read_window + params.write_window + 8)
-            + 1024;
         ClusterSim {
             nodes,
             net: Network::new(params.net.clone(), shape.nodes),
@@ -450,7 +443,7 @@ impl ClusterSim {
                     Writeback::new(params.dirty_limit_bytes, params.write_window as u32)
                 })
                 .collect(),
-            queue: EventQueue::with_capacity(plan_events),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             progress: vec![(SimTime::ZERO, 0.0)],
             switch_log: Vec::new(),

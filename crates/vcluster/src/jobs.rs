@@ -29,12 +29,13 @@
 //! shared disk destroy each other's locality, which is exactly why the
 //! installed elevator pair matters.
 //!
-//! The run is one deterministic discrete-event loop on its own
-//! [`EventQueue`]; the emitted trace uses the multi-job `Job*`/`Slot*`
-//! events which [`simcore::TraceOracle`] checks for lifecycle order,
-//! slot oversubscription and per-job byte conservation. Results export
-//! as a schema-bumped `adios.metrics/3` document, byte-identical across
-//! `SIM_THREADS`.
+//! The run is one deterministic discrete-event loop: task completions
+//! and retune ticks go through an [`EventQueue`], and the sorted job
+//! arrivals are read from a cursor beside it. The emitted trace uses
+//! the multi-job `Job*`/`Slot*` events which [`simcore::TraceOracle`]
+//! checks for lifecycle order, slot oversubscription and per-job byte
+//! conservation. Results export as a schema-bumped `adios.metrics/3`
+//! document, byte-identical across `SIM_THREADS`.
 
 use iosched::SchedPair;
 use mrsim::{ClusterShape, JobSpec, JobTracker, TaskKind, WorkloadSpec};
@@ -470,7 +471,8 @@ pub struct ServiceOutcome {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SEv {
-    /// `arrivals[i]` entered the service.
+    /// `arrivals[i]` entered the service. Read from the arrival cursor,
+    /// never pushed to the queue.
     Arrive(usize),
     /// A task finished.
     TaskDone { job: u64, task: TaskId, gvm: u32, map: bool },
@@ -578,10 +580,10 @@ pub fn run_service(
     let shape = params.shape;
     let total_vms = shape.total_vms();
 
-    let mut queue: EventQueue<SEv> = EventQueue::with_capacity(arrivals.len() * 4 + 64);
-    for (i, (t, _)) in arrivals.iter().enumerate() {
-        queue.push(*t, SEv::Arrive(i));
-    }
+    let mut queue: EventQueue<SEv> = EventQueue::new();
+    // The sorted arrivals are read through this cursor, not parked in
+    // the queue: `arrivals[next_arrival..]` have not arrived yet.
+    let mut next_arrival = 0usize;
     if !arrivals.is_empty() {
         queue.push(SimTime::ZERO + params.retune_period, SEv::Retune);
     }
@@ -640,14 +642,29 @@ pub fn run_service(
     let mut current_idx = pair_idx(current);
 
     let mut batch: Vec<SEv> = Vec::with_capacity(16);
-    let mut now;
     loop {
         batch.clear();
-        let Some(t) = queue.pop_batch(&mut batch) else {
-            break;
+        // One batch per instant: its arrivals first, then its queued
+        // events, so a retune tick sees the jobs that arrive with it
+        // (`tests/multijob_goldens.rs` pins this order).
+        let next_at = arrivals.get(next_arrival).map(|&(t, _)| t);
+        let now = match (next_at, queue.peek_time()) {
+            (None, None) => break,
+            (Some(t), queued) if queued.is_none_or(|q| t <= q) => {
+                while arrivals.get(next_arrival).is_some_and(|&(at, _)| at == t) {
+                    batch.push(SEv::Arrive(next_arrival));
+                    next_arrival += 1;
+                }
+                if queued == Some(t) {
+                    queue.pop_batch(&mut batch);
+                } else {
+                    queue.advance_to(t);
+                }
+                t
+            }
+            _ => queue.pop_batch(&mut batch).expect("peeked an event"),
         };
         let _prof = simcore::prof::span_hot("jobs.event");
-        now = t;
         let evs = std::mem::take(&mut batch);
         for ev in &evs {
             match *ev {
@@ -731,7 +748,7 @@ pub fn run_service(
                         switch_log.push((now, want));
                     }
                     // Keep ticking while anything can still happen.
-                    if !active.is_empty() || !queue.is_empty() {
+                    if !active.is_empty() || !queue.is_empty() || next_arrival < arrivals.len() {
                         queue.push(now + params.retune_period, SEv::Retune);
                     }
                 }

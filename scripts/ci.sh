@@ -108,6 +108,11 @@ grep -qF '  oracle: clean (' <<< "${service_out}" \
 grep -q '"schema":"adios.metrics/3"' "${service_json}" \
   || { echo "error: serve-jobs metrics missing the /3 schema" >&2; exit 1; }
 cargo run -q --release --offline -p adios-report -- render "${service_json}" > /dev/null
+# Its self-diff must be clean. The policy's name and the registry's
+# `policy` section share a top-level key; the diff pairs the n-th field
+# of a name with the n-th field of that name, so each meets itself.
+cargo run -q --release --offline -p adios-report -- diff \
+  "${service_json}" "${service_json}" --fail-on-delta > /dev/null
 rm -f "${service_json}"
 
 # The same strict check at the tenant_stream_2pm shape: 14 days at 2
@@ -129,11 +134,28 @@ cargo run -q --release --offline -p adios-report -- render "${long_json}" > /dev
 head_status=0
 head_line="$(set -o pipefail; cargo run -q --release --offline -p adios-report -- \
   render "${long_json}" | head -n 1)" || head_status=$?
-rm -f "${long_json}"
 if (( head_status != 0 )) || [[ "${head_line}" != "== adios.metrics/3 ==" ]]; then
+  rm -f "${long_json}"
   echo "error: render | head -1 must print the banner and exit 0 (exit ${head_status})" >&2
   exit 1
 fi
+# Its self-diff, by value and by shape, must be clean within 10 s: the
+# diff indexes each object's keys once instead of scanning per key.
+for want in "documents are identical" "documents have identical shape"; do
+  shape_flag=()
+  [[ "${want}" == *shape ]] && shape_flag=(--shape)
+  self_status=0
+  self_out="$(timeout 10 cargo run -q --release --offline -p adios-report -- diff \
+    "${shape_flag[@]}" "${long_json}" "${long_json}" --fail-on-delta)" || self_status=$?
+  if (( self_status != 0 )) || [[ "${self_out}" != "${want}" ]]; then
+    rm -f "${long_json}"
+    echo "error: the 14-day document's ${shape_flag[*]:-value} self-diff must print" \
+      "\"${want}\" and exit 0 within 10 s (exit ${self_status})" >&2
+    echo "${self_out}" | tail -n 5 >&2
+    exit 1
+  fi
+done
+rm -f "${long_json}"
 
 # Profiler smoke: a full-telemetry run must export an adios.profile/1
 # document that renders as the flame-style share table, and whose
@@ -252,4 +274,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days, rendered whole and through head) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days, rendered whole and through head, self-diffs clean) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"

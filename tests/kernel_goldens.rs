@@ -1,8 +1,9 @@
 //! Kernel-swap goldens: hardcoded fingerprints of small reference runs,
-//! captured from the pre-calendar-queue kernel (flat `BinaryHeap` event
-//! queue, `BTreeMap` id maps, allocating dispatch loops). The rebuilt
-//! hot path — calendar/ladder queue, batched same-instant dispatch,
-//! slab-backed network and id maps — must reproduce every one of these
+//! captured from the original kernel (one pop per event from a flat
+//! `BinaryHeap` event queue, `BTreeMap` id maps, allocating dispatch
+//! loops). The rebuilt hot path — batched same-instant dispatch,
+//! slab-backed network and id maps — and any event-queue structure that
+//! keeps the `(time, seq)` pop order must reproduce every one of these
 //! values bit-for-bit: the optimization contract is "faster, not
 //! different".
 //!

@@ -1,5 +1,6 @@
 //! Multi-job service goldens: hardcoded fingerprints of small
-//! reference service runs (3-tenant Poisson streams), pinning the
+//! reference service runs (3-tenant Poisson streams, and one trace
+//! stream with arrivals on retune ticks), pinning the
 //! `adios.metrics/3` document bytes and the multi-job trace digest.
 //! Seeded exactly like `tests/kernel_goldens.rs`: the fingerprints must
 //! reproduce bit-for-bit on every worker count (`SIM_THREADS=1/2/8`
@@ -72,6 +73,10 @@ struct Load {
 const ONE_BLOCK: Load = Load { data_mb: 64, max_concurrent: 8 };
 
 fn run(seed: u64, adaptive: bool, load: Load) -> ServiceOutcome {
+    run_arrivals(seed, adaptive, load, &ArrivalSpec::Poisson { rate_per_min: 6.0 })
+}
+
+fn run_arrivals(seed: u64, adaptive: bool, load: Load, spec: &ArrivalSpec) -> ServiceOutcome {
     let mut params = ServiceParams::default();
     params.shape.nodes = 2;
     params.shape.vms_per_node = 2;
@@ -81,7 +86,6 @@ fn run(seed: u64, adaptive: bool, load: Load) -> ServiceOutcome {
     let mix = TenantMix::parse("sort:2,wordcount:1,wordcount-nc:1", load.data_mb << 20)
         .expect("golden tenant mix");
     let profiles = profiles();
-    let spec = ArrivalSpec::Poisson { rate_per_min: 6.0 };
     let mut fixed;
     let mut blended;
     let policy: &mut dyn ServicePolicy = if adaptive {
@@ -91,11 +95,14 @@ fn run(seed: u64, adaptive: bool, load: Load) -> ServiceOutcome {
         fixed = FixedPolicy(SchedPair::DEFAULT);
         &mut fixed
     };
-    run_service(&params, &mix, &profiles, &spec, policy)
+    run_service(&params, &mix, &profiles, spec, policy)
 }
 
 fn fingerprint(seed: u64, adaptive: bool, load: Load) -> (u64, u64, u64) {
-    let out = run(seed, adaptive, load);
+    outcome_fingerprint(run(seed, adaptive, load))
+}
+
+fn outcome_fingerprint(out: ServiceOutcome) -> (u64, u64, u64) {
     assert_eq!(
         out.metrics.get("schema").and_then(|s| s.as_str()),
         Some("adios.metrics/3"),
@@ -143,6 +150,14 @@ fn capture_goldens() {
             load.data_mb, load.max_concurrent
         );
     }
+    let g = &TICK_ARRIVALS;
+    let (c, d, f) =
+        outcome_fingerprint(run_arrivals(g.seed, g.adaptive, ONE_BLOCK, &tick_arrivals()));
+    println!(
+        "tick arrivals: Golden {{ seed: {}, adaptive: {}, completed: {c}, \
+         trace_digest: 0x{d:016x}, metrics_fnv: 0x{f:016x} }}",
+        g.seed, g.adaptive
+    );
 }
 
 #[test]
@@ -171,4 +186,50 @@ fn multijob_goldens_thread_invariant() {
     let eight = par_map_threads(8, &configs, |&(s, a, l)| fingerprint(s, a, l));
     assert_eq!(one, two, "2-worker sweep changed service fingerprints");
     assert_eq!(one, eight, "8-worker sweep changed service fingerprints");
+}
+
+/// Trace arrivals that land exactly on retune ticks (multiples of the
+/// 5 s retune period), several at one instant, under the adaptive
+/// policy. At each instant the service takes its arrivals before the
+/// instant's queued events, so the retune at 40 s already sees the three
+/// jobs that arrive with it and switches back to the map-fast pair then,
+/// not one tick later.
+fn tick_arrivals() -> ArrivalSpec {
+    let at = |s: u64| simcore::SimTime::from_secs(s);
+    ArrivalSpec::Trace(vec![
+        (at(5), 0),
+        (at(5), 1),
+        (at(40), 0),
+        (at(40), 1),
+        (at(40), 2),
+        (at(60), 2),
+        (at(60), 0),
+        (at(125), 1),
+        (at(125), 2),
+        (at(150), 0),
+    ])
+}
+
+/// Captured like [`GOLDENS`], at the commit that still queued every
+/// arrival up front, with `capture_goldens`.
+const TICK_ARRIVALS: Golden = Golden {
+    seed: 42,
+    adaptive: true,
+    completed: 10,
+    trace_digest: 0x24855800b482f21c,
+    metrics_fnv: 0x43e32849cda474c0,
+};
+
+#[test]
+fn arrivals_on_retune_ticks_preserve_golden() {
+    let g = &TICK_ARRIVALS;
+    let (c, d, f) = outcome_fingerprint(run_arrivals(
+        g.seed,
+        g.adaptive,
+        ONE_BLOCK,
+        &tick_arrivals(),
+    ));
+    assert_eq!(c, g.completed, "job count drifted");
+    assert_eq!(d, g.trace_digest, "trace digest drifted");
+    assert_eq!(f, g.metrics_fnv, "adios.metrics/3 bytes drifted");
 }
