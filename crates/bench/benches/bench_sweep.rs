@@ -278,10 +278,9 @@ fn main() {
             r.events_per_sec()
         );
     }
-    let merged = report.merged();
     println!(
         "\ntotal: {} events in {:.1}s wall ({:.0} events/s aggregate, sharded)",
-        merged.events,
+        report.total_events(),
         report.total_wall_s,
         report.events_per_sec()
     );

@@ -5,13 +5,13 @@
 //! ordering, which is what gives a multi-pair assignment room to win.
 
 use iosched::SchedPair;
-use metasched::{profile_pairs, Experiment};
+use metasched::{profile_pairs_cached, EvalCache, Experiment};
 use mrsim::WorkloadSpec;
 use repro_bench::{paper_cluster, paper_job, print_table};
 
 fn main() {
     let exp = Experiment::new(paper_cluster(), paper_job(WorkloadSpec::sort()));
-    let profiles = profile_pairs(&exp, &SchedPair::all());
+    let profiles = profile_pairs_cached(&exp, &SchedPair::all(), &EvalCache::new());
     let mut rows: Vec<Vec<String>> = profiles
         .iter()
         .map(|p| {

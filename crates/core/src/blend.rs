@@ -22,14 +22,13 @@
 //!    policies: a candidate must beat the incumbent by a relative
 //!    margin, or the cluster keeps what it has.
 //!
-//! Decisions are memoized per quantized mix, so a service emitting the
-//! same mix at every tick costs one table scan total.
+//! Every tick scans all pairs afresh: 16 pairs × 9 multiply-adds, less
+//! work than hashing the mix for a memo would be.
 
 use crate::cache::EvalCache;
 use crate::experiment::Experiment;
 use crate::profiler::profile_pairs_cached;
 use iosched::SchedPair;
-use std::collections::BTreeMap;
 use vcluster::{ClusterParams, PhaseMix, ServicePolicy, TenantMix, TenantProfile};
 
 /// Measure every tenant's per-pair phase profile with real single-job
@@ -59,8 +58,6 @@ pub struct BlendedTuner {
     /// Relative improvement a challenger must offer before a switch is
     /// worth its stall (e.g. `0.05` = 5%).
     margin: f64,
-    /// Memoized decisions keyed by the quantized mix fingerprint.
-    memo: BTreeMap<u64, usize>,
 }
 
 impl BlendedTuner {
@@ -71,7 +68,7 @@ impl BlendedTuner {
         for p in &profiles {
             p.validate().expect("invalid tenant profile");
         }
-        BlendedTuner { profiles, margin, memo: BTreeMap::new() }
+        BlendedTuner { profiles, margin }
     }
 
     /// Mix-weighted total seconds the cluster would spend per unit of
@@ -91,27 +88,7 @@ impl BlendedTuner {
         s
     }
 
-    /// Stable fingerprint of a quantized mix (weights at 1/16
-    /// resolution) — equal mixes memoize to the same decision.
-    pub fn mix_fingerprint(mix: &PhaseMix) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut fold = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        for w in &mix.per_tenant {
-            for &x in w {
-                fold((x * 16.0).round() as u64);
-            }
-        }
-        h
-    }
-
-    fn best_pair_idx(&mut self, mix: &PhaseMix) -> usize {
-        let fp = Self::mix_fingerprint(mix);
-        if let Some(&i) = self.memo.get(&fp) {
-            return i;
-        }
+    fn best_pair_idx(&self, mix: &PhaseMix) -> usize {
         let n = SchedPair::all().len();
         let mut best = 0usize;
         let mut best_score = f64::INFINITY;
@@ -124,7 +101,6 @@ impl BlendedTuner {
                 best_score = s;
             }
         }
-        self.memo.insert(fp, best);
         best
     }
 }
@@ -215,23 +191,79 @@ mod tests {
         assert_eq!(stubborn.choose(&mix_all_in(0, 1), pairs[3]), pairs[3]);
     }
 
+    /// The margin rule over a brute-force argmin: score every pair,
+    /// the lowest index wins a tie, and the incumbent stays unless the
+    /// winner beats it by more than `margin` of its score.
+    fn reference_choose(
+        profiles: &[TenantProfile],
+        margin: f64,
+        mix: &PhaseMix,
+        current: usize,
+    ) -> usize {
+        let scores: Vec<f64> = (0..SchedPair::all().len())
+            .map(|i| {
+                (mix.per_tenant.iter().zip(profiles))
+                    .flat_map(|(w, prof)| w.iter().zip(&prof.phase[i]))
+                    .map(|(w, d)| w * d.as_secs_f64())
+                    .sum()
+            })
+            .collect();
+        if mix.per_tenant.iter().flatten().all(|&w| w == 0.0) {
+            return current;
+        }
+        let mut best = 0;
+        for (i, &s) in scores.iter().enumerate() {
+            if s < scores[best] {
+                best = i;
+            }
+        }
+        let cur = scores[current];
+        if best != current && cur > 0.0 && (cur - scores[best]) / cur > margin {
+            best
+        } else {
+            current
+        }
+    }
+
+    /// `choose` against the reference over random mixes of 1–4
+    /// tenants. Durations are whole seconds and weights are halves, so
+    /// every score is exact and ties are real; some pairs copy another
+    /// pair's profile to force them.
     #[test]
-    fn decisions_memoize_per_quantized_mix() {
-        let mut tuner = BlendedTuner::new(crossing_profiles(2), 0.02);
-        let m = mix_all_in(1, 2);
-        let a = tuner.best_pair_idx(&m);
-        assert_eq!(tuner.memo.len(), 1);
-        let b = tuner.best_pair_idx(&m);
-        assert_eq!(a, b);
-        assert_eq!(tuner.memo.len(), 1, "repeat mix served from the memo");
-        assert_eq!(
-            BlendedTuner::mix_fingerprint(&m),
-            BlendedTuner::mix_fingerprint(&mix_all_in(1, 2))
-        );
-        assert_ne!(
-            BlendedTuner::mix_fingerprint(&m),
-            BlendedTuner::mix_fingerprint(&mix_all_in(2, 2))
-        );
+    fn choose_matches_the_brute_force_argmin() {
+        let pairs = SchedPair::all();
+        simcore::check::check(300, |g| {
+            let tenants = g.usize_in(1, 5);
+            let profiles: Vec<TenantProfile> = (0..tenants)
+                .map(|_| {
+                    let mut phase: Vec<[SimDuration; 3]> = (0..pairs.len())
+                        .map(|_| [(); 3].map(|_| SimDuration::from_secs(g.u64_in(0, 6))))
+                        .collect();
+                    for _ in 0..g.usize_in(0, 4) {
+                        let (from, to) = (g.usize_in(0, pairs.len()), g.usize_in(0, pairs.len()));
+                        phase[to] = phase[from];
+                    }
+                    TenantProfile { phase }
+                })
+                .collect();
+            let margin = *g.pick(&[0.0, 0.02, 0.1, 0.5]);
+            let mut tuner = BlendedTuner::new(profiles.clone(), margin);
+            for _ in 0..8 {
+                let mix = PhaseMix {
+                    per_tenant: (0..tenants)
+                        .map(|_| [(); 3].map(|_| g.u32_in(0, 5) as f64 * 0.5))
+                        .collect(),
+                };
+                let current = g.usize_in(0, pairs.len());
+                let want = reference_choose(&profiles, margin, &mix, current);
+                assert_eq!(
+                    tuner.choose(&mix, pairs[current]),
+                    pairs[want],
+                    "mix {:?}, current {current}, margin {margin}",
+                    mix.per_tenant
+                );
+            }
+        });
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! measured time, stops at the first regression, and records a `0`
 //! (no-switch) when the chosen pair equals the previous phase's.
 
-use crate::experiment::{Experiment, PhaseProfile};
+use crate::experiment::PhaseProfile;
 use crate::profiler::{best_for_tail, rank_for_phase};
 use iosched::SchedPair;
 use simcore::SimDuration;
@@ -21,19 +21,14 @@ use std::collections::BTreeMap;
 use vcluster::SwitchPlan;
 
 /// Anything that can measure the elapsed time of a per-phase pair
-/// assignment. The production evaluator is [`Experiment`] (a full
-/// simulated run, switch costs included); tests use synthetic oracles.
+/// assignment. The production evaluator is
+/// [`CachedEvaluator`](crate::CachedEvaluator) (a full simulated run,
+/// switch costs included, memoized); tests use synthetic oracles.
 pub trait PlanEvaluator {
     /// Measured elapsed time of the job under `assignment`, and whether
     /// the measurement was served from a memo cache rather than a fresh
     /// simulation — the provenance bit the audit records carry.
     fn evaluate(&self, assignment: &[SchedPair]) -> (SimDuration, bool);
-}
-
-impl PlanEvaluator for Experiment {
-    fn evaluate(&self, assignment: &[SchedPair]) -> (SimDuration, bool) {
-        (self.run(assignment_plan(assignment)).makespan, false)
-    }
 }
 
 /// How many phases the meta-scheduler distinguishes for a job.
@@ -159,9 +154,10 @@ pub fn assignment_plan(assignment: &[SchedPair]) -> SwitchPlan {
 /// Run Algorithm 1.
 ///
 /// `profiles` must come from single-pair runs of this same experiment
-/// (see [`crate::profiler::profile_pairs`]). `max_rank` optionally caps
-/// how deep the ranking walk may go per phase (the paper's complexity
-/// bound is `P × S`; the cap trades search quality for evaluations).
+/// (see [`crate::profiler::profile_pairs_cached`]). `max_rank`
+/// optionally caps how deep the ranking walk may go per phase (the
+/// paper's complexity bound is `P × S`; the cap trades search quality
+/// for evaluations).
 pub fn algorithm1<E: PlanEvaluator + ?Sized>(
     exp: &E,
     split: PhaseSplit,

@@ -14,11 +14,10 @@
 //!    simulated runs including the hot-switch drain and stalls.
 //! 4. **Algorithm 1** ([`heuristic`]): the greedy per-phase assignment
 //!    search over the `S^P` solution space, bounded by `P × S` runs.
-//! 5. **Evaluation memoization** ([`cache`]): a shared
-//!    [`EvalCache`](cache::EvalCache) keyed on (workload fingerprint,
-//!    canonical assignment) so the profiler, Algorithm 1 and the
-//!    exhaustive baseline never re-simulate a plan they have already
-//!    measured.
+//! 5. **Evaluation memoization** ([`cache`]): a shared [`EvalCache`]
+//!    keyed on (workload fingerprint, canonical assignment) so the
+//!    profiler, Algorithm 1 and the exhaustive baseline never
+//!    re-simulate a plan they have already measured.
 //!
 //! ```no_run
 //! use metasched::{Experiment, MetaScheduler};
@@ -54,6 +53,6 @@ pub use heuristic::{
 pub use meta::{MetaConfig, MetaScheduler, TuneReport};
 pub use online::{PhaseReactivePolicy, QueueDepthPolicy};
 pub use profiler::{
-    best_for_tail, best_single, profile_pairs, profile_pairs_cached, rank_for_phase,
+    best_for_tail, best_single, profile_pairs_cached, rank_for_phase,
 };
 pub use switch_cost::{measure_switch_cost, DdConfig, SwitchCost};

@@ -135,15 +135,11 @@ impl OnlinePolicy for QueueDepthPolicy {
 mod tests {
     use super::*;
     use iosched::SchedKind;
-    use simcore::SimTime;
 
     fn snap(maps: f64, depths: &[usize]) -> ClusterSnapshot {
         ClusterSnapshot {
-            now: SimTime::ZERO,
             maps_done_fraction: maps,
-            reduces_done_fraction: 0.0,
             dom0_queue_lens: depths.to_vec(),
-            guest_queue_lens: vec![],
             current_pair: SchedPair::DEFAULT,
             switching: false,
         }

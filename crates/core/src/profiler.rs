@@ -14,20 +14,12 @@ use iosched::SchedPair;
 use simcore::par::par_map;
 use simcore::SimDuration;
 
-/// Profile every pair in `pairs` with one full single-pair run each.
-pub fn profile_pairs(exp: &Experiment, pairs: &[SchedPair]) -> Vec<PhaseProfile> {
-    let _prof = simcore::prof::span("metasched.profile_pairs");
-    par_map(pairs, |&pair| {
-        let out = exp.run_single(pair);
-        PhaseProfile::from_outcome(pair, &out.phases)
-    })
-}
-
-/// Like [`profile_pairs`], but memoized through `cache`: pairs already
-/// profiled under this experiment's fingerprint are served without a
-/// run, and every fresh profile is recorded (which also seeds the
-/// whole-job score of the single-pair plan `[pair]`, so Algorithm 1 and
-/// the exhaustive baseline get those evaluations for free).
+/// Profile every pair in `pairs` with one full single-pair run each,
+/// memoized through `cache`: pairs already profiled under this
+/// experiment's fingerprint are served without a run, and every fresh
+/// profile is recorded (which also seeds the whole-job score of the
+/// single-pair plan `[pair]`, so Algorithm 1 and the exhaustive
+/// baseline get those evaluations for free).
 pub fn profile_pairs_cached(
     exp: &Experiment,
     pairs: &[SchedPair],

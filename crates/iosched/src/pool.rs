@@ -14,7 +14,7 @@
 //!   FIFOs are rejected in O(1)); sector order is a sorted index vec
 //!   with binary-search insert and a scan-cursor hint that makes the
 //!   sequential-continuation `next_at_or_after` amortized O(1); merge
-//!   lookups go through [`BoundaryMap`] indexes that tolerate several
+//!   lookups go through `BoundaryMap` indexes that tolerate several
 //!   queued extents sharing one boundary sector. Once they reach their
 //!   high-water marks the slab and indexes stop allocating; each queued
 //!   request still owns its `parts` Vec, which merges grow.

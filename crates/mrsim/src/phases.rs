@@ -8,7 +8,8 @@
 //!
 //! The paper's meta-scheduler actually switches at **two** boundaries at
 //! most, and merges Ph2 into Ph3 when Ph2 is short (many waves); the
-//! [`PhaseTimes::merged_boundary`] helper encodes that rule.
+//! meta-scheduler's `choose_split` applies that rule to the measured
+//! [`PhaseTimes::non_concurrent_shuffle_pct`] of the default pair.
 
 use simcore::{SimDuration, SimTime};
 
@@ -111,19 +112,6 @@ impl PhaseTimes {
             ("job_done_s", self.job_done),
         ]
     }
-
-    /// The paper's practical phase split: when Ph2 is shorter than
-    /// `merge_threshold_pct` percent of the job, it is merged into Ph3
-    /// (switching for it would not pay for the switch cost), leaving a
-    /// single boundary at `maps_done`. Returns the boundary instants of
-    /// the phases actually used for scheduling.
-    pub fn merged_boundary(&self, merge_threshold_pct: f64) -> Vec<SimTime> {
-        if self.non_concurrent_shuffle_pct() >= merge_threshold_pct {
-            vec![self.maps_done, self.shuffle_done]
-        } else {
-            vec![self.maps_done]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +139,6 @@ mod tests {
     fn table2_percentage() {
         let t = times(100, 59, 41);
         assert!((t.non_concurrent_shuffle_pct() - 29.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn short_ph2_merges() {
-        let long = times(100, 30, 70);
-        assert_eq!(long.merged_boundary(10.0).len(), 2);
-        let short = times(100, 4, 96);
-        assert_eq!(short.merged_boundary(10.0), vec![short.maps_done]);
     }
 
     #[test]

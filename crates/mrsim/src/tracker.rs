@@ -7,6 +7,11 @@
 //! `map_slots_per_vm` + `reduce_slots_per_vm` slots, reducers all start
 //! with the job (so shuffle overlaps the map waves), and a reducer can
 //! fetch a map's output as soon as that map commits.
+//!
+//! Task ids are local to the job: map `b` (the one over block `b`) is
+//! id `b`, and reduce `r` is `num_maps + r`. Concurrent jobs on one
+//! cluster reuse the same ids; whoever tracks several jobs keys tasks
+//! by job first.
 
 use crate::job::{ClusterShape, JobSpec};
 use crate::plan::TaskId;
@@ -52,10 +57,6 @@ pub struct JobTracker {
     shape: ClusterShape,
     num_maps: u32,
     num_reduces: u32,
-    /// Offset added to every task id this tracker hands out. Concurrent
-    /// jobs on one cluster give each tracker a disjoint base so task
-    /// ids never collide across jobs.
-    task_base: TaskId,
     /// Reduce indices handed out so far via [`JobTracker::next_reduce`].
     reduces_started: u32,
     /// Per VM, the next block not yet handed out. Block `b` lives on VM
@@ -86,14 +87,6 @@ impl JobTracker {
     /// Plan a job on a cluster: places block `b` (and map `b`) on VM
     /// `b % total_vms`, reducer `r` on VM `r / reduce_slots_per_vm`.
     pub fn new(job: &JobSpec, shape: &ClusterShape) -> Self {
-        JobTracker::with_task_base(job, shape, 0)
-    }
-
-    /// Like [`JobTracker::new`], but every task id is offset by `base`.
-    /// Concurrent jobs sharing a cluster each get a disjoint id space
-    /// (`base`, `base + num_maps + num_reduces`, …); a base of 0 is
-    /// exactly the single-job tracker.
-    pub fn with_task_base(job: &JobSpec, shape: &ClusterShape, base: TaskId) -> Self {
         job.validate(shape).expect("invalid job spec");
         let num_maps = job.num_blocks(shape);
         let num_reduces = job.num_reduces(shape);
@@ -101,7 +94,6 @@ impl JobTracker {
             shape: *shape,
             num_maps,
             num_reduces,
-            task_base: base,
             reduces_started: 0,
             next_block: (0..shape.total_vms()).collect(),
             pending_maps: num_maps,
@@ -129,11 +121,6 @@ impl JobTracker {
         self.num_reduces
     }
 
-    /// The base of this tracker's task-id space.
-    pub fn task_base(&self) -> TaskId {
-        self.task_base
-    }
-
     /// The VM hosting block `b`'s first replica (and its map task).
     pub fn block_home(&self, block: u32) -> u32 {
         block % self.shape.total_vms()
@@ -141,8 +128,8 @@ impl JobTracker {
 
     /// The block a map task id processes.
     pub fn map_block(&self, task: TaskId) -> u32 {
-        debug_assert!(task >= self.task_base && task < self.task_base + self.num_maps);
-        task - self.task_base
+        debug_assert!(task < self.num_maps);
+        task
     }
 
     /// The VM a reduce task runs on.
@@ -150,15 +137,15 @@ impl JobTracker {
         reduce_idx / self.shape.reduce_slots_per_vm
     }
 
-    /// Global task id of reduce index `r`.
+    /// Task id of reduce index `r`.
     pub fn reduce_task_id(&self, r: u32) -> TaskId {
-        self.task_base + self.num_maps + r
+        self.num_maps + r
     }
 
     /// Reduce index of a reduce task id.
     pub fn reduce_index(&self, task: TaskId) -> u32 {
-        debug_assert!(task >= self.task_base + self.num_maps);
-        task - self.task_base - self.num_maps
+        debug_assert!(task >= self.num_maps);
+        task - self.num_maps
     }
 
     /// First-wave assignments: fill every map slot from its VM's local
@@ -194,7 +181,7 @@ impl JobTracker {
         *next += self.shape.total_vms();
         self.pending_maps -= 1;
         Some(Assignment {
-            task: self.task_base + block,
+            task: block,
             kind: TaskKind::Map,
             gvm,
             block: Some(block),
@@ -429,35 +416,6 @@ mod tests {
         assert!(per_vm.iter().all(|&c| c == shape.reduce_slots_per_vm));
     }
 
-    /// A based tracker is the base-0 tracker with every task id
-    /// shifted: same placement, same events, disjoint id space.
-    #[test]
-    fn task_base_offsets_every_id() {
-        let job = JobSpec::new(WorkloadSpec::sort());
-        let shape = ClusterShape::default();
-        let base: TaskId = 1000;
-        let mut plain = JobTracker::new(&job, &shape);
-        let mut offset = JobTracker::with_task_base(&job, &shape, base);
-        assert_eq!(offset.task_base(), base);
-        let a0 = plain.initial_assignments();
-        let a1 = offset.initial_assignments();
-        assert_eq!(a0.len(), a1.len());
-        for (x, y) in a0.iter().zip(&a1) {
-            assert_eq!(y.task, x.task + base);
-            assert_eq!(y.gvm, x.gvm);
-            assert_eq!(y.kind, x.kind);
-            assert_eq!(y.block, x.block, "block numbering is base-independent");
-        }
-        // Lifecycle with offset ids round-trips.
-        let m = a1.iter().find(|a| a.kind == TaskKind::Map).unwrap().task;
-        let (next, _) = offset.on_map_done(m, SimTime::from_secs(1));
-        if let Some(n) = next {
-            assert!(n.task >= base, "refill must stay in the offset id space");
-        }
-        offset.on_fetch_complete(0, m, SimTime::from_secs(2));
-        assert_eq!(offset.reduce_index(offset.reduce_task_id(3)), 3);
-    }
-
     /// Slot-at-a-time scheduling: local pulls hand every map out exactly
     /// once, on its block's VM in ascending block order, the pending
     /// count tracks them, and `next_reduce` hands each reducer out
@@ -466,7 +424,7 @@ mod tests {
     fn incremental_slot_pulls() {
         let job = JobSpec::new(WorkloadSpec::sort());
         let shape = ClusterShape::default();
-        let mut t = JobTracker::with_task_base(&job, &shape, 100);
+        let mut t = JobTracker::new(&job, &shape);
         let total = t.pending_map_count();
         assert_eq!(total, t.num_maps());
         assert!(total > 2 * shape.total_vms(), "several blocks per VM");
@@ -477,7 +435,7 @@ mod tests {
             let mut last = None;
             while let Some(a) = t.pop_local_map(gvm) {
                 let b = a.block.unwrap();
-                assert_eq!((a.gvm, a.kind, a.task), (gvm, TaskKind::Map, 100 + b));
+                assert_eq!((a.gvm, a.kind, a.task), (gvm, TaskKind::Map, b));
                 assert_eq!(t.block_home(b), gvm);
                 assert!(last < Some(b), "vm {gvm} handed block {b} after {last:?}");
                 last = Some(b);

@@ -7,18 +7,6 @@
 //! captures exactly the knobs that drive that classification plus the
 //! CPU cost of the user functions.
 
-
-/// Disk-operation intensity class (paper §III-A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskClass {
-    /// Map and reduce outputs are both comparable to the input (sort).
-    Heavy,
-    /// Only the map output is big (wordcount w/o combiner).
-    Moderate,
-    /// Both outputs are small (wordcount with combiner).
-    Light,
-}
-
 /// Per-application parameters.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
@@ -89,17 +77,6 @@ impl WorkloadSpec {
         ]
     }
 
-    /// Disk-operation class per the paper's taxonomy.
-    pub fn disk_class(&self) -> DiskClass {
-        let map_big = self.map_output_ratio >= 0.5;
-        let reduce_big = self.map_output_ratio * self.reduce_output_ratio >= 0.5;
-        match (map_big, reduce_big) {
-            (true, true) => DiskClass::Heavy,
-            (true, false) => DiskClass::Moderate,
-            _ => DiskClass::Light,
-        }
-    }
-
     /// Validate parameter sanity.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.map_output_ratio > 0.0 && self.map_output_ratio.is_finite()) {
@@ -121,16 +98,6 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_classification() {
-        assert_eq!(WorkloadSpec::sort().disk_class(), DiskClass::Heavy);
-        assert_eq!(
-            WorkloadSpec::wordcount_no_combiner().disk_class(),
-            DiskClass::Moderate
-        );
-        assert_eq!(WorkloadSpec::wordcount().disk_class(), DiskClass::Light);
-    }
 
     #[test]
     fn presets_validate() {

@@ -512,18 +512,43 @@ pub fn diff_profile_shares(
     Ok((out, tripped))
 }
 
-/// One numeric difference surfaced by [`diff`].
+/// Which documents hold a [`Delta`]'s path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Presence {
+    /// Both documents: `a` and `b` hold the two values.
+    Both,
+    /// The first document only.
+    OnlyFirst,
+    /// The second document only.
+    OnlySecond,
+}
+
+/// One difference surfaced by [`diff`] or [`diff_shape`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
     /// Dotted path (`section.metric.field`).
     pub path: String,
-    /// Value in the first document.
+    /// Value in the first document (0 when it has none).
     pub a: f64,
-    /// Value in the second document.
+    /// Value in the second document (0 when it has none).
     pub b: f64,
+    /// Which documents hold the path.
+    pub presence: Presence,
 }
 
 impl Delta {
+    /// A path both documents hold, with its two values.
+    fn both(path: String, a: f64, b: f64) -> Delta {
+        Delta { path, a, b, presence: Presence::Both }
+    }
+
+    /// A path only the first document (`in_first`) or only the second
+    /// holds.
+    fn one_sided(path: String, in_first: bool) -> Delta {
+        let presence = if in_first { Presence::OnlyFirst } else { Presence::OnlySecond };
+        Delta { path, a: 0.0, b: 0.0, presence }
+    }
+
     /// Relative change, percent (0 when the base is 0).
     pub fn pct(&self) -> f64 {
         if self.a == 0.0 {
@@ -566,18 +591,60 @@ fn pair_fields<'a, T>(
     out
 }
 
-/// Collect numeric leaf differences between two JSON trees. Arrays are
-/// compared as aggregates (element sum) so bucket vectors produce one
-/// row instead of hundreds; string/bool leaves count as a difference
-/// when unequal (reported with a/b = 0/1).
+/// The `name` of a named record (a benchmark result).
+fn record_name(x: &Json) -> Option<&str> {
+    x.get("name").and_then(Json::as_str)
+}
+
+/// Pair the elements of two arrays of records: named records by `name`
+/// (see [`pair_fields`]), then the unnamed ones by position. Returns
+/// each pair's path segment (`[name]` or `[i]`, `i` counting unnamed
+/// records) and partners.
+fn pair_records<'a>(
+    a: &'a [Json],
+    b: &'a [Json],
+) -> Vec<(String, Option<&'a Json>, Option<&'a Json>)> {
+    let named = |xs: &'a [Json]| -> Vec<&'a Json> {
+        xs.iter().filter(|x| record_name(x).is_some()).collect()
+    };
+    let (na, nb) = (named(a), named(b));
+    let mut out: Vec<_> = pair_fields(&na, &nb, |x| record_name(x).expect("named"))
+        .into_iter()
+        .map(|(n, x, y)| (format!("[{n}]"), x.copied(), y.copied()))
+        .collect();
+    let mut ua = a.iter().filter(|x| record_name(x).is_none());
+    let mut ub = b.iter().filter(|x| record_name(x).is_none());
+    for i in 0.. {
+        match (ua.next(), ub.next()) {
+            (None, None) => break,
+            (x, y) => out.push((format!("[{i}]"), x, y)),
+        }
+    }
+    out
+}
+
+/// Collect numeric leaf differences between two JSON trees. Object
+/// fields pair by key and arrays of objects pair their records (see
+/// [`pair_records`]); a field or record one document lacks is one
+/// one-sided row. Other arrays are compared as aggregates (element sum)
+/// so bucket vectors produce one row instead of hundreds; string/bool
+/// leaves count as a difference when unequal (reported with a/b = 0/1).
 fn walk_diff(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
+    let sub = |k: &str| if path.is_empty() { k.to_string() } else { format!("{path}.{k}") };
+    let mut pair = |at: String, x: Option<&Json>, y: Option<&Json>| match (x, y) {
+        (Some(x), Some(y)) => walk_diff(&at, x, y, out),
+        (x, _) => out.push(Delta::one_sided(at, x.is_some())),
+    };
+    let is_obj = |x: &Json| matches!(x, Json::Obj(_));
     match (a, b) {
         (Json::Obj(fa), Json::Obj(fb)) => {
             for (k, x, y) in pair_fields(fa, fb, |(k, _)| k.as_str()) {
-                let sub = if path.is_empty() { k.to_string() } else { format!("{path}.{k}") };
-                let va = x.map_or(&Json::Null, |(_, v)| v);
-                let vb = y.map_or(&Json::Null, |(_, v)| v);
-                walk_diff(&sub, va, vb, out);
+                pair(sub(k), x.map(|(_, v)| v), y.map(|(_, v)| v));
+            }
+        }
+        (Json::Arr(xa), Json::Arr(xb)) if xa.iter().chain(xb).all(is_obj) => {
+            for (at, x, y) in pair_records(xa, xb) {
+                pair(sub(&at), x, y);
             }
         }
         (Json::Arr(xa), Json::Arr(xb)) => {
@@ -591,18 +658,18 @@ fn walk_diff(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
             };
             let (sa, sb) = (sum(xa), sum(xb));
             if sa != sb || xa.len() != xb.len() {
-                out.push(Delta { path: format!("{path}[Σ]"), a: sa, b: sb });
+                out.push(Delta::both(format!("{path}[Σ]"), sa, sb));
             }
         }
         _ => {
             let (na, nb) = (a.as_f64(), b.as_f64());
             match (na, nb) {
-                (Some(x), Some(y)) if x != y => out.push(Delta { path: path.into(), a: x, b: y }),
+                (Some(x), Some(y)) if x != y => out.push(Delta::both(path.into(), x, y)),
                 (Some(_), Some(_)) => {}
                 _ => {
                     // Non-numeric leaves (strings, bools, null vs value).
                     if a != b {
-                        out.push(Delta { path: path.into(), a: 0.0, b: 1.0 });
+                        out.push(Delta::both(path.into(), 0.0, 1.0));
                     }
                 }
             }
@@ -624,7 +691,11 @@ pub fn diff(a: &Json, b: &Json) -> (String, Vec<Delta>) {
     // Headline: per-phase p99 guest latency, the paper's comparison axis.
     let p99: Vec<&Delta> = deltas
         .iter()
-        .filter(|d| d.path.starts_with("hist.guest_lat_ph") && d.path.ends_with(".p99"))
+        .filter(|d| {
+            d.presence == Presence::Both
+                && d.path.starts_with("hist.guest_lat_ph")
+                && d.path.ends_with(".p99")
+        })
         .collect();
     if !p99.is_empty() {
         out.push_str("guest latency p99 by phase:\n");
@@ -648,14 +719,19 @@ pub fn diff(a: &Json, b: &Json) -> (String, Vec<Delta>) {
             section = top;
         }
         let leaf = d.path.rsplit('.').next().unwrap_or(&d.path);
-        let _ = writeln!(
-            out,
-            "  {:<40} {:>14} -> {:<14} ({:+.1}%)",
-            d.path.split_once('.').map_or(d.path.as_str(), |(_, rest)| rest),
-            fmt_value(leaf, d.a),
-            fmt_value(leaf, d.b),
-            d.pct(),
-        );
+        let shown = d.path.split_once('.').map_or(d.path.as_str(), |(_, rest)| rest);
+        let _ = match d.presence {
+            Presence::Both => writeln!(
+                out,
+                "  {:<40} {:>14} -> {:<14} ({:+.1}%)",
+                shown,
+                fmt_value(leaf, d.a),
+                fmt_value(leaf, d.b),
+                d.pct(),
+            ),
+            Presence::OnlyFirst => writeln!(out, "  {shown:<40} only in first"),
+            Presence::OnlySecond => writeln!(out, "  {shown:<40} only in second"),
+        };
     }
     let _ = writeln!(out, "\n{} differing values", deltas.len());
     (out, deltas)
@@ -676,38 +752,30 @@ fn walk_shape(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
             for (k, x, y) in pair_fields(fa, fb, |(k, _)| k.as_str()) {
                 match (x, y) {
                     (Some((_, va)), Some((_, vb))) => walk_shape(&sub(k), va, vb, out),
-                    (Some(_), None) => out.push(Delta { path: sub(k), a: 1.0, b: 0.0 }),
-                    _ => out.push(Delta { path: sub(k), a: 0.0, b: 1.0 }),
+                    (x, _) => out.push(Delta::one_sided(sub(k), x.is_some())),
                 }
             }
         }
         (Json::Arr(xa), Json::Arr(xb)) => {
-            fn name(x: &Json) -> Option<&str> {
-                x.get("name").and_then(Json::as_str)
-            }
-            if xa.iter().all(|x| name(x).is_some()) && xb.iter().all(|x| name(x).is_some()) {
+            let named = |xs: &[Json]| xs.iter().all(|x| record_name(x).is_some());
+            if named(xa) && named(xb) {
                 // Arrays of named records (benchmark results): match by
                 // name so reorderings don't count and renames do.
-                for (n, x, y) in pair_fields(xa, xb, |x| name(x).expect("checked")) {
+                for (n, x, y) in pair_fields(xa, xb, |x| record_name(x).expect("checked")) {
                     let at = sub(&format!("[{n}]"));
                     match (x, y) {
                         (Some(x), Some(y)) => walk_shape(&at, x, y, out),
-                        (Some(_), None) => out.push(Delta { path: at, a: 1.0, b: 0.0 }),
-                        _ => out.push(Delta { path: at, a: 0.0, b: 1.0 }),
+                        (x, _) => out.push(Delta::one_sided(at, x.is_some())),
                     }
                 }
             } else if xa.len() != xb.len() {
-                out.push(Delta {
-                    path: format!("{path}[len]"),
-                    a: xa.len() as f64,
-                    b: xb.len() as f64,
-                });
+                out.push(Delta::both(format!("{path}[len]"), xa.len() as f64, xb.len() as f64));
             }
         }
         // A container on one side only is a shape change even though
         // the leaf values inside it are not compared.
         (Json::Obj(_) | Json::Arr(_), _) | (_, Json::Obj(_) | Json::Arr(_)) => {
-            out.push(Delta { path: path.to_string(), a: 1.0, b: 1.0 });
+            out.push(Delta::both(path.to_string(), 1.0, 1.0));
         }
         _ => {} // scalar leaves: values are allowed to drift
     }
@@ -728,10 +796,10 @@ pub fn diff_shape(a: &Json, b: &Json) -> (String, Vec<Delta>) {
         return (out, deltas);
     }
     for d in &deltas {
-        let what = match (d.a > 0.0, d.b > 0.0) {
-            (true, false) => "only in first",
-            (false, true) => "only in second",
-            _ => "type or length mismatch",
+        let what = match d.presence {
+            Presence::OnlyFirst => "only in first",
+            Presence::OnlySecond => "only in second",
+            Presence::Both => "type or length mismatch",
         };
         let _ = writeln!(out, "  {:<48} {what}", d.path);
     }
@@ -872,14 +940,14 @@ mod tests {
         let (text, deltas) = diff(&service_doc(12), &service_doc(13));
         assert_eq!(
             deltas,
-            vec![Delta { path: "policy.retunes".into(), a: 12.0, b: 13.0 }],
+            vec![Delta::both("policy.retunes".into(), 12.0, 13.0)],
             "{text}"
         );
         // A third `policy` on one side only is reported as that side's.
         let extra = Json::parse(r#"{"policy":"a","policy":{"x":1},"policy":2}"#).unwrap();
         let base = Json::parse(r#"{"policy":"a","policy":{"x":1}}"#).unwrap();
         let (text, deltas) = diff_shape(&base, &extra);
-        assert_eq!(deltas, vec![Delta { path: "policy".into(), a: 0.0, b: 1.0 }], "{text}");
+        assert_eq!(deltas, vec![Delta::one_sided("policy".into(), false)], "{text}");
     }
 
     #[test]
@@ -913,6 +981,59 @@ mod tests {
         Json::obj()
             .field("schema", "adios.bench/1")
             .field("results", Json::Arr(results))
+    }
+
+    /// Arrays of records are compared record by record: named ones by
+    /// `name`, the others by position.
+    #[test]
+    fn value_diff_pairs_records_inside_arrays() {
+        let a = bench_doc(&["push_pop", "cache_hit"], 100.0);
+        let (text, deltas) = diff(&a, &a);
+        assert!(deltas.is_empty(), "{text}");
+        let b = bench_doc(&["cache_hit", "push_pop", "new_bench"], 250.0);
+        let (text, deltas) = diff(&a, &b);
+        assert_eq!(
+            deltas,
+            vec![
+                Delta::both("results.[push_pop].mean_ns".into(), 100.0, 250.0),
+                Delta::both("results.[cache_hit].mean_ns".into(), 100.0, 250.0),
+                Delta::one_sided("results.[new_bench]".into(), false),
+            ],
+            "{text}"
+        );
+        assert!(text.contains("[new_bench]                              only in second"), "{text}");
+
+        let evals = |ts: &[u32]| {
+            let recs = ts.iter().map(|&t| Json::obj().field("t", t)).collect();
+            Json::obj().field("evals", Json::Arr(recs))
+        };
+        let (text, deltas) = diff(&evals(&[1, 2, 5]), &evals(&[1, 3]));
+        assert_eq!(
+            deltas,
+            vec![
+                Delta::both("evals.[1].t".into(), 2.0, 3.0),
+                Delta::one_sided("evals.[2]".into(), true),
+            ],
+            "{text}"
+        );
+    }
+
+    /// A field one document lacks is reported as that, not as a
+    /// made-up `0 -> 1` change.
+    #[test]
+    fn value_diff_reports_one_sided_fields() {
+        let a = Json::obj().field("policy", Json::obj().field("retunes", 4u32));
+        let b = Json::obj().field(
+            "policy",
+            Json::obj().field("retunes", 4u32).field("switch0_t_s", 15.0),
+        );
+        let (text, deltas) = diff(&a, &b);
+        assert_eq!(deltas, vec![Delta::one_sided("policy.switch0_t_s".into(), false)]);
+        assert!(text.contains("switch0_t_s                              only in second"), "{text}");
+        assert!(!text.contains("->"), "{text}");
+        let (text, deltas) = diff(&b, &a);
+        assert_eq!(deltas, vec![Delta::one_sided("policy.switch0_t_s".into(), true)]);
+        assert!(text.contains("only in first"), "{text}");
     }
 
     #[test]

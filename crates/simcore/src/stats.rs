@@ -191,21 +191,6 @@ impl SampleSet {
             .collect()
     }
 
-    /// CDF downsampled to `k` evenly spaced cumulative fractions —
-    /// compact form for report tables.
-    pub fn cdf_summary(&self, k: usize) -> Vec<(f64, f64)> {
-        assert!(k >= 2, "need at least 2 summary points");
-        if self.xs.is_empty() {
-            return Vec::new();
-        }
-        (0..k)
-            .map(|i| {
-                let q = i as f64 / (k - 1) as f64;
-                (self.quantile(q).unwrap(), q)
-            })
-            .collect()
-    }
-
     /// Jain's fairness index of the samples: `(Σx)² / (n·Σx²)`.
     /// 1.0 = perfectly fair; → 1/n as one sample dominates. Used to
     /// quantify the paper's "CFQ achieves better fairness" observation.
@@ -381,7 +366,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert!(s.cdf_points().is_empty());
-        assert!(s.cdf_summary(5).is_empty());
         assert_eq!(s.jain_fairness(), None);
     }
 
@@ -395,7 +379,6 @@ mod tests {
         assert_eq!(s.min(), Some(7.5));
         assert_eq!(s.max(), Some(7.5));
         assert_eq!(s.cdf_points(), vec![(7.5, 1.0)]);
-        assert_eq!(s.cdf_summary(2), vec![(7.5, 0.0), (7.5, 1.0)]);
     }
 
     #[test]

@@ -130,16 +130,10 @@ impl SwitchPlan {
 /// requests)" the paper's future-work section proposes to switch on.
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
-    /// Current simulated time.
-    pub now: SimTime,
     /// Fraction of map tasks committed.
     pub maps_done_fraction: f64,
-    /// Fraction of reduce tasks committed.
-    pub reduces_done_fraction: f64,
     /// Per-node Dom0 elevator queue depth.
     pub dom0_queue_lens: Vec<usize>,
-    /// Per-VM (global index) guest elevator queue depth.
-    pub guest_queue_lens: Vec<usize>,
     /// The pair currently installed on node 0.
     pub current_pair: SchedPair,
     /// True while any node is still draining a switch.
@@ -483,18 +477,9 @@ impl ClusterSim {
 
     fn snapshot(&self) -> ClusterSnapshot {
         ClusterSnapshot {
-            now: self.now,
             maps_done_fraction: self.tracker.maps_done_count() as f64
                 / self.tracker.num_maps() as f64,
-            reduces_done_fraction: self.tracker.reduces_done_count() as f64
-                / self.tracker.num_reduces() as f64,
             dom0_queue_lens: self.nodes.iter().map(|n| n.dom0_queue_len()).collect(),
-            guest_queue_lens: (0..self.params.shape.total_vms())
-                .map(|g| {
-                    let (node, vm) = self.gvm_loc(g);
-                    self.nodes[node as usize].guest_queue_len(vm)
-                })
-                .collect(),
             current_pair: self.nodes[0].pair(),
             switching: self.nodes.iter().any(|n| n.switching()),
         }

@@ -413,8 +413,9 @@ pub struct ServiceParams {
     pub switch_cost: SimDuration,
     /// Admission cap: jobs beyond this many active wait in a FIFO.
     pub max_concurrent: u32,
-    /// Fractional slowdown added to a task for every *other* active job
-    /// at its start (cross-job disk interference).
+    /// Fractional slowdown added to a task for every *other* job in
+    /// the system at its start, admitted or waiting in the admission
+    /// FIFO (cross-job disk interference).
     pub contention_penalty: f64,
 }
 
@@ -607,16 +608,6 @@ pub fn run_service(
     let mut reduce_busy_ns = 0u64;
     let mut completed = 0u64;
     let mut last_completion = SimTime::ZERO;
-    // Disjoint task-id spaces: job i's tasks start at i * stride.
-    let stride: TaskId = {
-        let worst = mix
-            .tenants
-            .iter()
-            .map(|t| t.job.num_blocks(&shape) + t.job.num_reduces(&shape))
-            .max()
-            .unwrap_or(1);
-        worst.next_power_of_two()
-    };
 
     let pair_idx =
         |p: SchedPair| pairs.iter().position(|&q| q == p).expect("known pair");
@@ -678,10 +669,7 @@ pub fn run_service(
                     per_tenant_arrived[tenant] += 1;
                     trace.push(now, TraceEvent::JobArrive { job: job_id, bytes: total_bytes });
                     if active.len() < params.max_concurrent as usize {
-                        admit(
-                            job_id, tenant, now, now, stride, &shape, mix, &mut active,
-                            &mut trace,
-                        );
+                        admit(job_id, tenant, now, now, &shape, mix, &mut active, &mut trace);
                     } else {
                         admit_queue.push_back(job_id);
                     }
@@ -729,8 +717,8 @@ pub fn run_service(
                             if let Some(next_id) = admit_queue.pop_front() {
                                 let (arrived, tn) = arrivals[next_id as usize];
                                 admit(
-                                    next_id, tn, arrived, now, stride, &shape, mix,
-                                    &mut active, &mut trace,
+                                    next_id, tn, arrived, now, &shape, mix, &mut active,
+                                    &mut trace,
                                 );
                             }
                         }
@@ -873,23 +861,22 @@ pub fn run_service(
     }
 }
 
-/// Admit one job: build its tracker on a disjoint task-id base and
-/// record the admission.
+/// Admit one job: build its tracker and record the admission. Task ids
+/// repeat across jobs; each only ever goes back to its own job's
+/// tracker.
 #[allow(clippy::too_many_arguments)]
 fn admit(
     job_id: u64,
     tenant: usize,
     arrived: SimTime,
     now: SimTime,
-    stride: TaskId,
     shape: &ClusterShape,
     mix: &TenantMix,
     active: &mut BTreeMap<u64, ActiveJob>,
     trace: &mut Trace,
 ) {
     let job = &mix.tenants[tenant].job;
-    let base = job_id as TaskId * stride;
-    let tracker = JobTracker::with_task_base(job, shape, base);
+    let tracker = JobTracker::new(job, shape);
     let total_bytes = job.num_blocks(shape) as u64 * job.block_bytes;
     trace.push(now, TraceEvent::JobAdmit { job: job_id });
     active.insert(
@@ -1144,6 +1131,51 @@ mod tests {
         let b = run_service(&params, &mix, &profiles, &spec, &mut FixedPolicy(SchedPair::DEFAULT));
         assert_eq!(a.trace_digest, b.trace_digest);
         assert_eq!(a.metrics.to_string(), b.metrics.to_string());
+    }
+
+    /// A job waiting in the admission FIFO counts toward the running
+    /// jobs' contention: with one job admitted and one queued, the
+    /// running job's next map takes `1 + contention_penalty` times its
+    /// calibrated time.
+    #[test]
+    fn queued_jobs_count_toward_contention() {
+        let params = ServiceParams {
+            shape: ClusterShape {
+                nodes: 2,
+                vms_per_node: 1,
+                map_slots_per_vm: 1,
+                reduce_slots_per_vm: 1,
+            },
+            max_concurrent: 1,
+            contention_penalty: 0.25,
+            ..ServiceParams::default()
+        };
+        let mix = TenantMix::parse("sort:1", 256 << 20).unwrap();
+        let profiles = synthetic_profiles(1);
+        // Job 0's map durations on VM 0 (one map slot), in start order.
+        let map_durations = |arrivals: Vec<(SimTime, usize)>| -> Vec<SimDuration> {
+            let spec = ArrivalSpec::Trace(arrivals);
+            let mut policy = FixedPolicy(SchedPair::DEFAULT);
+            let out = run_service(&params, &mix, &profiles, &spec, &mut policy);
+            let mut started = None;
+            let mut durations = Vec::new();
+            for r in out.trace.records() {
+                match r.ev {
+                    TraceEvent::SlotAcquire { job: 0, gvm: 0, map: true } => started = Some(r.t),
+                    TraceEvent::SlotRelease { job: 0, gvm: 0, map: true, .. } => {
+                        durations.push(r.t.saturating_since(started.take().unwrap()));
+                    }
+                    _ => {}
+                }
+            }
+            durations
+        };
+        let solo = map_durations(vec![(SimTime::ZERO, 0)]);
+        assert!(solo.len() >= 2, "job 0 needs two map waves on VM 0");
+        assert_eq!(solo[1], solo[0], "alone, every map takes its calibrated time");
+        let queued = map_durations(vec![(SimTime::ZERO, 0), (SimTime::from_secs(1), 0)]);
+        assert_eq!(queued[0], solo[0], "the first map started before job 1 arrived");
+        assert_eq!(queued[1], solo[0].mul_f64(1.25), "job 1 waits in the FIFO yet slows job 0");
     }
 
     /// Admission cap: with max_concurrent 1 the service still drains

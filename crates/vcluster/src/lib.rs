@@ -41,4 +41,4 @@ pub use driver::{
     SwitchPlan,
 };
 pub use network::{FlowId, NetParams, Network};
-pub use sweep::{run_sweep, CellResult, MergedMetrics, SweepCell, SweepGrid, SweepReport};
+pub use sweep::{run_sweep, CellResult, SweepCell, SweepGrid, SweepReport};

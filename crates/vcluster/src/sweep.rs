@@ -1,5 +1,5 @@
 //! Sharded experiment sweeps: fan a `ClusterShape × data-size × plan`
-//! grid over worker threads and merge the results deterministically.
+//! grid over worker threads and report the results in grid order.
 //!
 //! The paper's evaluation (Fig. 7b–d) and every capacity-planning
 //! question downstream of it reduce to the same loop: run one job per
@@ -7,10 +7,8 @@
 //! so the driver shards them over `simcore::par::par_map`, which
 //! returns results **in grid order no matter how the threads
 //! interleave** — the report is byte-identical for any `SIM_THREADS`.
-//! Cross-cell aggregation ([`SweepReport::merged`]) only uses
-//! commutative integer arithmetic (sums of `u64` event counts and
-//! nanosecond totals, an order-insensitive digest fold), so it is
-//! order-independent by construction, not by scheduling luck.
+//! The aggregate fields of [`SweepReport::to_json`] are sums over those
+//! cells: events, nanosecond makespans and a wrapping sum of digests.
 //!
 //! Wall-clock per cell is measured with a monotonic clock and reported
 //! for throughput accounting (`events/sec`); it is *host* time and
@@ -151,7 +149,7 @@ pub struct CellResult {
     /// The run's combined trace digest (determinism witness).
     pub trace_digest: u64,
     /// Host wall-clock seconds the cell took (monotonic clock;
-    /// non-deterministic, excluded from merged deterministic state).
+    /// non-deterministic, excluded from the deterministic totals).
     pub wall_s: f64,
     /// The cell's full `adios.metrics/2` document, which the cross-run
     /// tables read.
@@ -181,38 +179,8 @@ impl CellResult {
     }
 }
 
-/// Deterministic cross-cell aggregate. Every field is merged with a
-/// commutative, associative operation over exact integers, so the
-/// result is independent of both thread interleaving *and* the order
-/// the cells are folded in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergedMetrics {
-    /// Number of cells merged.
-    pub cells: u64,
-    /// Total kernel events across cells.
-    pub events: u64,
-    /// Sum of simulated makespans, nanoseconds.
-    pub sim_ns: u64,
-    /// Total simulated network bytes.
-    pub network_bytes: u64,
-    /// Order-insensitive fold (wrapping sum) of per-cell trace
-    /// digests: equal multisets of runs ⇒ equal combined digest.
-    pub digest: u64,
-}
-
-impl MergedMetrics {
-    /// Fold one cell in (commutative).
-    pub fn absorb(&mut self, r: &CellResult) {
-        self.cells += 1;
-        self.events += r.events_processed;
-        self.sim_ns += r.makespan.as_nanos();
-        self.network_bytes += r.network_bytes;
-        self.digest = self.digest.wrapping_add(r.trace_digest);
-    }
-}
-
-/// A completed sweep: per-cell results in grid order plus the merged
-/// aggregate and total host wall-clock.
+/// A completed sweep: per-cell results in grid order and the total
+/// host wall-clock.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Per-cell results, in [`SweepGrid::cells`] order.
@@ -223,18 +191,14 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// The deterministic cross-cell aggregate.
-    pub fn merged(&self) -> MergedMetrics {
-        let mut m = MergedMetrics::default();
-        for r in &self.results {
-            m.absorb(r);
-        }
-        m
+    /// Kernel events over every cell.
+    pub fn total_events(&self) -> u64 {
+        self.results.iter().map(|r| r.events_processed).sum()
     }
 
     /// Aggregate kernel throughput: total events over total wall time.
     pub fn events_per_sec(&self) -> f64 {
-        self.merged().events as f64 / self.total_wall_s.max(1e-9)
+        self.total_events() as f64 / self.total_wall_s.max(1e-9)
     }
 
     /// Serialize as an `adios.bench/1` document (the shape
@@ -259,16 +223,17 @@ impl SweepReport {
                 })
                 .collect(),
         );
-        let m = self.merged();
+        let sim_ns: u64 = self.results.iter().map(|r| r.makespan.as_nanos()).sum();
+        let digest = self.results.iter().fold(0u64, |d, r| d.wrapping_add(r.trace_digest));
         Json::obj()
             .field("schema", "adios.bench/1")
             .field("kind", "sweep")
             .field("cells", cells)
-            .field("total_events", m.events)
-            .field("total_sim_s", SimDuration::from_nanos(m.sim_ns).as_secs_f64())
+            .field("total_events", self.total_events())
+            .field("total_sim_s", SimDuration::from_nanos(sim_ns).as_secs_f64())
             .field("total_wall_s", self.total_wall_s)
             .field("events_per_sec", self.events_per_sec())
-            .field("merged_digest", format!("{:#018x}", m.digest))
+            .field("merged_digest", format!("{digest:#018x}"))
     }
 }
 
@@ -824,22 +789,28 @@ mod tests {
         assert_eq!(two.r(), None);
     }
 
+    /// The aggregate fields are plain sums over the cells; the digest
+    /// sum wraps.
     #[test]
-    fn merge_is_order_independent() {
-        let base = ClusterParams::default();
-        let job = JobSpec {
-            data_per_vm_bytes: 16 << 20,
-            ..JobSpec::default()
-        };
-        let report = run_sweep(&base, &job, &tiny_grid());
-        let forward = report.merged();
-        let mut backward = MergedMetrics::default();
-        for r in report.results.iter().rev() {
-            backward.absorb(r);
-        }
-        assert_eq!(forward, backward);
-        assert_eq!(forward.cells, 8);
-        assert!(forward.events > 0);
+    fn to_json_totals_sum_the_cells() {
+        let cells = [(1.5, 7, u64::MAX - 1), (2.25, 11, 5), (0.125, 0, 0xabc)];
+        let r = report(
+            cells
+                .iter()
+                .map(|&(mk, events, digest)| CellResult {
+                    events_processed: events,
+                    trace_digest: digest,
+                    ..cell((2, 2, 16), "cc", mk, [mk / 2.0, mk / 4.0, mk / 4.0], 1.0)
+                })
+                .collect(),
+        );
+        let doc = r.to_json();
+        assert_eq!(doc.get("total_events").and_then(Json::as_f64), Some(18.0));
+        assert_eq!(doc.get("total_sim_s").and_then(Json::as_f64), Some(3.875));
+        assert_eq!(
+            doc.get("merged_digest").and_then(Json::as_str),
+            Some(format!("{:#018x}", 0xabcu64 + 3).as_str())
+        );
     }
 
     #[test]

@@ -396,11 +396,6 @@ impl NodeStack {
         self.levels[DOM0].elevator.queued()
     }
 
-    /// Queued requests in one guest's elevator.
-    pub fn guest_queue_len(&self, vm: VmId) -> usize {
-        self.levels[guest_level(vm)].elevator.queued()
-    }
-
     /// Dom0-level throughput meter (physical disk completions).
     pub fn dom0_meter(&self) -> &ThroughputMeter {
         &self.levels[DOM0].meter

@@ -20,6 +20,11 @@ cargo test -q --offline --manifest-path adios-bench/Cargo.toml
 # failure instead of scroll-by noise.
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+# Doc gate: every intra-doc link must resolve, and public docs must not
+# link to private items. A deleted item that a doc comment still names
+# fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+
 # Causality guard: re-run the pairs smoke suite with the EventQueue's
 # push-before-watermark check enabled in the release build. In normal
 # release runs the check compiles to nothing; ADIOS_STRICT=1 turns it
@@ -262,6 +267,24 @@ grep -qF '  corr(gain, qdepth) = ' <<< "${sweep_out}" \
   || { echo "error: sweep must print both parallel-copies overlap rows" >&2; \
        echo "${sweep_out}" >&2; exit 1; }
 
+# A sweep whose reader stops after one line must exit 0 and still write
+# its --json-out document: files are written before anything is printed,
+# and a closed pipe ends the printing quietly. Under pipefail, a panic on
+# the closed pipe (exit 101) fails the pipeline.
+pipe_json="$(mktemp)"
+rm -f "${pipe_json}"
+pipe_status=0
+(set -o pipefail; cargo run -q --release --offline --bin repro-cli -- sweep \
+  --nodes 2 --vms 2 --data-mb 16 --pairs cc,dd --json-out "${pipe_json}" \
+  | head -n 1 > /dev/null) || pipe_status=$?
+if (( pipe_status != 0 )) || ! grep -q '"schema":"adios.bench/1"' "${pipe_json}" 2> /dev/null; then
+  rm -f "${pipe_json}"
+  echo "error: sweep --json-out | head -n 1 must exit 0 and write the document" \
+    "(exit ${pipe_status})" >&2
+  exit 1
+fi
+rm -f "${pipe_json}"
+
 # Dependency guard: every node reachable over normal, build, and dev
 # edges must be a path crate inside this repo. A registry dependency
 # shows up without a local path and fails the grep below.
@@ -274,4 +297,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days, rendered whole and through head, self-diffs clean) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + doc gate + strict causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days, rendered whole and through head, self-diffs clean) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke + sweep through head green; dependency graph is workspace-only"

@@ -56,6 +56,12 @@
 //! the subcommand does not read exits 2 with `unknown flag --key`, as
 //! does a `run` policy flag given without the policy that reads it; a
 //! flag value that does not parse exits 2 with `--flag: "value": error`.
+//!
+//! Every output file is written before anything is printed, so a
+//! reader that closes stdout early (`repro-cli sweep … | head -n 1`)
+//! cannot lose it. The closed pipe ends the output quietly, and the
+//! command finishes with the exit code it would have returned; any
+//! other stdout write error exits 1 and names the error.
 
 use adaptive_disk_sched::iosched::SchedPair;
 use adaptive_disk_sched::metasched::{
@@ -70,9 +76,40 @@ use adaptive_disk_sched::vcluster::{
 use simcore::{Json, OracleConfig, SimDuration, Telemetry, TraceOracle};
 use std::collections::HashMap;
 use std::fmt::Display;
+use std::io::Write as _;
 use std::ops::RangeInclusive;
 use std::process::exit;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once stdout's reader has gone away.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write to stdout. A closed pipe ends the output quietly: this write
+/// and every later one are dropped, and the command runs on to its own
+/// exit code. Any other write error exits 1 and names it.
+fn emit(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(e) => {
+            eprintln!("repro-cli: writing to stdout: {e}");
+            exit(1);
+        }
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// A subcommand: its name, its handler and the flags it reads.
 type Command = (&'static str, fn(Flags), &'static [&'static str]);
@@ -381,9 +418,9 @@ fn cmd_run(flags: Flags) {
     }
     if let Some(path) = flags.get("profile-out") {
         write_out(path, &(simcore::prof::take().to_json().to_string() + "\n"));
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
-    println!(
+    outln!(
         "{} under {} on {}x{} VMs, {} MB/VM:",
         j.workload.name,
         p,
@@ -391,14 +428,14 @@ fn cmd_run(flags: Flags) {
         params.shape.vms_per_node,
         j.data_per_vm_bytes >> 20
     );
-    println!("  makespan {:.1}s", out.makespan.as_secs_f64());
+    outln!("  makespan {:.1}s", out.makespan.as_secs_f64());
     for ph in JobPhase::ALL {
-        println!(
+        outln!(
             "  {ph}: {:.1}s",
             out.phases.duration(ph).as_secs_f64()
         );
     }
-    println!(
+    outln!(
         "  non-concurrent shuffle: {:.1}%  network: {} MB",
         out.phases.non_concurrent_shuffle_pct(),
         out.network_bytes >> 20
@@ -407,10 +444,10 @@ fn cmd_run(flags: Flags) {
         // The full decision log also lands in the metrics document's
         // `online` section (`--metrics-out`).
         if out.switch_log.is_empty() {
-            println!("  online policy: no switches");
+            outln!("  online policy: no switches");
         }
         for (t, p) in &out.switch_log {
-            println!("  online switch at {:.1}s -> {}", t.as_secs_f64(), p);
+            outln!("  online switch at {:.1}s -> {}", t.as_secs_f64(), p);
         }
     }
 }
@@ -460,12 +497,16 @@ fn cmd_sweep(mut flags: Flags) {
         }
     }
     let report = run_sweep(&base, &j, &grid);
-    println!(
+    let json_out = flags.get("json-out");
+    if let Some(path) = json_out {
+        write_out(path, &(report.to_json().to_string() + "\n"));
+    }
+    outln!(
         "{:>6} {:>4} {:>8} {:>6} {:>10} {:>9} {:>12}",
         "nodes", "vms", "data/VM", "plan", "makespan", "wall", "events/s"
     );
     for r in &report.results {
-        println!(
+        outln!(
             "{:>6} {:>4} {:>6}MB {:>6} {:>9.1}s {:>8.2}s {:>12.0}",
             r.cell.shape.nodes,
             r.cell.shape.vms_per_node,
@@ -486,7 +527,7 @@ fn cmd_sweep(mut flags: Flags) {
         let default = chunk
             .iter()
             .find(|r| r.cell.plan == SwitchPlan::single(SchedPair::DEFAULT));
-        println!(
+        outln!(
             "{}x{} VMs, {} MB/VM: best {} ({:.1}s){}",
             best.cell.shape.nodes,
             best.cell.shape.vms_per_node,
@@ -504,23 +545,21 @@ fn cmd_sweep(mut flags: Flags) {
                 .unwrap_or_default()
         );
     }
-    let merged = report.merged();
-    println!(
+    outln!(
         "{} cells, {} events in {:.1}s wall ({:.0} events/s aggregate)",
-        merged.cells,
-        merged.events,
+        report.results.len(),
+        report.total_events(),
         report.total_wall_s,
         report.events_per_sec()
     );
-    print!(
+    emit(format_args!(
         "\n{}\n{}\n{}",
         report.rank(),
         report.correlate(),
         report.overlap().text
-    );
-    if let Some(path) = flags.get("json-out") {
-        write_out(path, &(report.to_json().to_string() + "\n"));
-        println!("wrote {path}");
+    ));
+    if let Some(path) = json_out {
+        outln!("wrote {path}");
     }
 }
 
@@ -530,16 +569,16 @@ fn cmd_tune(flags: Flags) {
     check_job(&exp.params.shape, &exp.job);
     let report = MetaScheduler::new(exp).tune();
     if json {
-        println!("{}", report.to_json().to_string());
+        outln!("{}", report.to_json().to_string());
         return;
     }
-    println!("default (CFQ, CFQ): {:.1}s", report.default_time.as_secs_f64());
-    println!(
+    outln!("default (CFQ, CFQ): {:.1}s", report.default_time.as_secs_f64());
+    outln!(
         "best single {}: {:.1}s",
         report.best_single.pair,
         report.best_single.total.as_secs_f64()
     );
-    println!(
+    outln!(
         "adaptive {:?}: {:.1}s ({:+.1}% vs default, {:+.1}% vs best single, {} evaluations)",
         report
             .final_assignment()
@@ -630,7 +669,11 @@ fn cmd_serve_jobs(flags: Flags) {
         Some(pair) => Box::new(FixedPolicy(pair)),
     };
     let out = run_service(&sp, &mix, &profiles, &arrivals, policy.as_mut());
-    println!(
+    let metrics_out = flags.get("metrics-out");
+    if let Some(path) = metrics_out {
+        write_out(path, &(out.metrics.to_string() + "\n"));
+    }
+    outln!(
         "serve-jobs: {} tenants ({mix_str}), {} arrivals over {:.0}s on {}x{} VMs, policy {}",
         mix.tenants.len(),
         out.arrivals,
@@ -639,17 +682,17 @@ fn cmd_serve_jobs(flags: Flags) {
         sp.shape.vms_per_node,
         policy.name(),
     );
-    println!(
+    outln!(
         "  completed {} / makespan {:.1}s / throughput {:.2} jobs/min",
         out.completed,
         out.makespan.as_secs_f64(),
         out.throughput_jpm
     );
-    println!(
+    outln!(
         "  latency p50 {:.1}s p99 {:.1}s mean {:.1}s",
         out.p50_latency_s, out.p99_latency_s, out.mean_latency_s
     );
-    println!(
+    outln!(
         "  slot util map {:.1}% reduce {:.1}% / {} retunes, {} switches",
         out.map_slot_util * 100.0,
         out.reduce_slot_util * 100.0,
@@ -665,7 +708,7 @@ fn cmd_serve_jobs(flags: Flags) {
         oracle.replay(&out.trace);
         let violations = oracle.violations();
         if violations.is_empty() {
-            println!("  oracle: clean ({} records)", out.trace.total());
+            outln!("  oracle: clean ({} records)", out.trace.total());
         } else {
             for v in violations {
                 eprintln!("  oracle violation: {v}");
@@ -673,9 +716,8 @@ fn cmd_serve_jobs(flags: Flags) {
             exit(1);
         }
     }
-    if let Some(path) = flags.get("metrics-out") {
-        write_out(path, &(out.metrics.to_string() + "\n"));
-        println!("wrote {path}");
+    if let Some(path) = metrics_out {
+        outln!("wrote {path}");
     }
 }
 

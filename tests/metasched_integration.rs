@@ -4,7 +4,8 @@
 
 use adaptive_disk_sched::iosched::{SchedKind, SchedPair};
 use adaptive_disk_sched::metasched::{
-    measure_switch_cost, profile_pairs, DdConfig, Experiment, MetaConfig, MetaScheduler,
+    measure_switch_cost, profile_pairs_cached, DdConfig, EvalCache, Experiment, MetaConfig,
+    MetaScheduler,
 };
 use adaptive_disk_sched::mrsim::{JobSpec, WorkloadSpec};
 use adaptive_disk_sched::vcluster::ClusterParams;
@@ -57,7 +58,7 @@ fn tune_beats_the_default_and_never_loses_to_best_single() {
 #[test]
 fn profiles_are_internally_consistent() {
     let exp = small_exp(WorkloadSpec::sort());
-    let profiles = profile_pairs(&exp, &candidates());
+    let profiles = profile_pairs_cached(&exp, &candidates(), &EvalCache::new());
     assert_eq!(profiles.len(), candidates().len());
     for p in &profiles {
         let sum = p.phase[0] + p.phase[1] + p.phase[2];
