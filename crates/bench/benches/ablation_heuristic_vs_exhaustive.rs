@@ -25,7 +25,7 @@ fn main() {
     let profiles = profile_pairs_cached(&exp, &pairs, &cache);
     let eval = CachedEvaluator::new(&exp, &cache);
 
-    let heuristic = algorithm1(&eval, PhaseSplit::Two, &profiles, None);
+    let heuristic = algorithm1(&eval, PhaseSplit::Two, &profiles);
 
     let mut plans = Vec::new();
     for &a in &pairs {

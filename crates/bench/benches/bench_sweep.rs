@@ -16,8 +16,8 @@
 
 use iosched::{SchedKind, SchedPair};
 use metasched::{
-    assignment_plan, calibrate_tenants, BlendedTuner, EvalCache, Experiment, MetaScheduler,
-    PhaseReactivePolicy, QueueDepthPolicy,
+    calibrate_tenants, BlendedTuner, EvalCache, Experiment, MetaScheduler, PhaseReactivePolicy,
+    QueueDepthPolicy,
 };
 use mrsim::{ClusterShape, JobSpec, WorkloadSpec};
 use repro_bench::quick;
@@ -116,7 +116,7 @@ fn policy_cells(base: &ClusterParams, job: &JobSpec, shape: ClusterShape) -> Jso
             SwitchPlan::single(tune.best_single.pair),
             None,
         ),
-        policy_cell(&params, job, "adaptive", assignment_plan(&assignment), None),
+        policy_cell(&params, job, "adaptive", SwitchPlan::from_phases(&assignment), None),
         policy_cell(
             &params,
             job,

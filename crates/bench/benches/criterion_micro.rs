@@ -16,7 +16,7 @@
 
 use iosched::{build_elevator, Dispatch, Dir, IoRequest, SchedKind, SchedPair, SegRun, Tunables};
 use metasched::{BlendedTuner, EvalCache};
-use mrsim::{JobSpec, WorkloadSpec};
+use mrsim::{JobSpec, PhaseTimes, WorkloadSpec};
 use repro_bench::micro::{bench, Timing};
 use repro_bench::quick;
 use simcore::{
@@ -160,14 +160,14 @@ fn event_queue_batch_drain() -> u64 {
 }
 
 /// Memo-cache hit path: the cost Algorithm 1 and the exhaustive
-/// baseline pay per already-measured plan (lock + canonicalize + map
+/// baseline pay per already-measured plan (plan build + lock + map
 /// lookup) instead of a full cluster simulation.
 fn memo_cache_hits(cache: &EvalCache, pairs: &[SchedPair]) -> u64 {
     let mut hits = 0;
     for round in 0..64u64 {
         for (i, &p) in pairs.iter().enumerate() {
             let q = pairs[(i + round as usize) % pairs.len()];
-            if cache.score(1, &[p, q]).is_some() {
+            if cache.get(1, SwitchPlan::from_phases(&[p, q])).is_some() {
                 hits += 1;
             }
         }
@@ -411,8 +411,10 @@ fn main() {
         .flat_map(|&a| SchedKind::ALL.iter().map(move |&b| SchedPair::new(a, b)))
         .collect();
     for (i, &p) in all_pairs.iter().enumerate() {
+        let done = SimTime::from_secs(i as u64 + 1);
         for &q in &all_pairs {
-            cache.insert_score(1, &[p, q], SimDuration::from_secs(i as u64 + 1));
+            let phases = PhaseTimes::new(SimTime::ZERO, done, done, done);
+            cache.insert(1, SwitchPlan::from_phases(&[p, q]), phases);
         }
     }
     let t = bench("memo_cache_hit_1k", warmup, iters, || {

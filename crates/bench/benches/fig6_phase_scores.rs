@@ -5,7 +5,7 @@
 //! ordering, which is what gives a multi-pair assignment room to win.
 
 use iosched::SchedPair;
-use metasched::{profile_pairs_cached, EvalCache, Experiment};
+use metasched::{profile_pairs_cached, EvalCache, Experiment, PhaseSplit};
 use mrsim::WorkloadSpec;
 use repro_bench::{paper_cluster, paper_job, print_table};
 
@@ -30,8 +30,8 @@ fn main() {
         &["pair", "Ph1 (maps)", "Ph2 (shuffle tail)", "Ph3 (reduce)", "total"],
         &rows,
     );
-    let best_ph1 = metasched::rank_for_phase(&profiles, 0, false)[0];
-    let best_tail = metasched::rank_for_phase(&profiles, 1, true)[0];
+    let best_ph1 = metasched::rank_for_phase(&profiles, PhaseSplit::Two, 0)[0];
+    let best_tail = metasched::rank_for_phase(&profiles, PhaseSplit::Two, 1)[0];
     let best_total = metasched::best_single(&profiles).pair;
     println!("best Ph1: {best_ph1}; best Ph2+3: {best_tail}; best whole-job: {best_total}");
 }

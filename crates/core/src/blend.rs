@@ -119,11 +119,7 @@ impl ServicePolicy for BlendedTuner {
         if pairs[best] == current {
             return current;
         }
-        let cur_idx = pairs
-            .iter()
-            .position(|&p| p == current)
-            .expect("installed pair is a known pair");
-        let cur_score = self.blended_score(mix, cur_idx);
+        let cur_score = self.blended_score(mix, current.index());
         let best_score = self.blended_score(mix, best);
         // Hysteresis: the challenger must beat the incumbent by the
         // margin to justify the switch stall.

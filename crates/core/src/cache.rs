@@ -9,48 +9,33 @@
 //! exhaustive baseline's diagonal repeats all sixteen of them again.
 //! Every one of those is a full cluster simulation.
 //!
-//! [`EvalCache`] memoizes measured scores keyed on the *workload
-//! fingerprint* (a stable hash of the experiment's cluster parameters
-//! and job spec) plus the *canonical assignment*. Canonicalization
-//! collapses consecutive equal pairs — exactly the equivalence
-//! [`SwitchPlan::phased`](vcluster::SwitchPlan) applies, so `[p]`,
-//! `[p, p]` and `[p, p, p]` (which all build the same zero-switch plan)
-//! share one entry. Two kinds of values are cached:
-//!
-//! * whole-job scores ([`EvalCache::score`]) — shared by Algorithm 1
-//!   and the exhaustive baseline via [`CachedEvaluator`];
-//! * full per-phase profiles ([`EvalCache::profile`]) — so repeated
-//!   tuning passes (`MetaScheduler::tune_with_cache`) skip the 16
-//!   single-pair profiling runs entirely.
+//! [`EvalCache`] memoizes the phase milestones of each run, keyed on
+//! the *workload fingerprint* (a stable hash of the experiment's
+//! cluster parameters and job spec) plus the [`SwitchPlan`] that ran.
+//! Plan identity is decided once, by [`SwitchPlan::from_phases`]: `[p]`,
+//! `[p, p]` and `[p, p, p]` build the same zero-switch plan and share
+//! one entry, while `[p, q, q]` (switch at maps-done) and `[p, p, q]`
+//! (switch at shuffle-done) are two plans with two scores. A pair's
+//! per-phase profile is the entry of `SwitchPlan::single(pair)`, so the
+//! profiler's runs answer Algorithm 1's uniform plans, and repeated
+//! tuning passes (`MetaScheduler::tune_with_cache`) skip the 16
+//! single-pair profiling runs entirely.
 //!
 //! The cache is `Sync` (a mutex around an [`FxHashMap`]) so it can be
 //! shared across `simcore::par::par_map` workers; the lock is only held
 //! for lookups and inserts, never across a simulation run, so parallel
 //! sweeps keep their full fan-out. Determinism note: a hit returns the
-//! exact `SimDuration` the original run produced, and plan equivalence
-//! is structural (same `SwitchPlan` value), so cached and uncached
-//! searches choose bit-identical solutions.
+//! exact milestones the original run produced for the same plan, so
+//! cached and uncached searches choose bit-identical solutions.
 
-use crate::experiment::{Experiment, PhaseProfile};
-use crate::heuristic::{assignment_plan, PlanEvaluator};
+use crate::experiment::Experiment;
+use crate::heuristic::PlanEvaluator;
 use iosched::SchedPair;
+use mrsim::PhaseTimes;
 use simcore::{FxHashMap, SimDuration};
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
-
-/// Collapse consecutive equal pairs — the canonical form under which
-/// assignments are cached. `SwitchPlan::phased` drops switches to the
-/// pair already active, so two assignments with equal canonical forms
-/// build the same plan and measure the same score.
-pub fn canonical_assignment(assignment: &[SchedPair]) -> Vec<SchedPair> {
-    let mut out: Vec<SchedPair> = Vec::with_capacity(assignment.len());
-    for &p in assignment {
-        if out.last() != Some(&p) {
-            out.push(p);
-        }
-    }
-    out
-}
+use vcluster::SwitchPlan;
 
 /// Hit/miss counters of an [`EvalCache`] (monotone; read via
 /// [`EvalCache::stats`]).
@@ -60,16 +45,13 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to run the simulation.
     pub misses: u64,
-    /// Score entries currently stored.
-    pub score_entries: usize,
-    /// Per-phase profile entries currently stored.
-    pub profile_entries: usize,
+    /// Measured runs currently stored.
+    pub entries: usize,
 }
 
 #[derive(Default)]
 struct Inner {
-    scores: FxHashMap<(u64, Vec<SchedPair>), SimDuration>,
-    profiles: FxHashMap<(u64, SchedPair), PhaseProfile>,
+    runs: FxHashMap<(u64, SwitchPlan), PhaseTimes>,
     hits: u64,
     misses: u64,
 }
@@ -86,56 +68,24 @@ impl EvalCache {
         EvalCache::default()
     }
 
-    /// Cached whole-job score of `assignment` under the workload with
+    /// Phase milestones of `plan`'s run under the workload with
     /// `fingerprint`, if one is stored. Counts a hit or miss.
-    pub fn score(&self, fingerprint: u64, assignment: &[SchedPair]) -> Option<SimDuration> {
-        let key = (fingerprint, canonical_assignment(assignment));
+    pub fn get(&self, fingerprint: u64, plan: SwitchPlan) -> Option<PhaseTimes> {
         let mut g = self.inner.lock().unwrap();
-        match g.scores.get(&key).copied() {
-            Some(t) => {
-                g.hits += 1;
-                simcore::prof::count("evalcache.hit", 1);
-                Some(t)
-            }
-            None => {
-                g.misses += 1;
-                simcore::prof::count("evalcache.miss", 1);
-                None
-            }
+        let found = g.runs.get(&(fingerprint, plan)).copied();
+        if found.is_some() {
+            g.hits += 1;
+            simcore::prof::count("evalcache.hit", 1);
+        } else {
+            g.misses += 1;
+            simcore::prof::count("evalcache.miss", 1);
         }
+        found
     }
 
-    /// Store the measured score of `assignment`.
-    pub fn insert_score(&self, fingerprint: u64, assignment: &[SchedPair], time: SimDuration) {
-        let key = (fingerprint, canonical_assignment(assignment));
-        self.inner.lock().unwrap().scores.insert(key, time);
-    }
-
-    /// Cached per-phase profile of a single pair, if stored. Counts a
-    /// hit or miss.
-    pub fn profile(&self, fingerprint: u64, pair: SchedPair) -> Option<PhaseProfile> {
-        let mut g = self.inner.lock().unwrap();
-        match g.profiles.get(&(fingerprint, pair)).copied() {
-            Some(p) => {
-                g.hits += 1;
-                simcore::prof::count("evalcache.hit", 1);
-                Some(p)
-            }
-            None => {
-                g.misses += 1;
-                simcore::prof::count("evalcache.miss", 1);
-                None
-            }
-        }
-    }
-
-    /// Store a measured per-phase profile (also seeds the whole-job
-    /// score of the single-pair plan `[pair]`).
-    pub fn insert_profile(&self, fingerprint: u64, profile: PhaseProfile) {
-        let mut g = self.inner.lock().unwrap();
-        g.scores
-            .insert((fingerprint, vec![profile.pair]), profile.total);
-        g.profiles.insert((fingerprint, profile.pair), profile);
+    /// Store the phase milestones of `plan`'s run.
+    pub fn insert(&self, fingerprint: u64, plan: SwitchPlan, phases: PhaseTimes) {
+        self.inner.lock().unwrap().runs.insert((fingerprint, plan), phases);
     }
 
     /// Counter snapshot.
@@ -144,9 +94,25 @@ impl EvalCache {
         CacheStats {
             hits: g.hits,
             misses: g.misses,
-            score_entries: g.scores.len(),
-            profile_entries: g.profiles.len(),
+            entries: g.runs.len(),
         }
+    }
+
+    /// `plan`'s phase milestones under `exp` (whose fingerprint is
+    /// `fingerprint`), and whether they came from the cache: a miss runs
+    /// the simulation and stores its result.
+    pub(crate) fn run(
+        &self,
+        exp: &Experiment,
+        fingerprint: u64,
+        plan: SwitchPlan,
+    ) -> (PhaseTimes, bool) {
+        if let Some(phases) = self.get(fingerprint, plan) {
+            return (phases, true);
+        }
+        let phases = exp.run(plan).phases;
+        self.insert(fingerprint, plan, phases);
+        (phases, false)
     }
 }
 
@@ -187,63 +153,73 @@ impl<'a> CachedEvaluator<'a> {
 
 impl PlanEvaluator for CachedEvaluator<'_> {
     fn evaluate(&self, assignment: &[SchedPair]) -> (SimDuration, bool) {
-        if let Some(t) = self.cache.score(self.fingerprint, assignment) {
-            return (t, true);
-        }
-        let t = self.exp.run(assignment_plan(assignment)).makespan;
-        self.cache.insert_score(self.fingerprint, assignment, t);
-        (t, false)
+        let plan = SwitchPlan::from_phases(assignment);
+        let (phases, cached) = self.cache.run(self.exp, self.fingerprint, plan);
+        (phases.total(), cached)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::PhaseProfile;
     use iosched::SchedKind;
+    use simcore::SimTime;
 
-    fn pair(a: SchedKind, b: SchedKind) -> SchedPair {
-        SchedPair::new(a, b)
+    /// Milestones of a made-up run ending at `secs`.
+    fn run_of(secs: u64) -> PhaseTimes {
+        let t = SimTime::from_secs;
+        PhaseTimes::new(t(0), t(secs / 2), t(secs / 2), t(secs))
     }
 
-    #[test]
-    fn canonicalization_collapses_runs() {
-        let p = pair(SchedKind::Cfq, SchedKind::Cfq);
-        let q = pair(SchedKind::Deadline, SchedKind::Noop);
-        assert_eq!(canonical_assignment(&[p, p, p]), vec![p]);
-        assert_eq!(canonical_assignment(&[p, q, q]), vec![p, q]);
-        assert_eq!(canonical_assignment(&[p, q, p]), vec![p, q, p]);
-        assert_eq!(canonical_assignment(&[]), Vec::<SchedPair>::new());
+    fn plan(assignment: &[SchedPair]) -> SwitchPlan {
+        SwitchPlan::from_phases(assignment)
     }
 
     #[test]
     fn uniform_plans_share_one_entry() {
         let c = EvalCache::new();
         let p = SchedPair::DEFAULT;
-        c.insert_score(7, &[p], SimDuration::from_secs(42));
-        assert_eq!(c.score(7, &[p, p]), Some(SimDuration::from_secs(42)));
-        assert_eq!(c.score(7, &[p, p, p]), Some(SimDuration::from_secs(42)));
+        c.insert(7, plan(&[p]), run_of(42));
+        assert_eq!(c.get(7, plan(&[p, p])), Some(run_of(42)));
+        assert_eq!(c.get(7, plan(&[p, p, p])), Some(run_of(42)));
         // A different fingerprint never sees it.
-        assert_eq!(c.score(8, &[p]), None);
+        assert_eq!(c.get(8, plan(&[p])), None);
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.score_entries), (2, 1, 1));
+        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
     }
 
     #[test]
-    fn profile_insert_seeds_single_pair_score() {
+    fn plans_that_switch_at_different_boundaries_are_two_entries() {
         let c = EvalCache::new();
-        let p = pair(SchedKind::Anticipatory, SchedKind::Deadline);
-        let prof = PhaseProfile {
-            pair: p,
-            total: SimDuration::from_secs(90),
-            phase: [
-                SimDuration::from_secs(50),
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(30),
-            ],
-        };
-        c.insert_profile(3, prof);
-        assert_eq!(c.profile(3, p).map(|x| x.total), Some(SimDuration::from_secs(90)));
-        assert_eq!(c.score(3, &[p, p]), Some(SimDuration::from_secs(90)));
+        let p = SchedPair::DEFAULT;
+        let q = SchedPair::new(SchedKind::Deadline, SchedKind::Noop);
+        c.insert(1, plan(&[p, q, q]), run_of(20));
+        assert_eq!(c.get(1, plan(&[p, p, q])), None, "shuffle-done is not maps-done");
+        c.insert(1, plan(&[p, p, q]), run_of(18));
+        assert_eq!(c.get(1, plan(&[p, q, q])), Some(run_of(20)));
+        assert_eq!(c.get(1, plan(&[p, p, q])), Some(run_of(18)));
+        // A two-phase assignment switches at maps-done.
+        assert_eq!(c.get(1, plan(&[p, q])), Some(run_of(20)));
+        assert_eq!(c.stats().entries, 2);
+    }
+
+    #[test]
+    fn a_profiled_pair_answers_its_uniform_plans() {
+        // The profiler stores a pair's run under `SwitchPlan::single`.
+        let exp = Experiment::paper_sort();
+        let fp = exp.fingerprint();
+        let cache = EvalCache::new();
+        let p = SchedPair::new(SchedKind::Anticipatory, SchedKind::Deadline);
+        cache.insert(fp, SwitchPlan::single(p), run_of(90));
+        let profile = crate::profiler::profile_pairs_cached(&exp, &[p], &cache);
+        assert_eq!(profile[0].total, SimDuration::from_secs(90));
+        assert_eq!(profile[0].phase, PhaseProfile::from_outcome(p, &run_of(90)).phase);
+        let ev = CachedEvaluator::new(&exp, &cache);
+        for uniform in [&[p][..], &[p, p], &[p, p, p]] {
+            assert_eq!(ev.evaluate(uniform), (SimDuration::from_secs(90), true));
+        }
+        assert_eq!(cache.stats().hits, 4);
     }
 
     #[test]
@@ -258,14 +234,14 @@ mod tests {
     #[test]
     fn cached_evaluator_runs_each_plan_once() {
         // Use the real Experiment type but never call run(): pre-seed
-        // every assignment the probe will ask for.
+        // every plan the probe will ask for.
         let exp = Experiment::paper_sort();
         let fp = exp.fingerprint();
         let cache = EvalCache::new();
         let p = SchedPair::DEFAULT;
-        let q = pair(SchedKind::Noop, SchedKind::Deadline);
-        cache.insert_score(fp, &[p, q], SimDuration::from_secs(5));
-        cache.insert_score(fp, &[q], SimDuration::from_secs(6));
+        let q = SchedPair::new(SchedKind::Noop, SchedKind::Deadline);
+        cache.insert(fp, plan(&[p, q]), run_of(5));
+        cache.insert(fp, plan(&[q]), run_of(6));
         let ev = CachedEvaluator::new(&exp, &cache);
         assert_eq!(ev.evaluate(&[p, q]).0, SimDuration::from_secs(5));
         assert_eq!(ev.evaluate(&[q, q]).0, SimDuration::from_secs(6));
@@ -275,12 +251,12 @@ mod tests {
 
     #[test]
     fn traced_evaluation_reports_cache_provenance() {
-        // Pre-seeded scores come back flagged as cache hits — the
+        // Pre-seeded runs come back flagged as cache hits — the
         // provenance bit the decision audit records carry.
         let exp = Experiment::paper_sort();
         let cache = EvalCache::new();
         let p = SchedPair::DEFAULT;
-        cache.insert_score(exp.fingerprint(), &[p], SimDuration::from_secs(9));
+        cache.insert(exp.fingerprint(), plan(&[p]), run_of(9));
         let ev = CachedEvaluator::new(&exp, &cache);
         assert_eq!(ev.evaluate(&[p, p]), (SimDuration::from_secs(9), true));
     }

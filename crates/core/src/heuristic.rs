@@ -49,6 +49,17 @@ impl PhaseSplit {
             PhaseSplit::Three => 3,
         }
     }
+
+    /// A profile's duration of each phase of this split: `[Ph1,
+    /// Ph2+Ph3]` for [`PhaseSplit::Two`], `[Ph1, Ph2, Ph3]` for
+    /// [`PhaseSplit::Three`]. Ranking, tail choice and the audit's
+    /// profile scores all read it.
+    pub fn durations(self, p: &PhaseProfile) -> Vec<SimDuration> {
+        match self {
+            PhaseSplit::Two => vec![p.phase[0], p.tail_from(1)],
+            PhaseSplit::Three => p.phase.to_vec(),
+        }
+    }
 }
 
 /// One evaluated candidate during the search.
@@ -83,7 +94,7 @@ pub struct CandidateScore {
 pub enum StopReason {
     /// The next candidate measured worse — the greedy stop condition.
     Regression,
-    /// The walk exhausted its rank cap without a regression.
+    /// The walk went through every profiled pair without a regression.
     RankCap,
 }
 
@@ -130,7 +141,7 @@ pub struct HeuristicResult {
 impl HeuristicResult {
     /// The executable plan for the chosen solution.
     pub fn plan(&self) -> SwitchPlan {
-        assignment_plan(&self.resolved)
+        SwitchPlan::from_phases(&self.resolved)
     }
 
     /// Number of simulated job executions the search needed.
@@ -139,34 +150,19 @@ impl HeuristicResult {
     }
 }
 
-/// Turn a per-phase assignment into a [`SwitchPlan`]. Two-phase
-/// assignments switch at the maps-done boundary; three-phase ones also
-/// at shuffle-done. Consecutive equal pairs produce no switch.
-pub fn assignment_plan(assignment: &[SchedPair]) -> SwitchPlan {
-    match assignment {
-        [p] => SwitchPlan::single(*p),
-        [p1, p2] => SwitchPlan::phased(*p1, Some(*p2), None),
-        [p1, p2, p3] => SwitchPlan::phased(*p1, Some(*p2), Some(*p3)),
-        _ => panic!("assignments cover 1..=3 phases, got {}", assignment.len()),
-    }
-}
-
 /// Run Algorithm 1.
 ///
 /// `profiles` must come from single-pair runs of this same experiment
-/// (see [`crate::profiler::profile_pairs_cached`]). `max_rank`
-/// optionally caps how deep the ranking walk may go per phase (the
-/// paper's complexity bound is `P × S`; the cap trades search quality
-/// for evaluations).
+/// (see [`crate::profiler::profile_pairs_cached`]). A phase's ranking
+/// walk may go through all `S` profiled pairs, which bounds the search
+/// at the paper's `P × S` evaluations.
 pub fn algorithm1<E: PlanEvaluator + ?Sized>(
     exp: &E,
     split: PhaseSplit,
     profiles: &[PhaseProfile],
-    max_rank: Option<usize>,
 ) -> HeuristicResult {
     assert!(!profiles.is_empty(), "need at least one profiled pair");
     let phases = split.count();
-    let cap = max_rank.unwrap_or(profiles.len()).min(profiles.len());
     let mut evaluations = Vec::new();
     let mut cache: BTreeMap<Vec<SchedPair>, SimDuration> = BTreeMap::new();
 
@@ -194,22 +190,9 @@ pub fn algorithm1<E: PlanEvaluator + ?Sized>(
     let mut decisions: Vec<PhaseDecision> = Vec::with_capacity(phases);
 
     for i in 0..phases {
-        let last_phase = i == phases - 1;
-        // Ranking of candidates for this phase. With a two-way split the
-        // second phase is Ph2+Ph3 combined.
-        let ranking = match (split, i) {
-            (PhaseSplit::Two, 1) => rank_for_phase(profiles, 1, true),
-            _ => rank_for_phase(profiles, i, false),
-        };
+        let ranking = rank_for_phase(profiles, split, i);
         // Best single pair for the remaining phases together (S_{i+1}).
-        let tail_pair = if last_phase {
-            None
-        } else {
-            Some(match split {
-                PhaseSplit::Two => best_for_tail(profiles, 1),
-                PhaseSplit::Three => best_for_tail(profiles, i + 1),
-            })
-        };
+        let tail_pair = (i + 1 < phases).then(|| best_for_tail(profiles, split, i + 1));
         let compose = |cand: SchedPair, resolved: &[SchedPair]| -> Vec<SchedPair> {
             let mut a = resolved.to_vec();
             a.push(cand);
@@ -231,10 +214,7 @@ pub fn algorithm1<E: PlanEvaluator + ?Sized>(
                 .iter()
                 .find(|p| p.pair == pair)
                 .expect("ranked pair has a profile");
-            match (split, i) {
-                (PhaseSplit::Two, 1) => p.tail_from(1),
-                _ => p.phase[i],
-            }
+            split.durations(p)[i]
         };
         let score_of = |pair: SchedPair, rank: usize, time: SimDuration, cached: bool| {
             CandidateScore {
@@ -251,7 +231,7 @@ pub fn algorithm1<E: PlanEvaluator + ?Sized>(
         let mut candidates = vec![score_of(ranking[0], 0, t0, hit0)];
         let mut best_time = t0;
         let mut stop = StopReason::RankCap;
-        while j + 1 < cap {
+        while j + 1 < ranking.len() {
             let (next_time, hit) = measure(
                 &compose(ranking[j + 1], &resolved),
                 &mut evaluations,
@@ -305,25 +285,6 @@ pub fn algorithm1<E: PlanEvaluator + ?Sized>(
 mod tests {
     use super::*;
     use iosched::SchedKind;
-
-    #[test]
-    fn assignment_plan_merges_no_switch() {
-        let p = SchedPair::new(SchedKind::Anticipatory, SchedKind::Deadline);
-        let plan = assignment_plan(&[p, p]);
-        assert_eq!(plan.switches(), 0);
-        let q = SchedPair::DEFAULT;
-        let plan2 = assignment_plan(&[p, q, q]);
-        assert_eq!(plan2.switches(), 1);
-        let plan3 = assignment_plan(&[p, q, p]);
-        assert_eq!(plan3.switches(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "assignments cover")]
-    fn oversized_assignment_rejected() {
-        let p = SchedPair::DEFAULT;
-        assignment_plan(&[p, p, p, p]);
-    }
 
     /// A synthetic world with *known* phase-heterogeneous optima: each
     /// pair has fixed per-phase durations, and every switch between
@@ -395,7 +356,7 @@ mod tests {
             ],
             switch_cost_s: 4,
         };
-        let r = algorithm1(&o, PhaseSplit::Two, &o.profiles(), None);
+        let r = algorithm1(&o, PhaseSplit::Two, &o.profiles());
         assert_eq!(r.resolved, vec![asdl(), dldl()]);
         assert_eq!(r.solution, vec![Some(asdl()), Some(dldl())]);
         // 60 + (5+50) + 4 = 119 < best single (AS,DL)=155, (DL,DL)=145.
@@ -432,7 +393,7 @@ mod tests {
             ],
             switch_cost_s: 60,
         };
-        let r = algorithm1(&o, PhaseSplit::Two, &o.profiles(), None);
+        let r = algorithm1(&o, PhaseSplit::Two, &o.profiles());
         // With a 60 s switch penalty, any two-pair plan loses; the walk
         // lands on the single pair with the best whole-job time,
         // (DL,DL) = 145 s, and phase 2 records the paper's `0` entry.
@@ -453,7 +414,7 @@ mod tests {
             table: vec![(a, [50, 40, 90]), (b, [90, 10, 80]), (c, [95, 35, 40])],
             switch_cost_s: 2,
         };
-        let r = algorithm1(&o, PhaseSplit::Three, &o.profiles(), None);
+        let r = algorithm1(&o, PhaseSplit::Three, &o.profiles());
         assert_eq!(r.resolved, vec![a, b, c]);
         // 50 + 2 + 10 + 2 + 40 = 104.
         assert_eq!(r.time, SimDuration::from_secs(104));
@@ -470,7 +431,7 @@ mod tests {
             switch_cost_s: 3,
         };
         let profiles = o.profiles();
-        let r = algorithm1(&o, PhaseSplit::Two, &profiles, None);
+        let r = algorithm1(&o, PhaseSplit::Two, &profiles);
         assert!(
             r.runs() <= 2 * profiles.len(),
             "paper bound: at most P x S evaluations, got {}",
@@ -490,7 +451,7 @@ mod tests {
             table: vec![(a, [50, 5, 50]), (b, [60, 5, 45]), (c, [70, 5, 40])],
             switch_cost_s: 30,
         };
-        let r = algorithm1(&o, PhaseSplit::Two, &o.profiles(), None);
+        let r = algorithm1(&o, PhaseSplit::Two, &o.profiles());
         assert_eq!(r.resolved[0], a);
         let tried_c_in_phase1 = r
             .evaluations

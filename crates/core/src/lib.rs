@@ -15,7 +15,7 @@
 //! 4. **Algorithm 1** ([`heuristic`]): the greedy per-phase assignment
 //!    search over the `S^P` solution space, bounded by `P × S` runs.
 //! 5. **Evaluation memoization** ([`cache`]): a shared [`EvalCache`]
-//!    keyed on (workload fingerprint, canonical assignment) so the
+//!    keyed on (workload fingerprint, [`vcluster::SwitchPlan`]) so the
 //!    profiler, Algorithm 1 and the exhaustive baseline never
 //!    re-simulate a plan they have already measured.
 //!
@@ -44,11 +44,11 @@ pub mod profiler;
 pub mod switch_cost;
 
 pub use blend::{calibrate_tenants, BlendedTuner};
-pub use cache::{canonical_assignment, CacheStats, CachedEvaluator, EvalCache};
+pub use cache::{CacheStats, CachedEvaluator, EvalCache};
 pub use experiment::{Experiment, PhaseProfile};
 pub use heuristic::{
-    algorithm1, assignment_plan, CandidateScore, Evaluation, HeuristicResult, PhaseDecision,
-    PhaseSplit, PlanEvaluator, StopReason,
+    algorithm1, CandidateScore, Evaluation, HeuristicResult, PhaseDecision, PhaseSplit,
+    PlanEvaluator, StopReason,
 };
 pub use meta::{MetaConfig, MetaScheduler, TuneReport};
 pub use online::{PhaseReactivePolicy, QueueDepthPolicy};

@@ -9,25 +9,22 @@ use crate::profiler::{best_single, profile_pairs_cached};
 use iosched::SchedPair;
 use simcore::{Json, SimDuration};
 
+/// Merge Ph2 into Ph3 when the non-concurrent shuffle is below this
+/// percentage of the default-pair run (the paper merges for its
+/// 8-maps-per-node sort).
+const MERGE_THRESHOLD_PCT: f64 = 10.0;
+
 /// Meta-scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct MetaConfig {
     /// Candidate pairs (all 16 by default).
     pub candidates: Vec<SchedPair>,
-    /// Merge Ph2 into Ph3 when the non-concurrent shuffle is below this
-    /// percentage of the default-pair run (the paper merges for its
-    /// 8-maps-per-node sort).
-    pub merge_threshold_pct: f64,
-    /// Cap on the per-phase ranking walk (None = the full `S`).
-    pub max_rank: Option<usize>,
 }
 
 impl Default for MetaConfig {
     fn default() -> Self {
         MetaConfig {
             candidates: SchedPair::all(),
-            merge_threshold_pct: 10.0,
-            max_rank: None,
         }
     }
 }
@@ -206,7 +203,7 @@ impl MetaScheduler {
             .expect("non-empty profiles");
         let ph2_pct =
             100.0 * reference.phase[1].as_secs_f64() / reference.total.as_secs_f64().max(1e-12);
-        if ph2_pct >= self.cfg.merge_threshold_pct {
+        if ph2_pct >= MERGE_THRESHOLD_PCT {
             PhaseSplit::Three
         } else {
             PhaseSplit::Two
@@ -234,7 +231,7 @@ impl MetaScheduler {
         let profiles = profile_pairs_cached(&self.exp, &self.cfg.candidates, cache);
         let split = self.choose_split(&profiles);
         let eval = CachedEvaluator::new(&self.exp, cache);
-        let heuristic = algorithm1(&eval, split, &profiles, self.cfg.max_rank);
+        let heuristic = algorithm1(&eval, split, &profiles);
         let default_time = profiles
             .iter()
             .find(|p| p.pair == SchedPair::DEFAULT)

@@ -10,16 +10,18 @@
 
 use crate::cache::EvalCache;
 use crate::experiment::{Experiment, PhaseProfile};
+use crate::heuristic::PhaseSplit;
 use iosched::SchedPair;
 use simcore::par::par_map;
 use simcore::SimDuration;
+use vcluster::SwitchPlan;
 
 /// Profile every pair in `pairs` with one full single-pair run each,
-/// memoized through `cache`: pairs already profiled under this
+/// memoized through `cache`: a pair's profile is the cached run of
+/// `SwitchPlan::single(pair)`, so pairs already run under this
 /// experiment's fingerprint are served without a run, and every fresh
-/// profile is recorded (which also seeds the whole-job score of the
-/// single-pair plan `[pair]`, so Algorithm 1 and the exhaustive
-/// baseline get those evaluations for free).
+/// run also answers Algorithm 1's and the exhaustive baseline's uniform
+/// plans `[pair, pair]`.
 pub fn profile_pairs_cached(
     exp: &Experiment,
     pairs: &[SchedPair],
@@ -28,32 +30,16 @@ pub fn profile_pairs_cached(
     let _prof = simcore::prof::span("metasched.profile_pairs");
     let fp = exp.fingerprint();
     par_map(pairs, |&pair| {
-        if let Some(p) = cache.profile(fp, pair) {
-            return p;
-        }
-        let out = exp.run_single(pair);
-        let p = PhaseProfile::from_outcome(pair, &out.phases);
-        cache.insert_profile(fp, p);
-        p
+        let (phases, _) = cache.run(exp, fp, SwitchPlan::single(pair));
+        PhaseProfile::from_outcome(pair, &phases)
     })
 }
 
 /// Pairs ranked ascending by their measured duration of phase `phase`
-/// (0-based; phases ≥ `tail_from` are ranked by combined tail time when
-/// `combined_tail` is set — used for the final phase group).
-pub fn rank_for_phase(profiles: &[PhaseProfile], phase: usize, combined_tail: bool) -> Vec<SchedPair> {
-    let mut scored: Vec<(SimDuration, SchedPair)> = profiles
-        .iter()
-        .map(|p| {
-            let d = if combined_tail {
-                p.tail_from(phase)
-            } else {
-                p.phase[phase]
-            };
-            (d, p.pair)
-        })
-        .collect();
-    scored.sort_by_key(|&(d, pair)| (d, pair));
+/// of `split` (see [`PhaseSplit::durations`]); ties break by pair.
+pub fn rank_for_phase(profiles: &[PhaseProfile], split: PhaseSplit, phase: usize) -> Vec<SchedPair> {
+    let mut scored: Vec<_> = profiles.iter().map(|p| (split.durations(p)[phase], p.pair)).collect();
+    scored.sort();
     scored.into_iter().map(|(_, p)| p).collect()
 }
 
@@ -66,14 +52,14 @@ pub fn best_single(profiles: &[PhaseProfile]) -> PhaseProfile {
         .expect("non-empty profiles")
 }
 
-/// The pair minimizing the combined duration of phases `lo..=2` — the
-/// heuristic's `S_{i+1}` ("the best disk pair schedulers for all the
-/// left phases together, considering all the left phases as one
-/// integrated phase").
-pub fn best_for_tail(profiles: &[PhaseProfile], lo: usize) -> SchedPair {
+/// The pair minimizing the combined duration of phases `lo..` of
+/// `split` — the heuristic's `S_{i+1}` ("the best disk pair schedulers
+/// for all the left phases together, considering all the left phases as
+/// one integrated phase").
+pub fn best_for_tail(profiles: &[PhaseProfile], split: PhaseSplit, lo: usize) -> SchedPair {
     profiles
         .iter()
-        .min_by_key(|p| (p.tail_from(lo), p.pair))
+        .min_by_key(|p| (split.durations(p)[lo..].iter().copied().sum::<SimDuration>(), p.pair))
         .expect("non-empty profiles")
         .pair
 }
@@ -82,7 +68,6 @@ pub fn best_for_tail(profiles: &[PhaseProfile], lo: usize) -> SchedPair {
 mod tests {
     use super::*;
     use iosched::SchedKind;
-    use simcore::SimDuration;
 
     fn prof(pair: SchedPair, ph: [u64; 3]) -> PhaseProfile {
         PhaseProfile {
@@ -103,9 +88,9 @@ mod tests {
     #[test]
     fn ranking_per_phase() {
         let p = pairs();
-        let r1 = rank_for_phase(&p, 0, false);
+        let r1 = rank_for_phase(&p, PhaseSplit::Three, 0);
         assert_eq!(r1[0], SchedPair::new(SchedKind::Anticipatory, SchedKind::Deadline));
-        let r3 = rank_for_phase(&p, 2, false);
+        let r3 = rank_for_phase(&p, PhaseSplit::Three, 2);
         assert_eq!(r3[0], SchedPair::new(SchedKind::Deadline, SchedKind::Deadline));
     }
 
@@ -122,14 +107,14 @@ mod tests {
     fn tail_best_combines_remaining_phases() {
         let p = pairs();
         // Tail from phase 1: CFQ 90, ASDL 102, DLDL 68.
-        assert_eq!(best_for_tail(&p, 1), SchedPair::new(SchedKind::Deadline, SchedKind::Deadline));
+        assert_eq!(best_for_tail(&p, PhaseSplit::Three, 1), SchedPair::new(SchedKind::Deadline, SchedKind::Deadline));
     }
 
     #[test]
     fn deterministic_tiebreak() {
         let a = prof(SchedPair::new(SchedKind::Cfq, SchedKind::Cfq), [50, 5, 50]);
         let b = prof(SchedPair::new(SchedKind::Noop, SchedKind::Cfq), [50, 5, 50]);
-        let r = rank_for_phase(&[b, a], 0, false);
+        let r = rank_for_phase(&[b, a], PhaseSplit::Two, 0);
         // Equal scores: ordered by pair identity (enum declaration
         // order — noop first), stable across runs.
         assert_eq!(r[0], SchedPair::new(SchedKind::Noop, SchedKind::Cfq));

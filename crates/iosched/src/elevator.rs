@@ -38,6 +38,16 @@ impl SchedKind {
         }
     }
 
+    /// Position in [`SchedKind::ALL`].
+    const fn index(self) -> usize {
+        match self {
+            SchedKind::Cfq => 0,
+            SchedKind::Deadline => 1,
+            SchedKind::Anticipatory => 2,
+            SchedKind::Noop => 3,
+        }
+    }
+
     /// Short label as used in the paper's figures (CFQ, DL, AS, NP).
     pub fn short(self) -> &'static str {
         match self {
@@ -112,6 +122,11 @@ impl SchedPair {
             }
         }
         v
+    }
+
+    /// Position in [`SchedPair::all`]: host-major over [`SchedKind::ALL`].
+    pub const fn index(self) -> usize {
+        self.host.index() * SchedKind::ALL.len() + self.guest.index()
     }
 
     /// Two-letter code as in Fig. 5 (`ca` = CFQ in VMM, AS in VMs).
@@ -271,6 +286,13 @@ mod tests {
         let p3: SchedPair = "ad".parse().unwrap();
         assert_eq!(p3, p);
         assert!("xyz".parse::<SchedPair>().is_err());
+    }
+
+    #[test]
+    fn pair_index_is_its_position_in_all() {
+        for (i, p) in SchedPair::all().into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{}", p.code());
+        }
     }
 
     #[test]

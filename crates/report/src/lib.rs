@@ -528,10 +528,15 @@ pub enum Presence {
 pub struct Delta {
     /// Dotted path (`section.metric.field`).
     pub path: String,
-    /// Value in the first document (0 when it has none).
+    /// Value in the first document (0 when it has none or is not a
+    /// number).
     pub a: f64,
-    /// Value in the second document (0 when it has none).
+    /// Value in the second document (0 when it has none or is not a
+    /// number).
     pub b: f64,
+    /// Both values as JSON text, when either is not a number (a string,
+    /// bool or null leaf).
+    pub text: Option<(String, String)>,
     /// Which documents hold the path.
     pub presence: Presence,
 }
@@ -539,23 +544,33 @@ pub struct Delta {
 impl Delta {
     /// A path both documents hold, with its two values.
     fn both(path: String, a: f64, b: f64) -> Delta {
-        Delta { path, a, b, presence: Presence::Both }
+        Delta { path, a, b, text: None, presence: Presence::Both }
+    }
+
+    /// A path both documents hold with unequal values, one of them not
+    /// a number.
+    fn text(path: String, a: &Json, b: &Json) -> Delta {
+        let text = Some((a.to_string(), b.to_string()));
+        Delta { text, ..Delta::both(path, 0.0, 0.0) }
     }
 
     /// A path only the first document (`in_first`) or only the second
     /// holds.
     fn one_sided(path: String, in_first: bool) -> Delta {
         let presence = if in_first { Presence::OnlyFirst } else { Presence::OnlySecond };
-        Delta { path, a: 0.0, b: 0.0, presence }
+        Delta { presence, ..Delta::both(path, 0.0, 0.0) }
     }
 
-    /// Relative change, percent (0 when the base is 0).
-    pub fn pct(&self) -> f64 {
-        if self.a == 0.0 {
-            0.0
-        } else {
-            100.0 * (self.b - self.a) / self.a
-        }
+    /// Relative change, percent; `None` when the base is 0, which no
+    /// percentage describes.
+    pub fn pct(&self) -> Option<f64> {
+        (self.a != 0.0).then(|| 100.0 * (self.b - self.a) / self.a)
+    }
+
+    /// The two values as a report prints them: the JSON text of a
+    /// non-numeric leaf, else `fmt` of each number.
+    fn shown(&self, fmt: impl Fn(f64) -> String) -> (String, String) {
+        self.text.clone().unwrap_or_else(|| (fmt(self.a), fmt(self.b)))
     }
 }
 
@@ -627,8 +642,8 @@ fn pair_records<'a>(
 /// fields pair by key and arrays of objects pair their records (see
 /// [`pair_records`]); a field or record one document lacks is one
 /// one-sided row. Other arrays are compared as aggregates (element sum)
-/// so bucket vectors produce one row instead of hundreds; string/bool
-/// leaves count as a difference when unequal (reported with a/b = 0/1).
+/// so bucket vectors produce one row instead of hundreds; unequal
+/// string/bool/null leaves are one row with both values as JSON text.
 fn walk_diff(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
     let sub = |k: &str| if path.is_empty() { k.to_string() } else { format!("{path}.{k}") };
     let mut pair = |at: String, x: Option<&Json>, y: Option<&Json>| match (x, y) {
@@ -666,12 +681,9 @@ fn walk_diff(path: &str, a: &Json, b: &Json, out: &mut Vec<Delta>) {
             match (na, nb) {
                 (Some(x), Some(y)) if x != y => out.push(Delta::both(path.into(), x, y)),
                 (Some(_), Some(_)) => {}
-                _ => {
-                    // Non-numeric leaves (strings, bools, null vs value).
-                    if a != b {
-                        out.push(Delta::both(path.into(), 0.0, 1.0));
-                    }
-                }
+                // Non-numeric leaves (strings, bools, null vs value).
+                _ if a != b => out.push(Delta::text(path.into(), a, b)),
+                _ => {}
             }
         }
     }
@@ -700,14 +712,12 @@ pub fn diff(a: &Json, b: &Json) -> (String, Vec<Delta>) {
     if !p99.is_empty() {
         out.push_str("guest latency p99 by phase:\n");
         for d in p99 {
-            let _ = writeln!(
-                out,
-                "  {:<28} {} -> {}  ({:+.1}%)",
-                d.path,
-                fmt_duration_ns(d.a),
-                fmt_duration_ns(d.b),
-                d.pct(),
-            );
+            let (a, b) = d.shown(fmt_duration_ns);
+            let _ = write!(out, "  {:<28} {a} -> {b}", d.path);
+            let _ = match d.pct() {
+                Some(pct) => writeln!(out, "  ({pct:+.1}%)"),
+                None => writeln!(out),
+            };
         }
         out.push('\n');
     }
@@ -721,14 +731,13 @@ pub fn diff(a: &Json, b: &Json) -> (String, Vec<Delta>) {
         let leaf = d.path.rsplit('.').next().unwrap_or(&d.path);
         let shown = d.path.split_once('.').map_or(d.path.as_str(), |(_, rest)| rest);
         let _ = match d.presence {
-            Presence::Both => writeln!(
-                out,
-                "  {:<40} {:>14} -> {:<14} ({:+.1}%)",
-                shown,
-                fmt_value(leaf, d.a),
-                fmt_value(leaf, d.b),
-                d.pct(),
-            ),
+            Presence::Both => {
+                let (a, b) = d.shown(|x| fmt_value(leaf, x));
+                match d.pct() {
+                    Some(pct) => writeln!(out, "  {shown:<40} {a:>14} -> {b:<14} ({pct:+.1}%)"),
+                    None => writeln!(out, "  {shown:<40} {a:>14} -> {b}"),
+                }
+            }
             Presence::OnlyFirst => writeln!(out, "  {shown:<40} only in first"),
             Presence::OnlySecond => writeln!(out, "  {shown:<40} only in second"),
         };
@@ -1016,6 +1025,35 @@ mod tests {
             ],
             "{text}"
         );
+    }
+
+    /// An unequal string or bool leaf prints both values, and a change
+    /// from a zero base prints no percentage; both still count as
+    /// differences for `--fail-on-delta`.
+    #[test]
+    fn value_diff_prints_text_leaves_and_zero_bases_as_they_are() {
+        let doc = |telemetry: &str, traced: bool, switches: u32| {
+            Json::obj()
+                .field("run", Json::obj().field("telemetry", telemetry).field("traced", traced))
+                .field("policy", Json::obj().field("switches", switches))
+        };
+        let (text, deltas) = diff(&doc("full", true, 0), &doc("counters", false, 4));
+        assert_eq!(deltas.len(), 3, "{text}");
+        assert_eq!(deltas[0].text, Some(("\"full\"".into(), "\"counters\"".into())));
+        assert_eq!(deltas[2], Delta::both("policy.switches".into(), 0.0, 4.0));
+        assert_eq!(deltas[2].pct(), None);
+        let rows: Vec<&str> = text.lines().collect();
+        let row = |name: &str| *rows.iter().find(|l| l.contains(name)).expect(name);
+        assert_eq!(
+            row("telemetry"),
+            format!("  {:<40} {:>14} -> {}", "telemetry", "\"full\"", "\"counters\"")
+        );
+        assert_eq!(row("traced"), format!("  {:<40} {:>14} -> false", "traced", "true"));
+        assert_eq!(row("switches"), format!("  {:<40} {:>14} -> 4", "switches", "0"));
+        assert!(!text.contains('%'), "{text}");
+        // A nonzero base keeps its percentage.
+        let (text, _) = diff(&doc("full", true, 2), &doc("full", true, 3));
+        assert!(text.contains("2 -> 3              (+50.0%)"), "{text}");
     }
 
     /// A field one document lacks is reported as that, not as a

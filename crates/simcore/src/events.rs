@@ -23,25 +23,13 @@
 //! # Causality checking
 //!
 //! Scheduling an event before the watermark (the last popped or
-//! advanced-to time) is a logic error in the caller. Debug builds always
-//! panic on it; release builds check it too when the `ADIOS_STRICT=1`
-//! environment variable is set at process start (`scripts/ci.sh` runs
-//! the pairs smoke test once that way).
+//! advanced-to time) is a logic error in the caller, and
+//! [`EventQueue::push`] panics on it in every build: one compare and a
+//! branch per push.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
-
-/// True when `ADIOS_STRICT=1` (or any non-empty value other than `0`)
-/// was set when the process first asked: release builds then enforce
-/// the push-before-watermark causality check just like debug builds.
-pub fn strict_checks() -> bool {
-    static STRICT: OnceLock<bool> = OnceLock::new();
-    *STRICT.get_or_init(|| {
-        std::env::var("ADIOS_STRICT").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
-}
 
 struct Entry<T> {
     time: SimTime,
@@ -109,12 +97,9 @@ impl<T> Ord for Entry<T> {
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    /// Largest time popped or advanced to so far; pushes earlier than
-    /// this are a logic error in the caller (checked in debug builds and
-    /// under `ADIOS_STRICT=1`).
+    /// Largest time popped or advanced to so far; a push earlier than
+    /// this is a logic error in the caller and panics.
     watermark: SimTime,
-    /// Cached [`strict_checks`] so the hot push path pays one branch.
-    strict: bool,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -130,27 +115,16 @@ impl<T> EventQueue<T> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             watermark: SimTime::ZERO,
-            strict: strict_checks(),
         }
     }
 
     /// Schedule `payload` to fire at `time`.
     ///
     /// Scheduling in the past (before the watermark) is a causality
-    /// violation; debug builds panic on it, and release builds do too
-    /// when `ADIOS_STRICT=1` is set (see [`strict_checks`]).
+    /// violation and panics, in release builds too.
     pub fn push(&mut self, time: SimTime, payload: T) {
-        debug_assert!(
-            time >= self.watermark,
-            "event scheduled in the past: {} < {}",
-            time,
-            self.watermark
-        );
-        if self.strict && time < self.watermark {
-            panic!(
-                "ADIOS_STRICT: event scheduled in the past: {} < {}",
-                time, self.watermark
-            );
+        if time < self.watermark {
+            panic!("event scheduled in the past: {} < {}", time, self.watermark);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -326,7 +300,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "scheduled in the past")]
-    #[cfg(debug_assertions)]
     fn rejects_causality_violation() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(2), ());
@@ -348,7 +321,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "scheduled in the past")]
-    #[cfg(debug_assertions)]
     fn rejects_push_before_advanced_instant() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.advance_to(SimTime::from_secs(2));

@@ -85,8 +85,10 @@ impl Default for ClusterParams {
 
 /// When to install which elevator pair during a job — the output of the
 /// paper's meta-scheduler heuristic (a pair per phase, `None` = keep,
-/// i.e. the paper's "0 / no switch" entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// i.e. the paper's "0 / no switch" entry). Two plans run the same job
+/// exactly when they are equal values, so the value is the identity the
+/// meta-scheduler's eval cache keys on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SwitchPlan {
     /// Pair installed before the job starts.
     pub initial: SchedPair,
@@ -106,16 +108,22 @@ impl SwitchPlan {
         }
     }
 
-    /// Per-phase pairs; equal consecutive pairs become no-switches
-    /// (the heuristic's "assign 0" rule).
-    pub fn phased(ph1: SchedPair, ph2: Option<SchedPair>, ph3: Option<SchedPair>) -> Self {
-        let at_maps_done = ph2.filter(|&p| p != ph1);
-        let effective_ph2 = at_maps_done.unwrap_or(ph1);
-        let at_shuffle_done = ph3.filter(|&p| p != effective_ph2);
+    /// The plan for the paper's per-phase notation: `[pair]` for the
+    /// whole job, `[Ph1, Ph2+Ph3]`, or `[Ph1, Ph2, Ph3]`. A pair equal to
+    /// the one already installed is no switch (the heuristic's "assign
+    /// 0" rule), so `[p, q]` and `[p, q, q]` build the same plan while
+    /// `[p, p, q]` switches at shuffle-done instead.
+    pub fn from_phases(phases: &[SchedPair]) -> Self {
+        assert!(
+            (1..=3).contains(&phases.len()),
+            "a plan covers 1 to 3 phases, got {}",
+            phases.len()
+        );
+        let switch_at = |i: usize| phases.get(i).copied().filter(|&p| p != phases[i - 1]);
         SwitchPlan {
-            initial: ph1,
-            at_maps_done,
-            at_shuffle_done,
+            initial: phases[0],
+            at_maps_done: switch_at(1),
+            at_shuffle_done: switch_at(2),
         }
     }
 
@@ -1435,11 +1443,9 @@ impl ClusterSim {
         if self.online.is_some() {
             reg.inc("online", "ticks", self.policy_ticks);
             reg.inc("online", "switch_decisions", self.policy_decisions.len() as u64);
-            let all = SchedPair::all();
             for (i, (t, pair)) in self.policy_decisions.iter().enumerate() {
                 reg.set_gauge("online", &format!("decision{i}_t_s"), t.as_secs_f64());
-                let idx = all.iter().position(|p| p == pair).expect("known pair");
-                reg.set_gauge("online", &format!("decision{i}_pair_idx"), idx as f64);
+                reg.set_gauge("online", &format!("decision{i}_pair_idx"), pair.index() as f64);
             }
             // Decision audit: every consulted step is counted, state
             // flips separately; the steps that acted export their full
@@ -1495,4 +1501,39 @@ impl ClusterSim {
 /// outcome.
 pub fn run_job(params: &ClusterParams, job: &JobSpec, plan: SwitchPlan) -> JobOutcome {
     ClusterSim::new(params.clone(), job.clone(), plan).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SwitchPlan;
+    use iosched::{SchedKind, SchedPair};
+
+    const P: SchedPair = SchedPair::DEFAULT;
+    const Q: SchedPair = SchedPair::new(SchedKind::Deadline, SchedKind::Noop);
+
+    #[test]
+    fn from_phases_drops_switches_to_the_installed_pair() {
+        for uniform in [&[P][..], &[P, P], &[P, P, P]] {
+            assert_eq!(SwitchPlan::from_phases(uniform), SwitchPlan::single(P));
+        }
+        let at_maps = SwitchPlan::from_phases(&[P, Q]);
+        assert_eq!((at_maps.at_maps_done, at_maps.at_shuffle_done), (Some(Q), None));
+        assert_eq!(SwitchPlan::from_phases(&[P, Q, Q]), at_maps);
+        let at_shuffle = SwitchPlan::from_phases(&[P, P, Q]);
+        assert_eq!((at_shuffle.at_maps_done, at_shuffle.at_shuffle_done), (None, Some(Q)));
+        assert_ne!(at_shuffle, at_maps, "the boundary a switch happens at is part of the plan");
+        assert_eq!(SwitchPlan::from_phases(&[P, Q, P]).switches(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "a plan covers 1 to 3 phases, got 0")]
+    fn from_phases_rejects_an_empty_assignment() {
+        SwitchPlan::from_phases(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a plan covers 1 to 3 phases, got 4")]
+    fn from_phases_rejects_four_phases() {
+        SwitchPlan::from_phases(&[P, P, P, P]);
+    }
 }

@@ -576,7 +576,6 @@ pub fn run_service(
     for p in profiles {
         p.validate().expect("invalid tenant profile");
     }
-    let pairs = SchedPair::all();
     let arrivals = arrivals_spec.generate(mix, params.duration, params.seed);
     let shape = params.shape;
     let total_vms = shape.total_vms();
@@ -609,9 +608,6 @@ pub fn run_service(
     let mut completed = 0u64;
     let mut last_completion = SimTime::ZERO;
 
-    let pair_idx =
-        |p: SchedPair| pairs.iter().position(|&q| q == p).expect("known pair");
-
     // One task's calibrated duration alone on the cluster, as
     // `[map, reduce]` per tenant and pair index. A task started while
     // `n` jobs are in the system takes this times the contention
@@ -630,7 +626,7 @@ pub fn run_service(
             prof.phase.iter().map(|ph| [ph[0].mul_f64(map_share), ph[1] + ph[2]]).collect()
         })
         .collect();
-    let mut current_idx = pair_idx(current);
+    let mut current_idx = current.index();
 
     let mut batch: Vec<SEv> = Vec::with_capacity(16);
     loop {
@@ -730,7 +726,7 @@ pub fn run_service(
                     let want = policy.choose(&mix_vec, current);
                     if want != current {
                         current = want;
-                        current_idx = pair_idx(want);
+                        current_idx = want.index();
                         switches += 1;
                         frozen_until = now + params.switch_cost;
                         switch_log.push((now, want));
@@ -825,7 +821,7 @@ pub fn run_service(
     reg.inc("policy", "switches", switches as u64);
     let mut name = String::new();
     for (i, (t, p)) in switch_log.iter().enumerate() {
-        for (field, v) in [("t_s", t.as_secs_f64()), ("pair_idx", pair_idx(*p) as f64)] {
+        for (field, v) in [("t_s", t.as_secs_f64()), ("pair_idx", p.index() as f64)] {
             name.clear();
             write!(name, "switch{i}_{field}").expect("writing to a String cannot fail");
             reg.set_gauge("policy", &name, v);

@@ -142,7 +142,7 @@ fn double_switch_plan_executes_in_order() {
     let a = SchedPair::new(SchedKind::Anticipatory, SchedKind::Deadline);
     let b = SchedPair::new(SchedKind::Deadline, SchedKind::Anticipatory);
     let c = SchedPair::DEFAULT;
-    let out = run_job(&p, &j, SwitchPlan::phased(a, Some(b), Some(c)));
+    let out = run_job(&p, &j, SwitchPlan::from_phases(&[a, b, c]));
     // Two switches per node, in order b then c.
     let mut per_pair: Vec<SchedPair> = out.switch_log.iter().map(|&(_, p)| p).collect();
     per_pair.dedup();

@@ -40,10 +40,10 @@
 //! map/reduce slots. `--policy adaptive` calibrates every tenant under
 //! all 16 pairs (through the shared eval cache) and retunes the
 //! installed pair from the live phase mix; any pair code pins a static
-//! baseline. With `ADIOS_STRICT` set (any non-empty value but `0`, as
-//! `simcore::events::strict_checks` reads it) the service trace is
-//! replayed through the oracle (slot capacities, job lifecycle, byte
-//! conservation); each violation is printed and the run exits 1.
+//! baseline. With `ADIOS_STRICT` set (any non-empty value but `0`) the
+//! service trace is replayed through the oracle (slot capacities, job
+//! lifecycle, byte conservation); each violation is printed and the run
+//! exits 1.
 //!
 //! `run --profile-out FILE` exports the span profiler's accumulated
 //! tree as an `adios.profile/1` document after the run (`--telemetry`
@@ -592,6 +592,12 @@ fn cmd_tune(flags: Flags) {
     );
 }
 
+/// True when `ADIOS_STRICT` is set to any non-empty value but `0`:
+/// `serve-jobs` then replays its service trace through the oracle.
+fn strict_checks() -> bool {
+    std::env::var("ADIOS_STRICT").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
 fn cmd_serve_jobs(flags: Flags) {
     validate_out_flags(&flags, &["metrics-out"]);
     let params = cluster(&flags);
@@ -699,7 +705,7 @@ fn cmd_serve_jobs(flags: Flags) {
         out.retunes,
         out.switches
     );
-    if simcore::events::strict_checks() {
+    if strict_checks() {
         let mut oracle = TraceOracle::new(OracleConfig {
             map_slots_per_vm: Some(sp.shape.map_slots_per_vm),
             reduce_slots_per_vm: Some(sp.shape.reduce_slots_per_vm),

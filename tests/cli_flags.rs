@@ -372,9 +372,8 @@ fn sweep_names_the_default_cell_per_parallel_copies_group() {
     }
 }
 
-/// `serve-jobs` reads `ADIOS_STRICT` the way the event queue does: any
-/// non-empty value but `0` replays the service trace through the
-/// oracle and prints its verdict.
+/// `serve-jobs` reads `ADIOS_STRICT`: any non-empty value but `0`
+/// replays the service trace through the oracle and prints its verdict.
 #[test]
 fn strict_serve_jobs_prints_the_oracle_verdict_for_any_truthy_value() {
     for (value, verdict) in [("1", true), ("yes", true), ("0", false)] {

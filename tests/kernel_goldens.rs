@@ -105,7 +105,7 @@ fn fingerprint_phased() -> (u64, u64, u64) {
         ..JobSpec::new(WorkloadSpec::sort())
     };
     let p = |code: &str| code.parse::<SchedPair>().expect("pair code");
-    let plan = SwitchPlan::phased(p("ac"), Some(p("dd")), Some(p("cc")));
+    let plan = SwitchPlan::from_phases(&[p("ac"), p("dd"), p("cc")]);
     assert_eq!(plan.switches(), 2);
     let out = run_job(&params(), &job, plan);
     (

@@ -5,10 +5,10 @@
 use adaptive_disk_sched::iosched::{SchedKind, SchedPair};
 use adaptive_disk_sched::metasched::{
     measure_switch_cost, profile_pairs_cached, DdConfig, EvalCache, Experiment, MetaConfig,
-    MetaScheduler,
+    MetaScheduler, PhaseSplit,
 };
 use adaptive_disk_sched::mrsim::{JobSpec, WorkloadSpec};
-use adaptive_disk_sched::vcluster::ClusterParams;
+use adaptive_disk_sched::vcluster::{ClusterParams, SwitchPlan};
 
 fn small_exp(w: WorkloadSpec) -> Experiment {
     let mut params = ClusterParams::default();
@@ -39,7 +39,6 @@ fn tune_beats_the_default_and_never_loses_to_best_single() {
         exp: small_exp(WorkloadSpec::sort()),
         cfg: MetaConfig {
             candidates: candidates(),
-            ..MetaConfig::default()
         },
     };
     let report = meta.tune();
@@ -53,6 +52,30 @@ fn tune_beats_the_default_and_never_loses_to_best_single() {
     // the final re-measure, which is cached in practice).
     let p = report.split.count();
     assert!(report.heuristic.runs() <= p * candidates().len() + 1);
+}
+
+/// Every time Algorithm 1 records is the time of the plan it names.
+/// Sort on 4 nodes x 2 VMs at 192 MB/VM takes the three-phase split,
+/// whose walk evaluates both `[dd, dd, dc]` (a switch at shuffle-done)
+/// and `[dd, dc, dc]` (a switch at maps-done): the eval cache must not
+/// answer one with the other's time.
+#[test]
+fn every_evaluation_scores_the_plan_it_names() {
+    let mut params = ClusterParams::default();
+    params.shape.nodes = 4;
+    params.shape.vms_per_node = 2;
+    let job = JobSpec {
+        data_per_vm_bytes: 192 * 1024 * 1024,
+        ..JobSpec::new(WorkloadSpec::sort())
+    };
+    let exp = Experiment::new(params, job);
+    let report = MetaScheduler::new(exp.clone()).tune();
+    assert_eq!(report.split, PhaseSplit::Three);
+    for e in &report.heuristic.evaluations {
+        let codes: Vec<String> = e.assignment.iter().map(|p| p.code()).collect();
+        let ran = exp.run(SwitchPlan::from_phases(&e.assignment)).makespan;
+        assert_eq!(e.time, ran, "{} recorded {} but runs in {}", codes.join(">"), e.time, ran);
+    }
 }
 
 #[test]
@@ -72,7 +95,6 @@ fn tuning_is_deterministic() {
         exp: small_exp(WorkloadSpec::sort()),
         cfg: MetaConfig {
             candidates: candidates(),
-            ..MetaConfig::default()
         },
     };
     let a = build().tune();
@@ -116,7 +138,6 @@ fn fallback_protects_against_heuristic_regression() {
         exp: small_exp(WorkloadSpec::wordcount()),
         cfg: MetaConfig {
             candidates: candidates(),
-            ..MetaConfig::default()
         },
     };
     let report = meta.tune();

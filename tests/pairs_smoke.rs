@@ -163,7 +163,7 @@ fn multijob_service_trace_is_oracle_clean() {
     let cache = EvalCache::new();
     let profiles = calibrate_tenants(&params, &mix, &cache);
     assert!(
-        cache.stats().profile_entries >= SchedPair::all().len(),
+        cache.stats().entries >= SchedPair::all().len(),
         "calibration must record its profiles in the shared cache"
     );
 
