@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator itself: elevator add/dispatch
 //! throughput, one node's whole virtualized block path at fixed VM
-//! counts, event-queue (binary heap) push/pop and same-instant batch drain,
+//! counts, one node run switched halfway and one Fig. 5 row forked
+//! from a shared prefix, event-queue (binary heap) push/pop and same-instant batch drain,
 //! the memo-cache hit path, trace pushes (service-shaped, unbounded;
 //! node-shaped, into a dropping ring), sample-set records, the
 //! multi-job service loop and its metrics export, mechanical disk
@@ -14,7 +15,9 @@
 //! `REPRO_QUICK=1` shrinks warmup and iteration counts to a smoke pass
 //! (CI runs it that way: the numbers are then only a liveness check).
 
-use iosched::{build_elevator, Dispatch, Dir, IoRequest, SchedKind, SchedPair, SegRun, Tunables};
+use iosched::{
+    build_elevator, Dispatch, Dir, Elevator, IoRequest, SchedKind, SchedPair, SegRun, Tunables,
+};
 use metasched::{BlendedTuner, EvalCache};
 use mrsim::{JobSpec, PhaseTimes, WorkloadSpec};
 use repro_bench::micro::{bench, Timing};
@@ -219,11 +222,40 @@ fn net_churn(active: usize, rounds: u64, sources: u64) -> u64 {
 /// request goes submit → guest elevator → ring → Dom0 elevator → disk
 /// → completion fan-out.
 fn vmstack_dd(vms: u32) -> SimDuration {
-    let mut r = NodeRunner::new(NodeParams::default(), vms, SchedPair::DEFAULT);
+    dd_runner(vms, SchedPair::DEFAULT).run().makespan
+}
+
+/// The `vmstack_dd` workload under `pair`, before it runs.
+fn dd_runner(vms: u32, pair: SchedPair) -> NodeRunner {
+    let mut r = NodeRunner::new(NodeParams::default(), vms, pair);
     for vm in 0..vms {
         r.add_proc(SyntheticProc::dd_writer(vm, 0, 0, 32 * 1024 * 1024));
     }
+    r
+}
+
+/// The `vmstack_dd` workload switched from the default pair to `(AS,
+/// DL)` at `at`: the drain, swap and re-init stalls of one Fig. 5 cell.
+fn vmstack_switch(vms: u32, at: SimTime) -> SimDuration {
+    let mut r = dd_runner(vms, SchedPair::DEFAULT);
+    r.switch_at(at, SchedPair::new(SchedKind::Anticipatory, SchedKind::Deadline));
     r.run().makespan
+}
+
+/// One Fig. 5 row the way `DdConfig::time_with_switch` runs it: the
+/// default-pair run paused where its switch at `at` pops, then 16
+/// clones of it, each switched to one pair and finished.
+fn vmstack_fork_row(vms: u32, at: SimTime) -> SimDuration {
+    let mut prefix = dd_runner(vms, SchedPair::DEFAULT);
+    prefix.switch_at(at, SchedPair::DEFAULT);
+    prefix.run_to_switch();
+    let mut total = SimDuration::ZERO;
+    for to in SchedPair::all() {
+        let mut fork = prefix.clone();
+        fork.retarget_switch(Some(to.host), Some(to.guest));
+        total += fork.run().makespan;
+    }
+    total
 }
 
 /// Fixed LCG step: identical workloads per iteration.
@@ -394,6 +426,12 @@ fn main() {
         let t = bench(&name, warmup, iters, || black_box(vmstack_dd(vms)));
         results.push(timing_json(&name, t));
     }
+
+    let half = SimTime::ZERO + vmstack_dd(4).div(2);
+    let t = bench("vmstack_switch/4", warmup, iters, || black_box(vmstack_switch(4, half)));
+    results.push(timing_json("vmstack_switch/4", t));
+    let t = bench("vmstack_fork_row/4", warmup, iters, || black_box(vmstack_fork_row(4, half)));
+    results.push(timing_json("vmstack_fork_row/4", t));
 
     let t = bench("event_queue_push_pop_4k", warmup, iters, || {
         black_box(event_queue_push_pop())

@@ -55,7 +55,7 @@ pub struct DiskStats {
 }
 
 /// A mechanical disk with a head position and a spinning platter.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Disk {
     params: DiskParams,
     /// LBA one past the end of the last serviced request — the sector

@@ -21,7 +21,7 @@ pub const SECTOR_BYTES: u64 = 512;
 pub type Sector = u64;
 
 /// Static description of one disk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskParams {
     /// Total capacity in sectors.
     pub capacity_sectors: Sector,

@@ -10,14 +10,31 @@
 //! they inherit the properties the paper reports: state-dependent,
 //! non-commutative, non-zero even on the diagonal, and growing with VM
 //! consolidation.
+//!
+//! Runs are deterministic, so every cell of one matrix row shares its
+//! first half: the `from` run up to the switch instant.
+//! [`DdConfig::time_with_switch`] simulates that prefix once per thread
+//! and finishes a clone of it for each `to` pair.
 
 use iosched::SchedPair;
 use simcore::{SimDuration, SimTime};
+use std::cell::RefCell;
 use vmstack::runner::{NodeRunner, SyntheticProc};
 use vmstack::NodeParams;
 
+/// A run paused where its switch pops, with the `(config, from, at)`
+/// that built it.
+type Prefix = (DdConfig, SchedPair, SimTime, NodeRunner);
+
+thread_local! {
+    /// The last prefix this thread built. `par_map` runs one matrix row
+    /// per task with its cells in order, so one entry serves every cell
+    /// after a row's first, and each worker holds one paused run.
+    static PREFIX: RefCell<Option<Prefix>> = const { RefCell::new(None) };
+}
+
 /// Configuration of the dd experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DdConfig {
     /// Node stack parameters.
     pub node: NodeParams,
@@ -51,10 +68,25 @@ impl DdConfig {
         self.runner(pair).run().makespan
     }
 
-    /// Elapsed time with a switch from `from` to `to` at `at`.
+    /// Elapsed time with a switch from `from` to `to` at `at`: a clone
+    /// of the run under `from`, paused where its switch pops, finished
+    /// with the switch aimed at `to`. The paused run is built on this
+    /// thread's first call for `(self, from, at)` and reused until a
+    /// call names another.
     pub fn time_with_switch(&self, from: SchedPair, to: SchedPair, at: SimTime) -> SimDuration {
-        let mut r = self.runner(from);
-        r.switch_at(at, to);
+        let mut r = PREFIX.with_borrow_mut(|memo| match memo {
+            Some((cfg, f, a, prefix)) if cfg == self && *f == from && *a == at => prefix.clone(),
+            _ => {
+                let mut prefix = self.runner(from);
+                // The target is read only when the switch is applied.
+                prefix.switch_at(at, from);
+                prefix.run_to_switch();
+                let r = prefix.clone();
+                *memo = Some((self.clone(), from, at, prefix));
+                r
+            }
+        });
+        r.retarget_switch(Some(to.host), Some(to.guest));
         r.run().makespan
     }
 }
@@ -94,12 +126,78 @@ pub fn measure_switch_cost(cfg: &DdConfig, from: SchedPair, to: SchedPair) -> Sw
 mod tests {
     use super::*;
     use iosched::SchedKind;
+    use simcore::par::par_map_threads;
+    use simcore::Telemetry;
 
     fn small() -> DdConfig {
         DdConfig {
             bytes_per_vm: 48 * 1024 * 1024,
             vms: 2,
             ..Default::default()
+        }
+    }
+
+    /// The switched run with nothing shared: a fresh runner.
+    fn fresh(cfg: &DdConfig, from: SchedPair, to: SchedPair, at: SimTime) -> SimDuration {
+        let mut r = cfg.runner(from);
+        r.switch_at(at, to);
+        r.run().makespan
+    }
+
+    /// The `(config, from, at)` of this thread's stored prefix.
+    fn memo_key() -> Option<(DdConfig, SchedPair, SimTime)> {
+        PREFIX.with_borrow(|m| m.as_ref().map(|(cfg, from, at, _)| (cfg.clone(), *from, *at)))
+    }
+
+    #[test]
+    fn prefix_memo_keys_on_the_whole_config() {
+        let a = DdConfig { bytes_per_vm: 16 * 1024 * 1024, ..small() };
+        let more_vms = DdConfig { vms: 3, ..a.clone() };
+        let telemetry = DdConfig {
+            node: NodeParams { telemetry: Telemetry::Full, ..a.node.clone() },
+            ..a.clone()
+        };
+        let from = SchedPair::DEFAULT;
+        let at = SimTime::from_millis(150);
+        let tos = [SchedPair::new(SchedKind::Noop, SchedKind::Deadline), SchedPair::DEFAULT];
+        for cfg in [&a, &more_vms, &a, &telemetry, &a] {
+            for to in tos {
+                assert_eq!(cfg.time_with_switch(from, to, at), fresh(cfg, from, to, at));
+                assert_eq!(memo_key(), Some((cfg.clone(), from, at)), "the prefix is rebuilt");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_memo_keys_on_the_switch_instant() {
+        let cfg = DdConfig { bytes_per_vm: 16 * 1024 * 1024, ..small() };
+        let from = SchedPair::new(SchedKind::Anticipatory, SchedKind::Cfq);
+        let to = SchedPair::new(SchedKind::Deadline, SchedKind::Noop);
+        for ms in [100, 250, 100] {
+            let at = SimTime::from_millis(ms);
+            assert_eq!(cfg.time_with_switch(from, to, at), fresh(&cfg, from, to, at), "at {ms} ms");
+        }
+    }
+
+    #[test]
+    fn forked_matrix_equals_fresh_runs_at_any_thread_count() {
+        let cfg = DdConfig { bytes_per_vm: 8 * 1024 * 1024, ..small() };
+        let states = SchedPair::all();
+        let rows: Vec<usize> = (0..states.len()).collect();
+        let matrix = |threads: usize| {
+            let solo = par_map_threads(threads, &states, |&p| cfg.time_single(p));
+            par_map_threads(threads, &rows, |&i| {
+                let half = SimTime::ZERO + solo[i].div(2);
+                let cell = |&to: &SchedPair| (half, cfg.time_with_switch(states[i], to, half));
+                states.iter().map(cell).collect::<Vec<_>>()
+            })
+        };
+        let one = matrix(1);
+        assert_eq!(one, matrix(2), "the matrix depends on the thread count");
+        for (i, row) in one.iter().enumerate() {
+            for (j, &(half, combined)) in row.iter().enumerate() {
+                assert_eq!(combined, fresh(&cfg, states[i], states[j], half), "cell {i},{j}");
+            }
         }
     }
 

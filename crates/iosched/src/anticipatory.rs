@@ -18,7 +18,7 @@ use crate::request::{Dir, IoRequest, QueuedRq, RunStep, Sector, SegRun, StreamId
 use simcore::{FxHashMap, SimDuration, SimTime};
 
 /// Anticipatory tunables (Linux defaults).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsConfig {
     /// How long to idle waiting for the anticipated stream.
     pub antic_expire: SimDuration,
@@ -148,6 +148,7 @@ pub struct AsCounters {
 /// The anticipatory scheduler. Generic over the pool kernel so the
 /// differential suite can run it against the naive oracle; production
 /// code uses the default slab [`RqPool`].
+#[derive(Clone)]
 pub struct Anticipatory<P: PoolKernel = RqPool> {
     cfg: AsConfig,
     max_merge_sectors: u64,

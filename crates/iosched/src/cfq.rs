@@ -7,13 +7,18 @@
 //! default 100 ms); within a slice, if the active queue runs dry, CFQ
 //! idles for `slice_idle` (8 ms) waiting for the stream's next sync
 //! request rather than seeking away — the same seek-conservation idea
-//! as Anticipatory, but bounded per-slice and therefore *fair*: every
-//! stream receives an equal share of disk time, which is exactly the
-//! behaviour the paper measures in Fig. 3 (best per-VM fairness,
+//! as Anticipatory, but bounded per-slice and therefore *fair* among
+//! sync streams: each receives an equal share of disk time, which is
+//! the behaviour the paper measures in Fig. 3 (best per-VM fairness,
 //! slightly lower aggregate throughput than Anticipatory).
 //!
 //! The async queue joins the round-robin with a shorter slice
 //! (`slice_async`) and no idling, reproducing CFQ's trickled writeback.
+//! Its streams share no time: the queue is one one-way sector scan
+//! with no FIFO expiry, so a writer whose requests sit ahead of the
+//! scan keeps it until it has nothing queued. Under a CFQ Dom0 the dd
+//! VMs of the Fig. 5 workload write one after another for that reason
+//! (EXPERIMENTS.md, D7).
 
 use crate::elevator::{Dispatch, Elevator, SchedKind};
 use crate::pool::{add_run_with_merge, PoolKernel, RqPool};
@@ -22,7 +27,7 @@ use simcore::{FxHashMap, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// CFQ tunables (Linux defaults).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CfqConfig {
     /// Time slice for sync (per-stream) queues.
     pub slice_sync: SimDuration,
@@ -51,7 +56,7 @@ enum QueueKey {
     Async,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct CfqQueue<P: PoolKernel = RqPool> {
     pool: P,
     /// One-way scan position within this queue.
@@ -60,6 +65,7 @@ struct CfqQueue<P: PoolKernel = RqPool> {
     on_rr: bool,
 }
 
+#[derive(Clone)]
 struct ActiveSlice {
     key: QueueKey,
     slice_end: SimTime,
@@ -70,6 +76,7 @@ struct ActiveSlice {
 /// The CFQ scheduler. Generic over the pool kernel so the differential
 /// suite can run it against the naive oracle; production code uses the
 /// default slab [`RqPool`].
+#[derive(Clone)]
 pub struct Cfq<P: PoolKernel = RqPool> {
     cfg: CfqConfig,
     max_merge_sectors: u64,

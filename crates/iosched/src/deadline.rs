@@ -14,7 +14,7 @@ use crate::request::{Dir, QueuedRq, RunStep, Sector, SegRun};
 use simcore::{SimDuration, SimTime};
 
 /// Deadline tunables (`/sys/block/<dev>/queue/iosched/*` defaults).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeadlineConfig {
     /// Read FIFO expiry.
     pub read_expire: SimDuration,
@@ -40,6 +40,7 @@ impl Default for DeadlineConfig {
 /// The deadline scheduler. Generic over the pool kernel so the
 /// differential suite can run it against the naive oracle; production
 /// code uses the default slab [`RqPool`].
+#[derive(Clone)]
 pub struct DeadlineSched<P: PoolKernel = RqPool> {
     cfg: DeadlineConfig,
     max_merge_sectors: u64,

@@ -219,7 +219,7 @@ pub trait Elevator: Send {
 }
 
 /// Tunables for all schedulers (Linux 2.6 defaults).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tunables {
     /// Cap on merged request size, in sectors (512 KiB default, matching
     /// `max_sectors_kb`).
@@ -243,24 +243,74 @@ impl Default for Tunables {
     }
 }
 
+/// An elevator of any of the four kinds, on the production slab pool
+/// kernel. It implements [`Elevator`] by delegating to the kind it
+/// holds. Being an enum rather than a `Box<dyn Elevator>`, it is
+/// `Clone`, and so is a node stack that holds one.
+#[derive(Clone)]
+pub enum AnyElevator {
+    /// [`crate::noop::Noop`].
+    Noop(crate::noop::Noop),
+    /// [`crate::deadline::DeadlineSched`].
+    Deadline(crate::deadline::DeadlineSched),
+    /// [`crate::anticipatory::Anticipatory`].
+    Anticipatory(crate::anticipatory::Anticipatory),
+    /// [`crate::cfq::Cfq`].
+    Cfq(crate::cfq::Cfq),
+}
+
+/// Evaluate `$body` with `$e` bound to the elevator `$any` holds.
+macro_rules! delegate {
+    ($any:expr, $e:ident => $body:expr) => {
+        match $any {
+            AnyElevator::Noop($e) => $body,
+            AnyElevator::Deadline($e) => $body,
+            AnyElevator::Anticipatory($e) => $body,
+            AnyElevator::Cfq($e) => $body,
+        }
+    };
+}
+
+impl Elevator for AnyElevator {
+    fn kind(&self) -> SchedKind {
+        delegate!(self, e => e.kind())
+    }
+
+    fn add_run(&mut self, run: &mut SegRun, now: SimTime, steps: &mut Vec<RunStep>) {
+        delegate!(self, e => e.add_run(run, now, steps))
+    }
+
+    fn dispatch(&mut self, now: SimTime) -> Dispatch {
+        delegate!(self, e => e.dispatch(now))
+    }
+
+    fn completed(&mut self, rq: &QueuedRq, now: SimTime) {
+        delegate!(self, e => e.completed(rq, now))
+    }
+
+    fn queued(&self) -> usize {
+        delegate!(self, e => e.queued())
+    }
+
+    fn drain(&mut self) -> Vec<QueuedRq> {
+        delegate!(self, e => e.drain())
+    }
+}
+
 /// Instantiate an elevator of the given kind (on the production slab
 /// pool kernel).
-pub fn build_elevator(kind: SchedKind, tune: &Tunables) -> Box<dyn Elevator> {
-    use crate::pool::RqPool;
+pub fn build_elevator(kind: SchedKind, tune: &Tunables) -> AnyElevator {
+    use crate::{anticipatory::Anticipatory, cfq::Cfq, deadline::DeadlineSched, noop::Noop};
+    let max = tune.max_merge_sectors;
     match kind {
-        SchedKind::Noop => Box::new(crate::noop::Noop::new(tune.max_merge_sectors)),
-        SchedKind::Deadline => Box::new(crate::deadline::DeadlineSched::<RqPool>::new(
-            tune.deadline.clone(),
-            tune.max_merge_sectors,
-        )),
-        SchedKind::Anticipatory => Box::new(crate::anticipatory::Anticipatory::<RqPool>::new(
-            tune.anticipatory.clone(),
-            tune.max_merge_sectors,
-        )),
-        SchedKind::Cfq => Box::new(crate::cfq::Cfq::<RqPool>::new(
-            tune.cfq.clone(),
-            tune.max_merge_sectors,
-        )),
+        SchedKind::Noop => AnyElevator::Noop(Noop::new(max)),
+        SchedKind::Deadline => {
+            AnyElevator::Deadline(DeadlineSched::new(tune.deadline.clone(), max))
+        }
+        SchedKind::Anticipatory => {
+            AnyElevator::Anticipatory(Anticipatory::new(tune.anticipatory.clone(), max))
+        }
+        SchedKind::Cfq => AnyElevator::Cfq(Cfq::new(tune.cfq.clone(), max)),
     }
 }
 

@@ -3,8 +3,9 @@
 //! Behaviourally faithful re-implementations of the four disk I/O
 //! schedulers the paper studies — [`noop::Noop`],
 //! [`deadline::DeadlineSched`], [`anticipatory::Anticipatory`] and
-//! [`cfq::Cfq`] — behind one [`Elevator`] trait, plus the
-//! [`SchedPair`] type naming a (VMM-level, VM-level) combination.
+//! [`cfq::Cfq`] — behind one [`Elevator`] trait and the [`AnyElevator`]
+//! enum over all four, plus the [`SchedPair`] type naming a
+//! (VMM-level, VM-level) combination.
 //!
 //! Elevators are pure queueing state machines: they never block or keep
 //! time themselves. A driver (see `vmstack`) feeds them runs of
@@ -14,7 +15,7 @@
 //! and reports completions via [`Elevator::completed`].
 //!
 //! ```
-//! use iosched::{build_elevator, Dispatch, SchedKind, Tunables};
+//! use iosched::{build_elevator, Dispatch, Elevator, SchedKind, Tunables};
 //! use iosched::request::{Dir, IoRequest};
 //! use simcore::SimTime;
 //!
@@ -37,7 +38,8 @@ pub mod pool;
 pub mod request;
 
 pub use elevator::{
-    build_elevator, Dispatch, Elevator, ParseSchedError, SchedKind, SchedPair, Tunables,
+    build_elevator, AnyElevator, Dispatch, Elevator, ParseSchedError, SchedKind, SchedPair,
+    Tunables,
 };
 pub use pool::{PoolKernel, Qid, RqPool};
 pub use request::{

@@ -13,17 +13,20 @@ use simcore::SimTime;
 use std::collections::VecDeque;
 
 /// The noop scheduler.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Noop {
-    /// Slab of queued requests; `None` marks merged-away/dispatched slots.
-    slab: Vec<Option<QueuedRq>>,
-    /// FIFO of slab slots.
-    fifo: VecDeque<usize>,
+    /// Queued requests, oldest first. Noop never front-merges and
+    /// dispatch pops the front, so every slot from the oldest queued
+    /// request to the newest is live: the queue holds what is queued,
+    /// whatever the run's age.
+    queue: VecDeque<QueuedRq>,
+    /// Slot id of `queue[0]`. Slot ids count arrivals since the queue
+    /// last emptied.
+    front: u32,
     /// extent end -> slots, for back merges (like Linux `elv_rqhash`).
     /// Multi-entry: extents sharing an end sector must all stay
     /// findable as merge candidates.
     by_end: BoundaryMap,
-    queued: usize,
     max_merge_sectors: u64,
 }
 
@@ -31,45 +34,45 @@ impl Noop {
     /// New noop elevator with the given merge cap.
     pub fn new(max_merge_sectors: u64) -> Self {
         Noop {
-            slab: Vec::new(),
-            fifo: VecDeque::new(),
+            queue: VecDeque::new(),
+            front: 0,
             by_end: BoundaryMap::default(),
-            queued: 0,
             max_merge_sectors,
         }
+    }
+
+    /// The queued request in slot `slot`.
+    fn slot_mut(&mut self, slot: u32) -> &mut QueuedRq {
+        &mut self.queue[(slot - self.front) as usize]
     }
 
     /// Add one request; returns the outcome and the slot holding it.
     fn add_one(&mut self, r: IoRequest) -> (AddOutcome, u32) {
         // Back merge: some queued request ends exactly where r starts.
-        // The slab is append-only between full drains, so the smallest
-        // eligible slot is the oldest candidate.
+        // Slot ids grow with arrival, so the smallest eligible slot is
+        // the oldest candidate.
         let slot = self
             .by_end
             .get(r.sector)
             .iter()
             .copied()
             .filter(|&s| {
-                self.slab[s as usize].as_ref().is_some_and(|rq| {
-                    rq.dir == r.dir && rq.sectors + r.sectors <= self.max_merge_sectors
-                })
+                let rq = &self.queue[(s - self.front) as usize];
+                rq.dir == r.dir && rq.sectors + r.sectors <= self.max_merge_sectors
             })
             .min();
         if let Some(slot) = slot {
             self.by_end.remove(r.sector, slot);
-            let rq = self.slab[slot as usize].as_mut().expect("filtered live");
+            let rq = self.slot_mut(slot);
             rq.merge_back(r);
-            let new_end = rq.end();
-            let id = rq.id();
+            let (new_end, id) = (rq.end(), rq.id());
             self.by_end.insert(new_end, slot);
             return (AddOutcome::MergedBack(id), slot);
         }
-        let slot = self.slab.len();
-        self.by_end.insert(r.end(), slot as u32);
-        self.slab.push(Some(QueuedRq::from_request(r)));
-        self.fifo.push_back(slot);
-        self.queued += 1;
-        (AddOutcome::Queued, slot as u32)
+        let slot = self.front + self.queue.len() as u32;
+        self.by_end.insert(r.end(), slot);
+        self.queue.push_back(QueuedRq::from_request(r));
+        (AddOutcome::Queued, slot)
     }
 }
 
@@ -82,57 +85,41 @@ impl Elevator for Noop {
         while let Some(r) = run.next() {
             let id = r.id;
             let (outcome, slot) = self.add_one(r);
-            RunStep::push(steps, outcome, self.queued, 1);
+            RunStep::push(steps, outcome, self.queue.len(), 1);
             let absorber = match outcome {
                 AddOutcome::Queued => id,
                 AddOutcome::MergedBack(absorber) => absorber,
                 AddOutcome::MergedFront(_) => unreachable!("noop never front-merges"),
             };
-            let rq = self.slab[slot as usize].as_mut().expect("absorber is live");
+            let rq = &mut self.queue[(slot - self.front) as usize];
             let absorbed = self.by_end.extend_back(slot, rq, run, self.max_merge_sectors);
             if absorbed > 0 {
-                RunStep::push(steps, AddOutcome::MergedBack(absorber), self.queued, absorbed);
+                RunStep::push(steps, AddOutcome::MergedBack(absorber), self.queue.len(), absorbed);
             }
         }
     }
 
     fn dispatch(&mut self, _now: SimTime) -> Dispatch {
         let _prof = simcore::prof::span_hot("iosched.dispatch");
-        while let Some(slot) = self.fifo.pop_front() {
-            if let Some(rq) = self.slab[slot].take() {
-                self.by_end.remove(rq.end(), slot as u32);
-                self.queued -= 1;
-                // Reclaim slab space opportunistically when fully drained.
-                if self.queued == 0 {
-                    self.slab.clear();
-                    self.fifo.clear();
-                    self.by_end.clear();
-                }
-                return Dispatch::Request(rq);
-            }
-        }
-        Dispatch::Empty
+        let Some(rq) = self.queue.pop_front() else {
+            return Dispatch::Empty;
+        };
+        self.by_end.remove(rq.end(), self.front);
+        self.front = if self.queue.is_empty() { 0 } else { self.front + 1 };
+        Dispatch::Request(rq)
     }
 
     fn completed(&mut self, _rq: &QueuedRq, _now: SimTime) {}
 
     fn queued(&self) -> usize {
-        self.queued
+        self.queue.len()
     }
 
     fn drain(&mut self) -> Vec<QueuedRq> {
-        let mut out = Vec::with_capacity(self.queued);
-        while let Some(slot) = self.fifo.pop_front() {
-            if let Some(rq) = self.slab[slot].take() {
-                out.push(rq);
-            }
-        }
-        self.slab.clear();
         self.by_end.clear();
-        self.queued = 0;
-        out
+        self.front = 0;
+        self.queue.drain(..).collect()
     }
-
 }
 
 #[cfg(test)]
@@ -244,6 +231,22 @@ mod tests {
         e.add(req(5, 5, 400, 100), now); // read, ends at 500
         e.add(w(6, 450, 50), now); // write, also ends at 500
         assert_eq!(e.add(w(7, 500, 8), now), AddOutcome::MergedBack(6));
+    }
+
+    #[test]
+    fn slab_holds_only_what_is_queued() {
+        // 100k add/dispatch rounds that never empty the queue: the slab
+        // follows the queued count, not the number of arrivals.
+        let mut e = Noop::new(1024);
+        let now = SimTime::ZERO;
+        e.add(req(0, 0, 0, 8), now);
+        e.add(req(1, 0, 16, 8), now);
+        for id in 2..100_002 {
+            e.add(req(id, 0, id * 16, 8), now);
+            assert!(matches!(e.dispatch(now), Dispatch::Request(_)));
+            assert_eq!(e.queue.len(), 2, "round {id}");
+        }
+        assert!(e.queue.capacity() < 16, "slab grew to {}", e.queue.capacity());
     }
 
     #[test]

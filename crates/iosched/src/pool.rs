@@ -54,7 +54,7 @@ pub type Qid = u64;
 /// slab kernel ([`RqPool`]) and the naive oracle (`NaiveRqPool`)
 /// implement it, so the differential suite can instantiate whole
 /// elevators over either kernel.
-pub trait PoolKernel: Default + Send + std::fmt::Debug + 'static {
+pub trait PoolKernel: Default + Clone + Send + std::fmt::Debug + 'static {
     /// Number of queued (merged) requests.
     fn len(&self) -> usize;
 
@@ -131,7 +131,7 @@ enum SlotSet {
 /// `HashMap<Sector, slot>`, two queued extents sharing a boundary do
 /// not overwrite each other: both stay findable as merge candidates,
 /// and removing one never drops the other's entry.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct BoundaryMap {
     map: FxHashMap<Sector, SlotSet>,
 }
@@ -237,7 +237,7 @@ impl BoundaryMap {
 /// a [`Qid`] is only valid while its packed generation matches, so
 /// expiry FIFOs may hold stale qids indefinitely (lazy invalidation)
 /// without ever aliasing a reused slot.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot {
     gen: u32,
     /// Global insertion sequence — the sort-order tie-break (matches
@@ -258,7 +258,7 @@ struct OrdEnt {
 /// CFQ queue): generational slab storage, sorted index vec with a scan
 /// cursor, multi-entry boundary indexes, and a per-stream refcount map
 /// (O(1) [`PoolKernel::has_stream`] for the anticipation hot path).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct RqPool {
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -610,7 +610,7 @@ pub fn add_run_with_merge<P: PoolKernel>(
 }
 
 /// Direction-indexed pair of pools (deadline/AS keep one per direction).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct DirPools<P: PoolKernel = RqPool> {
     pools: [P; 2],
 }
@@ -653,7 +653,7 @@ impl<P: PoolKernel> DirPools<P> {
 /// whose qid has left the pool are skipped on pop (the deadline
 /// elevator's expiry list). Holds slab qids directly — generational
 /// validation makes `contains` an O(1) slot probe.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct DeadlineFifo {
     entries: std::collections::VecDeque<(Qid, simcore::SimTime)>,
 }

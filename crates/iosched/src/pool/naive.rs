@@ -17,7 +17,7 @@ type NaiveKey = (Sector, Qid);
 /// sectors (the single-slot index of the original implementation
 /// dropped one of two extents sharing a boundary). O(n) merges: use
 /// only in tests.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct NaiveRqPool {
     sorted: BTreeMap<NaiveKey, QueuedRq>,
     /// live qid -> key, for FIFO cross-references.

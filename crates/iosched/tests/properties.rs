@@ -4,7 +4,7 @@
 //! and make causally sane idle decisions. (In-tree `simcore::check`
 //! harness.)
 
-use iosched::{build_elevator, Dispatch, Dir, IoRequest, SchedKind, Tunables};
+use iosched::{build_elevator, Dispatch, Dir, Elevator, IoRequest, SchedKind, Tunables};
 use simcore::check::{check, Gen};
 use simcore::{SimDuration, SimTime};
 use std::collections::HashSet;

@@ -2,13 +2,15 @@
 //! workloads shaped like the paper's, driven through a tiny
 //! service-loop harness with a constant per-request service time.
 
-use iosched::{build_elevator, Dispatch, Dir, Elevator, IoRequest, SchedKind, Tunables};
+use iosched::{
+    build_elevator, AnyElevator, Dir, Dispatch, Elevator, IoRequest, SchedKind, Tunables,
+};
 use simcore::{SimDuration, SimTime};
 
 const SVC: SimDuration = SimDuration::from_millis(3);
 
 struct Harness {
-    e: Box<dyn Elevator>,
+    e: AnyElevator,
     now: SimTime,
     next_id: u64,
     served: Vec<(SimTime, IoRequest)>,

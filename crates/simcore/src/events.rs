@@ -31,6 +31,7 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+#[derive(Clone)]
 struct Entry<T> {
     time: SimTime,
     seq: u64,
@@ -94,6 +95,11 @@ impl<T> Ord for Entry<T> {
 /// assert_eq!(q.pop_batch(&mut batch), Some(t));
 /// assert_eq!(batch, vec!['a', 'b']);
 /// ```
+///
+/// A queue of `Clone` payloads clones with its sequence counter and
+/// watermark, so a copy pops exactly the events, ties included, that
+/// the original would.
+#[derive(Clone)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,

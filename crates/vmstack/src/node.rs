@@ -29,13 +29,13 @@ use crate::switching::{SwitchState, SwitchTiming};
 use crate::telemetry::NodeTelemetry;
 use blkdev::{Disk, DiskParams};
 use iosched::{
-    build_elevator, AddOutcome, Dispatch, Dir, Elevator, IoRequest, QueuedRq, RequestId, RunStep,
-    SchedKind, SchedPair, SegRun, Tunables,
+    build_elevator, AddOutcome, AnyElevator, Dispatch, Dir, Elevator, IoRequest, QueuedRq,
+    RequestId, RunStep, SchedKind, SchedPair, SegRun, Tunables,
 };
 use simcore::trace::{Layer, Trace, TraceEvent};
 use simcore::{
-    MetricsRegistry, OnlineStats, SampleSet, SimDuration, SimTime, Telemetry, ThroughputMeter,
-    Timer, TimerTicket,
+    FxHashMap, MetricsRegistry, OnlineStats, SampleSet, SimDuration, SimTime, Telemetry,
+    ThroughputMeter, Timer, TimerTicket,
 };
 use std::collections::VecDeque;
 
@@ -80,7 +80,7 @@ pub enum StackAction {
 }
 
 /// Static configuration of a node stack.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeParams {
     /// Physical disk model parameters.
     pub disk: DiskParams,
@@ -183,10 +183,11 @@ impl LevelCounters {
 /// One elevator level of the stack: Dom0 or one guest. Either level
 /// switches the same way (quiesce, drain, swap, re-init stall), so
 /// everything a switch touches lives here.
+#[derive(Clone)]
 struct Level {
     /// Trace identity: `Layer::Host` for Dom0, `Layer::Guest(vm)`.
     layer: Layer,
-    elevator: Box<dyn Elevator>,
+    elevator: AnyElevator,
     /// Re-polls the elevator after an idle window or the re-init stall.
     timer: Timer,
     switch: SwitchState,
@@ -250,6 +251,7 @@ fn guest_level(vm: VmId) -> usize {
 
 /// A guest request split across ring slots (a slot of
 /// `NodeStack::parents`; `grq` is `None` while the slot is free).
+#[derive(Clone)]
 struct RingParent {
     vm: VmId,
     /// Segments still in flight.
@@ -260,7 +262,14 @@ struct RingParent {
 /// Marks a completed id in `NodeStack::ring`.
 const SEG_DONE: u32 = u32::MAX;
 
+/// The ring id window holds at most this many times the hard bound on
+/// live segments (`vm_count × ring_bound`): room enough that a segment
+/// completes inside the window unless it waits behind several rings'
+/// worth of newer ones.
+const RING_WINDOW_FACTOR: usize = 4;
+
 /// The two-level block stack of one node.
+#[derive(Clone)]
 pub struct NodeStack {
     params: NodeParams,
     disk: Disk,
@@ -271,10 +280,16 @@ pub struct NodeStack {
     /// Dom0 ids are handed out consecutively, one per ring segment:
     /// `ring[id - ring_base]` is the `parents` slot of segment `id`, or
     /// [`SEG_DONE`] once it completed. Completed ids are popped off the
-    /// front, so the window spans the oldest segment in flight to the
-    /// newest id.
+    /// front, and the window never grows past `ring_window` ids: a
+    /// segment still in flight when new ids push it out of the front
+    /// moves to `stragglers`.
     ring: VecDeque<u32>,
     ring_base: RequestId,
+    /// Cap on `ring.len()`: [`RING_WINDOW_FACTOR`] × the live-segment
+    /// bound, so the window stays small however long one segment waits.
+    ring_window: usize,
+    /// Segments in flight below `ring_base`: id -> `parents` slot.
+    stragglers: FxHashMap<RequestId, u32>,
     /// Guest requests with segments in flight (slab; `free_parents`
     /// lists the vacant slots).
     parents: Vec<RingParent>,
@@ -342,6 +357,8 @@ impl NodeStack {
             in_ring: vec![0; vm_count as usize],
             ring: VecDeque::with_capacity(ring_cap),
             ring_base: 1,
+            ring_window: RING_WINDOW_FACTOR * ring_cap,
+            stragglers: FxHashMap::default(),
             parents: Vec::with_capacity(ring_cap),
             free_parents: Vec::with_capacity(ring_cap),
             run_steps: Vec::new(),
@@ -640,9 +657,26 @@ impl NodeStack {
         false
     }
 
+    /// Enter `nsegs` fresh Dom0 ids for parent `slot` into the ring
+    /// window, moving any live segment pushed out of its front to the
+    /// stragglers.
+    fn push_segments(&mut self, slot: u32, nsegs: u32) {
+        self.ring.extend(std::iter::repeat_n(slot, nsegs as usize));
+        while self.ring.len() > self.ring_window {
+            let old = self.ring.pop_front().expect("the window is over its cap");
+            if old != SEG_DONE {
+                self.stragglers.insert(self.ring_base, old);
+            }
+            self.ring_base += 1;
+        }
+    }
+
     /// Retire Dom0 segment `id` from the ring window, returning its
     /// parent slot.
     fn retire_segment(&mut self, id: RequestId) -> u32 {
+        if id < self.ring_base {
+            return self.stragglers.remove(&id).expect("straggler segment in flight");
+        }
         let at = (id - self.ring_base) as usize;
         let slot = std::mem::replace(&mut self.ring[at], SEG_DONE);
         debug_assert_ne!(slot, SEG_DONE, "segment {id} completed twice");
@@ -754,7 +788,7 @@ impl NodeStack {
                             (self.parents.len() - 1) as u32
                         }
                     };
-                    self.ring.extend(std::iter::repeat_n(slot, nsegs as usize));
+                    self.push_segments(slot, nsegs);
                     self.enter(now, DOM0, run);
                     // Check drain progress of the guest switch.
                     self.try_finish_drain(now, at, out);
@@ -922,5 +956,72 @@ impl NodeStack {
             self.switching_to = None;
             out.push(StackAction::SwitchComplete { pair });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::EventQueue;
+
+    /// Under a CFQ Dom0 the dd writers share one async queue with a
+    /// one-way scan, so the VMs are served one after another and the
+    /// first segments of the later VMs wait while newer ids run far
+    /// ahead. The window must stay within its cap, those segments must
+    /// pass through the straggler map, and every request must complete.
+    #[test]
+    fn ring_window_stays_within_its_cap() {
+        let vms: VmId = 4;
+        let (chunk, per_vm) = (256, 512); // 512 × 128 KiB = 64 MiB per VM
+        let mut stack = NodeStack::new(NodeParams::default(), vms, SchedPair::DEFAULT);
+        let cap = RING_WINDOW_FACTOR * vms as usize * stack.ring_bound as usize;
+        let submit = |stack: &mut NodeStack, now, vm: VmId, n: u64, out: &mut Vec<_>| {
+            let req = IoRequest {
+                id: vm as u64 * per_vm + n + 1,
+                stream: 0,
+                sector: n * chunk,
+                sectors: chunk,
+                dir: Dir::Write,
+                sync: false,
+                submitted: now,
+            };
+            stack.submit_into(now, vm, req, out);
+        };
+        // A dd writeback window of 16 requests per VM.
+        let (mut queue, mut out, mut now) = (EventQueue::new(), Vec::new(), SimTime::ZERO);
+        let mut next = vec![16; vms as usize];
+        for vm in 0..vms {
+            for n in 0..16 {
+                submit(&mut stack, now, vm, n, &mut out);
+            }
+        }
+        let (mut done, mut peak_window, mut peak_stragglers) = (0, 0, 0);
+        loop {
+            while !out.is_empty() {
+                for action in std::mem::take(&mut out) {
+                    match action {
+                        StackAction::At(t, ev) => queue.push(t, ev),
+                        StackAction::IoDone { vm, .. } => {
+                            done += 1;
+                            let n = &mut next[vm as usize];
+                            if *n < per_vm {
+                                submit(&mut stack, now, vm, *n, &mut out);
+                                *n += 1;
+                            }
+                        }
+                        StackAction::SwitchComplete { .. } => unreachable!("no switch"),
+                    }
+                }
+            }
+            peak_window = peak_window.max(stack.ring.len());
+            peak_stragglers = peak_stragglers.max(stack.stragglers.len());
+            let Some((t, ev)) = queue.pop() else { break };
+            now = t;
+            stack.handle_into(now, ev, &mut out);
+        }
+        assert_eq!(done, vms as u64 * per_vm, "every request completes");
+        assert!(stack.is_idle() && stack.ring.is_empty() && stack.stragglers.is_empty());
+        assert!(peak_window <= cap, "window of {peak_window} ids over its cap of {cap}");
+        assert!(peak_stragglers > 0, "no segment outlived the window");
     }
 }

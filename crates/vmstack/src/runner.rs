@@ -114,6 +114,7 @@ enum RunnerEvent {
     SwitchAt { idx: usize },
 }
 
+#[derive(Clone)]
 struct ProcState {
     spec: SyntheticProc,
     issued_sectors: u64,
@@ -144,6 +145,16 @@ pub struct RunOutcome {
 }
 
 /// Event-loop driver for one node plus synthetic processes.
+///
+/// A runner can be forked at a scheduled switch.
+/// [`NodeRunner::run_to_switch`] stops the run where the switch pops,
+/// before applying it. A clone of the paused runner, given a target by
+/// [`NodeRunner::retarget_switch`], finishes under [`NodeRunner::run`]
+/// exactly as a fresh run scheduled with that target does: the target
+/// is read only when the switch is applied, and every event before it
+/// has already popped, in the same order and with the same sequence
+/// numbers.
+#[derive(Clone)]
 pub struct NodeRunner {
     stack: NodeStack,
     queue: EventQueue<RunnerEvent>,
@@ -155,8 +166,14 @@ pub struct NodeRunner {
     actions: Vec<StackAction>,
     now: SimTime,
     /// Scheduled mid-run switches: when, and the new Dom0 and guest
-    /// elevators (`None` keeps that level's).
+    /// elevators (`None` keeps that level's). Sorted by time when the
+    /// run starts; a `SwitchAt { idx }` event names entry `idx`.
     switches: Vec<(SimTime, Option<SchedKind>, Option<SchedKind>)>,
+    /// Process starts and switches are queued.
+    started: bool,
+    /// The switch `run_to_switch` stopped at, applied by the next call
+    /// that runs.
+    paused: Option<usize>,
 }
 
 impl NodeRunner {
@@ -171,6 +188,8 @@ impl NodeRunner {
             actions: Vec::new(),
             now: SimTime::ZERO,
             switches: Vec::new(),
+            started: false,
+            paused: None,
         }
     }
 
@@ -181,6 +200,7 @@ impl NodeRunner {
 
     /// Register a synthetic process before `run`.
     pub fn add_proc(&mut self, spec: SyntheticProc) {
+        assert!(!self.started, "processes are added before the run starts");
         let rng = match spec.pattern {
             Pattern::Random { seed } => Some(SimRng::from_seed(seed)),
             Pattern::Sequential | Pattern::RoundRobinFiles { .. } => None,
@@ -197,17 +217,34 @@ impl NodeRunner {
 
     /// Schedule a pair switch at an absolute time during the run.
     pub fn switch_at(&mut self, at: SimTime, pair: SchedPair) {
-        self.switches.push((at, Some(pair.host), Some(pair.guest)));
+        self.schedule_switch(at, Some(pair.host), Some(pair.guest));
     }
 
     /// Schedule a Dom0-only switch (the guests keep their elevator).
     pub fn switch_host_at(&mut self, at: SimTime, host: SchedKind) {
-        self.switches.push((at, Some(host), None));
+        self.schedule_switch(at, Some(host), None);
     }
 
     /// Schedule a guests-only switch (Dom0 keeps its elevator).
     pub fn switch_guests_at(&mut self, at: SimTime, guest: SchedKind) {
-        self.switches.push((at, None, Some(guest)));
+        self.schedule_switch(at, None, Some(guest));
+    }
+
+    fn schedule_switch(&mut self, at: SimTime, host: Option<SchedKind>, guest: Option<SchedKind>) {
+        assert!(!self.started, "switches are scheduled before the run starts");
+        self.switches.push((at, host, guest));
+    }
+
+    /// Replace the target of the switch this runner is paused at (see
+    /// [`NodeRunner::run_to_switch`]): Dom0 to `host` and every guest
+    /// to `guest`, `None` keeping that level's elevator.
+    ///
+    /// # Panics
+    ///
+    /// If the runner is not paused at a switch.
+    pub fn retarget_switch(&mut self, host: Option<SchedKind>, guest: Option<SchedKind>) {
+        let idx = self.paused.expect("retarget_switch needs a runner paused at a switch");
+        self.switches[idx] = (self.switches[idx].0, host, guest);
     }
 
     /// Carry out (and empty) `actions`.
@@ -290,19 +327,37 @@ impl NodeRunner {
         }
     }
 
-    /// Run to completion; returns the outcome.
-    pub fn run(&mut self) -> RunOutcome {
-        // Schedule process starts and switches.
+    /// Queue the process starts, then the switches in time order, once.
+    fn start(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
         for i in 0..self.procs.len() {
             let at = SimTime::ZERO + self.procs[i].spec.start_delay;
             self.queue.push(at, RunnerEvent::Issue { proc: i });
         }
-        let mut switches = std::mem::take(&mut self.switches);
-        switches.sort_by_key(|&(t, _, _)| t);
-        for (idx, &(t, _, _)) in switches.iter().enumerate() {
+        self.switches.sort_by_key(|&(t, _, _)| t);
+        for (idx, &(t, _, _)) in self.switches.iter().enumerate() {
             self.queue.push(t, RunnerEvent::SwitchAt { idx });
         }
+    }
 
+    /// Begin scheduled switch `idx` now.
+    fn begin_switch(&mut self, idx: usize) {
+        let (_, host, guest) = self.switches[idx];
+        let mut actions = self.stack.begin_switch(self.now, host, guest);
+        self.apply(&mut actions);
+    }
+
+    /// Apply the switch the runner is paused at, if any, then pop events
+    /// until the queue is empty (`false`) or, with `pause`, until a
+    /// switch pops (`true`; that switch is left unapplied in `paused`).
+    fn advance(&mut self, pause: bool) -> bool {
+        self.start();
+        if let Some(idx) = self.paused.take() {
+            self.begin_switch(idx);
+        }
         while let Some((t, ev)) = self.queue.pop() {
             self.now = t;
             match ev {
@@ -313,13 +368,30 @@ impl NodeRunner {
                     self.actions = actions;
                 }
                 RunnerEvent::Issue { proc } => self.prime(proc),
-                RunnerEvent::SwitchAt { idx } => {
-                    let (_, host, guest) = switches[idx];
-                    let mut actions = self.stack.begin_switch(t, host, guest);
-                    self.apply(&mut actions);
+                RunnerEvent::SwitchAt { idx } if pause => {
+                    self.paused = Some(idx);
+                    return true;
                 }
+                RunnerEvent::SwitchAt { idx } => self.begin_switch(idx),
             }
         }
+        false
+    }
+
+    /// Run until the next scheduled switch pops, and return its instant
+    /// without applying it; `None` once no switch is left to pop and the
+    /// run is over. The next [`NodeRunner::run`] or `run_to_switch`
+    /// applies the switch at that instant, with the target it has then
+    /// (see [`NodeRunner::retarget_switch`]).
+    pub fn run_to_switch(&mut self) -> Option<SimTime> {
+        self.advance(true).then_some(self.now)
+    }
+
+    /// Run to completion; returns the outcome. A runner paused by
+    /// [`NodeRunner::run_to_switch`] first applies the switch it
+    /// stopped at.
+    pub fn run(&mut self) -> RunOutcome {
+        self.advance(false);
 
         assert!(
             self.procs.iter().all(|p| p.finished()),

@@ -18,7 +18,7 @@ use simcore::{SimDuration, SimTime};
 /// switch costs the paper reports (its Fig. 5 diagonal — re-installing
 /// the *same* pair — bottoms out around 4 s on a loaded 4-VM node,
 /// which is dominated by these stalls plus the drain).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchTiming {
     /// Stall after the Dom0 elevator swap before dispatching resumes.
     pub dom0_reinit: SimDuration,
@@ -47,7 +47,7 @@ enum Phase {
 
 /// Per-elevator switch state: where staged requests wait while the
 /// queue is quiesced.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SwitchState {
     phase: Phase,
     staged: Vec<IoRequest>,

@@ -9,6 +9,11 @@
 //! one level only (Dom0, or every guest) and pin both levels'
 //! `LevelCounters` besides.
 //!
+//! Every golden is also reached through a fork: one run per start pair
+//! paused where its switch pops, cloned three ways, each clone given
+//! another target. The clone aimed at the golden's target must match
+//! the golden, and every clone must match a fresh run of its target.
+//!
 //! If a deliberate behaviour change invalidates these values,
 //! re-capture them with
 //! `cargo test -q -p vmstack --test switched_runs -- --ignored --nocapture`
@@ -44,11 +49,25 @@ fn fingerprint(start: usize) -> Fingerprint {
     let pairs = SchedPair::all();
     let mut r = runner(pairs[start]);
     r.switch_at(SWITCH_AT, pairs[15 - start]);
+    finish(&mut r, pairs[15 - start])
+}
+
+/// Run `r` to completion, where it must end under pair `want`.
+fn finish(r: &mut NodeRunner, want: SchedPair) -> Fingerprint {
     let out = r.run();
     let stack = r.stack();
-    assert_eq!(stack.pair(), pairs[15 - start], "switch never completed");
+    assert_eq!(stack.pair(), want, "switch never completed");
     let dom0 = stack.dom0_counters();
     (out.makespan.as_nanos(), stack.trace().digest(), dom0.arrivals, dom0.merges_back)
+}
+
+/// A run under `start` paused where its switch at [`SWITCH_AT`] pops.
+/// The switch's placeholder target is replaced on each clone.
+fn paused(start: SchedPair) -> NodeRunner {
+    let mut r = runner(start);
+    r.switch_at(SWITCH_AT, start);
+    assert_eq!(r.run_to_switch(), Some(SWITCH_AT), "the switch must pop");
+    r
 }
 
 /// Captured from the per-segment Dom0 path, before guest dispatches
@@ -86,17 +105,34 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The scoped switch of one golden: Dom0 to deadline (`host_only`), or
+/// every guest to anticipatory, as `(host, guest)` targets, and the
+/// pair the run ends under.
+fn scoped_target(host_only: bool) -> (Option<SchedKind>, Option<SchedKind>, SchedPair) {
+    if host_only {
+        (Some(SchedKind::Deadline), None, SchedPair::new(SchedKind::Deadline, SchedKind::Cfq))
+    } else {
+        let guest = SchedKind::Anticipatory;
+        (None, Some(guest), SchedPair::new(SchedKind::Cfq, guest))
+    }
+}
+
 /// Start under the default pair and switch one level at 700 ms: Dom0
 /// to deadline (`host_only`), or every guest to anticipatory.
 fn scoped_fingerprint(host_only: bool) -> ScopedFingerprint {
     let mut r = runner(SchedPair::DEFAULT);
-    let want = if host_only {
-        r.switch_host_at(SWITCH_AT, SchedKind::Deadline);
-        SchedPair::new(SchedKind::Deadline, SchedKind::Cfq)
+    let (host, guest, want) = scoped_target(host_only);
+    if host_only {
+        r.switch_host_at(SWITCH_AT, host.expect("a Dom0 target"));
     } else {
-        r.switch_guests_at(SWITCH_AT, SchedKind::Anticipatory);
-        SchedPair::new(SchedKind::Cfq, SchedKind::Anticipatory)
-    };
+        r.switch_guests_at(SWITCH_AT, guest.expect("a guest target"));
+    }
+    scoped_finish(&mut r, want)
+}
+
+/// Run `r` to completion, where it must end under pair `want`, and
+/// fingerprint both levels.
+fn scoped_finish(r: &mut NodeRunner, want: SchedPair) -> ScopedFingerprint {
     let out = r.run();
     let stack = r.stack();
     assert_eq!(stack.pair(), want, "scoped switch never completed");
@@ -137,6 +173,44 @@ fn switched_runs_match_goldens() {
     for (start, golden) in GOLDENS.iter().enumerate() {
         assert_eq!(fingerprint(start), *golden, "switched run from pair {start} drifted");
     }
+}
+
+#[test]
+fn forked_runs_match_goldens_and_fresh_runs() {
+    let pairs = SchedPair::all();
+    for (start, golden) in GOLDENS.iter().enumerate() {
+        let prefix = paused(pairs[start]);
+        for to in [15 - start, start, (start + 5) % 16] {
+            let mut fork = prefix.clone();
+            fork.retarget_switch(Some(pairs[to].host), Some(pairs[to].guest));
+            let got = finish(&mut fork, pairs[to]);
+            if to == 15 - start {
+                assert_eq!(got, *golden, "forked run from pair {start} drifted");
+            }
+            let mut fresh = runner(pairs[start]);
+            fresh.switch_at(SWITCH_AT, pairs[to]);
+            assert_eq!(got, finish(&mut fresh, pairs[to]), "fork {start} -> {to} is not fresh");
+        }
+    }
+}
+
+#[test]
+fn forked_scoped_switches_match_goldens() {
+    // Both scoped goldens start under the default pair, so one prefix
+    // serves them both; a third clone switches both levels.
+    let prefix = paused(SchedPair::DEFAULT);
+    for (host_only, golden) in SCOPED_GOLDENS {
+        let (host, guest, want) = scoped_target(host_only);
+        let mut fork = prefix.clone();
+        fork.retarget_switch(host, guest);
+        assert_eq!(scoped_finish(&mut fork, want), golden, "forked scoped switch drifted");
+    }
+    let both = SchedPair::new(SchedKind::Noop, SchedKind::Deadline);
+    let mut fork = prefix.clone();
+    fork.retarget_switch(Some(both.host), Some(both.guest));
+    let mut fresh = runner(SchedPair::DEFAULT);
+    fresh.switch_at(SWITCH_AT, both);
+    assert_eq!(scoped_finish(&mut fork, both), scoped_finish(&mut fresh, both));
 }
 
 #[test]

@@ -32,6 +32,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 # corrupting a simulation.
 cargo test -q --release --offline --test pairs_smoke
 
+# The full-size Fig. 5 matrix, with its cells forked from one shared
+# prefix per row as `DdConfig::time_with_switch` runs them, must
+# reproduce every makespan the benchmark pins in
+# adios-bench/expected.json. A debug build ignores the test, so it runs
+# here in release.
+cargo test -q --release --offline --test fig5_matrix
+
 # Smoke-run the micro-benchmark harness (shrunken iteration counts):
 # proves the in-tree timer harness and its workloads stay runnable,
 # and that it emits a parseable BENCH_micro.json.
@@ -296,4 +303,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + doc gate + release causality smoke + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days, rendered whole and through head, self-diffs clean) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke + sweep through head green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + doc gate + release causality smoke + release Fig. 5 matrix + bench smoke/shape + switch benches + report smoke + serve-jobs oracle smoke (60 s and 14 days, rendered whole and through head, self-diffs clean) + profiler smoke + bench-doc render + deep-JSON/bad-profile/bad-service/bad-gate rejection + sweep tables smoke + sweep through head green; dependency graph is workspace-only"
